@@ -43,6 +43,7 @@ from .polarizations import (
     scale,
     scan_subtorus_types,
     self_intersection,
+    split_form,
     theta_g,
     xi_g,
 )
@@ -188,9 +189,7 @@ def _random_pd_form(g: int, rng: random.Random) -> PolarizedTorus:
     c = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(g)]
                              for _ in range(g)], cols=g)
     b = c.transpose() * c + IntMatrix.identity(g)
-    z = IntMatrix.zeros(g, g)
-    return PolarizedTorus(Torus(RATIONAL, g),
-                          IntMatrix.from_blocks([[z, b], [-b, z]]))
+    return PolarizedTorus(Torus(RATIONAL, g), split_form(b))
 
 
 def _check_box_kernel_product(opts: RunOptions):

@@ -218,10 +218,6 @@ class RatMatrix:
                    tuple(tuple(Fraction(c[i]) for c in columns) for i in range(rows)))
 
     @classmethod
-    def from_int(cls, m: IntMatrix) -> "RatMatrix":
-        return m.to_rat()
-
-    @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         return IntMatrix.identity(n).to_rat()
 
@@ -341,11 +337,6 @@ def hstack(*ms: IntMatrix) -> IntMatrix:
 
 def vstack(*ms: IntMatrix) -> IntMatrix:
     return IntMatrix.from_blocks([[m] for m in ms])
-
-
-def rat_hstack(*ms: RatMatrix) -> RatMatrix:
-    cols = [c for m in ms for c in m.columns()]
-    return RatMatrix.from_columns(cols, rows=ms[0].rows)
 
 
 # -- Smith normal form -----------------------------------------------------
@@ -495,7 +486,7 @@ def hnf_basis(cols: RatMatrix) -> RatMatrix:
     h = hnf_columns(cols.scaled(den).to_int())
     if h.cols < cols.rows:
         raise RankDeficient(f"columns span rank {h.cols} < {cols.rows}")
-    return RatMatrix.from_int(h).scaled(Fraction(1, den))
+    return h.to_rat().scaled(Fraction(1, den))
 
 
 # -- Pfaffian --------------------------------------------------------------

@@ -20,7 +20,9 @@ from .exact_linalg import IntMatrix, is_positive_definite, kernel_basis, vstack
 from .polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
+    associated_symmetric,
     qmodz,
+    split_form,
     theta_g,
     xi_g,
 )
@@ -157,11 +159,6 @@ def _upper_entries(m: IntMatrix, strict: bool) -> list[int]:
     return [m[i, j] for i in range(m.rows) for j in range(i + lo, m.cols)]
 
 
-def _split_form(b: IntMatrix) -> IntMatrix:
-    z = IntMatrix.zeros(b.rows, b.cols)
-    return IntMatrix.from_blocks([[z, b], [-b, z]])
-
-
 def ns_fixed(group: MatrixGroup) -> tuple[int, tuple[IntMatrix, ...]]:
     """Integral basis of the group-invariant compatible forms.
 
@@ -191,7 +188,7 @@ def ns_fixed(group: MatrixGroup) -> tuple[int, tuple[IntMatrix, ...]]:
             a = gmat.a_part()
             constraints.append(lambda m, r=a: r.transpose() * m * r - m)
         rows_per = lambda m: _upper_entries(m, strict=False)
-        rebuild = lambda coeffs: _split_form(_linear_combination(basis, coeffs))
+        rebuild = lambda coeffs: split_form(_linear_combination(basis, coeffs))
 
     columns = []
     for e in basis:
@@ -220,10 +217,8 @@ def _linear_combination(basis: list[IntMatrix], coeffs: list[int]) -> IntMatrix:
 
 
 def _positivity_normalized(torus: Torus, form: IntMatrix) -> IntMatrix:
-    j = torus.complex_structure()
-    u = torus.order.u if torus.order.is_cm else 0
     for cand in (form, -form):
-        if is_positive_definite(cand * j * 2 - cand.scaled(u)):
+        if is_positive_definite(associated_symmetric(torus, cand)):
             return cand
     return form
 
@@ -365,5 +360,15 @@ def group_from_json(text: str) -> MatrixGroup:
         rows = [[(int(flat[i * g + j][0]), int(flat[i * g + j][1]))
                  for j in range(g)] for i in range(g)]
         elements.append(OrderMatrix.from_pairs(order, rows))
+    if len({e.flat_key() for e in elements}) != len(elements):
+        raise ValueError("element list repeats an element")
+    # closure checks unit determinants and a shared torus, and it holds the
+    # identity and every listed element: a group is exactly its own closure
+    try:
+        closed = closure(elements, cap=len(elements)).order == len(elements)
+    except CapExceeded:
+        closed = False
+    if not closed:
+        raise ValueError("element list is not closed under multiplication")
     # the schema stores no generator subset; the full element list generates
     return MatrixGroup(Torus(order, g), tuple(elements), tuple(elements))

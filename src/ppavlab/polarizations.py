@@ -27,6 +27,7 @@ from .exact_linalg import (
     pfaffian,
     saturate,
     snf,
+    snf_diagonal,
 )
 from .tori import (
     OrderElem,
@@ -98,31 +99,60 @@ class PolarizedTorus:
             raise IncompatibleForm("form is not compatible with the complex structure")
         if self.form.det() == 0:
             raise Degenerate("polarization form must be nondegenerate")
-        if not is_positive_definite(self.associated_symmetric()):
+        if not is_positive_definite(associated_symmetric(self.torus, self.form)):
             raise NotPositive("associated symmetric matrix must be positive definite")
 
     @property
     def g(self) -> int:
         return self.torus.g
 
-    def associated_symmetric(self) -> IntMatrix:
-        # 2*M*J - u*M: twice the symmetric matrix of the Hermitian form,
-        # doubled to stay integral for half-integer traces
-        j = self.torus.complex_structure()
-        u = self.torus.order.u if self.torus.order.is_cm else 0
-        return self.form * j * 2 - self.form.scaled(u)
+
+# -- alternating forms --------------------------------------------------------
 
 
-def _split_form(b: IntMatrix) -> IntMatrix:
+def split_form(b: IntMatrix) -> IntMatrix:
+    """The alternating form [[0, B], [-B, 0]] of a square block B."""
     z = IntMatrix.zeros(b.rows, b.cols)
     return IntMatrix.from_blocks([[z, b], [-b, z]])
+
+
+def associated_symmetric(torus: Torus, form: IntMatrix) -> IntMatrix:
+    """2*M*J - u*M: twice the symmetric matrix of the Hermitian form.
+
+    Doubled to stay integral for half-integer traces; the form is positive
+    exactly when this matrix is positive definite.
+    """
+    j = torus.complex_structure()
+    u = torus.order.u if torus.order.is_cm else 0
+    return form * j * 2 - form.scaled(u)
+
+
+def alternating_type(form: IntMatrix) -> tuple[int, ...]:
+    """Elementary divisors (d_1 | ... | d_g) of a nondegenerate alternating form.
+
+    The Smith diagonal of an alternating form is doubled,
+    (d_1, d_1, d_2, d_2, ...); the type keeps one divisor of each pair.
+    """
+    diag = snf_diagonal(form)
+    if 0 in diag:
+        raise Degenerate("degenerate form has no type")
+    for k in range(0, len(diag), 2):
+        if diag[k] != diag[k + 1]:
+            raise NotAlternating("divisors of an alternating form must pair up")
+    return diag[0::2]
+
+
+def form_pairing(form: IntMatrix, x: Sequence, y: Sequence) -> Fraction:
+    """x^t·form·y mod 1, unchecked: the caller vouches that x, y are kernel members."""
+    return qmodz(sum(xi * sum(m * yj for m, yj in zip(row, y))
+                     for xi, row in zip(x, form.entries)))
 
 
 def theta_g(g: int, order: QuadOrder = RATIONAL) -> PolarizedTorus:
     """Product of g principally polarized elliptic factors."""
     if g < 1:
         raise ValueError("g must be >= 1")
-    return PolarizedTorus(Torus(order, g), _split_form(IntMatrix.identity(g)))
+    return PolarizedTorus(Torus(order, g), split_form(IntMatrix.identity(g)))
 
 
 def xi_g(g: int, order: QuadOrder = RATIONAL) -> PolarizedTorus:
@@ -130,19 +160,12 @@ def xi_g(g: int, order: QuadOrder = RATIONAL) -> PolarizedTorus:
     if g < 1:
         raise ValueError("g must be >= 1")
     ones = IntMatrix.from_rows([[1] * g for _ in range(g)], cols=g)
-    return PolarizedTorus(Torus(order, g), _split_form(IntMatrix.identity(g) + ones))
+    return PolarizedTorus(Torus(order, g), split_form(IntMatrix.identity(g) + ones))
 
 
 def polarization_type(p: PolarizedTorus) -> tuple[int, ...]:
     """Elementary divisors (d_1 | ... | d_g) of the form, halved pairing."""
-    diag = [snf(p.form).d[i, i] for i in range(p.form.rows)]
-    if 0 in diag:
-        raise Degenerate("degenerate form has no type")
-    # alternating forms have doubled divisors (d_1, d_1, d_2, d_2, ...)
-    for k in range(0, len(diag), 2):
-        if diag[k] != diag[k + 1]:
-            raise NotAlternating("divisors of an alternating form must pair up")
-    return tuple(diag[0::2])
+    return alternating_type(p.form)
 
 
 def is_principal(p: PolarizedTorus) -> bool:
@@ -152,12 +175,8 @@ def is_principal(p: PolarizedTorus) -> bool:
 # -- kernel group ------------------------------------------------------------
 
 
-def _form_vec(m: IntMatrix, x: Sequence[Fraction]) -> list[Fraction]:
-    return [sum(Fraction(m[i, j]) * x[j] for j in range(m.cols)) for i in range(m.rows)]
-
-
 def _is_kernel_member(m: IntMatrix, x: Sequence[Fraction]) -> bool:
-    return all(v.denominator == 1 for v in _form_vec(m, x))
+    return all(v.denominator == 1 for v in m.mul_vec(x))
 
 
 def as_vector(xs: Sequence) -> tuple[Fraction, ...]:
@@ -191,10 +210,6 @@ class FiniteSymplecticGroup:
     def pairing(self, x: Sequence, y: Sequence) -> Fraction:
         return weil_pairing(self, x, y)
 
-    def pairing_table(self) -> list[list[Fraction]]:
-        gens = self.generators
-        return [[self.pairing(a, b) for b in gens] for a in gens]
-
 
 def kernel_group(p: PolarizedTorus) -> FiniteSymplecticGroup:
     """Generators and orders of (form^{-1} Z^{2g}) / Z^{2g}."""
@@ -220,7 +235,7 @@ def weil_pairing(k: FiniteSymplecticGroup, x: Sequence, y: Sequence) -> Fraction
             raise NotMember("vector length must match the lattice rank")
         if not _is_kernel_member(m, v):
             raise NotMember("vector is not in the kernel of the form")
-    return qmodz(sum(xv[i] * f for i, f in enumerate(_form_vec(m, yv))))
+    return form_pairing(m, xv, yv)
 
 
 # -- products and rescalings -------------------------------------------------

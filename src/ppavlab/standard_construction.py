@@ -13,6 +13,7 @@ the fixed sublattice and its complement.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -33,9 +34,12 @@ from .group_actions import closure, example_b, pseudoreflection_generated
 from .polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
+    alternating_type,
     box_product,
+    form_pairing,
     kernel_group,
     qmodz,
+    split_form,
     xi_g,
 )
 from .tori import OrderMatrix, RATIONAL, Torus, rational_rep
@@ -68,22 +72,7 @@ class SymplecticBasis(NamedTuple):
 
 
 def _elem_order(x) -> int:
-    order = 1
-    for c in x:
-        d = c.denominator
-        order = order * d // _gcd(order, d)
-    return order
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _pair(m: IntMatrix, x, y) -> Fraction:
-    return qmodz(sum(x[i] * sum(Fraction(m[i, j]) * y[j] for j in range(m.cols))
-                     for i in range(m.rows)))
+    return math.lcm(*(c.denominator for c in x))
 
 
 def _scalar_mult(t: int, x) -> tuple:
@@ -104,15 +93,15 @@ def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
     while pool:
         x = max(pool, key=_elem_order)
         d = _elem_order(x)
-        y = next((c for c in pool if _pair(m, x, c).denominator == d), None)
+        y = next((c for c in pool if form_pairing(m, x, c).denominator == d), None)
         if y is None:
             raise DegeneratePairing(f"no partner of order {d} in the pairing")
-        num = int(_pair(m, x, y) * d)
+        num = int(form_pairing(m, x, y) * d)
         y = _scalar_mult(pow(num, -1, d), y)
         collected.append(((x, y), d))
         fresh = set()
         for z in pool:
-            alpha, beta = _pair(m, x, z), _pair(m, y, z)
+            alpha, beta = form_pairing(m, x, z), form_pairing(m, y, z)
             a_co = int(-beta * d) % d
             b_co = int(alpha * d) % d
             w = tuple(qmodz(zc - a_co * xc - b_co * yc)
@@ -123,13 +112,14 @@ def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
     collected.reverse()
     pairs = tuple(pq for pq, _ in collected)
     orders = tuple(d for _, d in collected)
-    for prev, nxt in zip(orders, orders[1:]):
-        assert nxt % prev == 0
+    if any(nxt % prev for prev, nxt in zip(orders, orders[1:])):
+        raise DegeneratePairing(f"orders {orders} do not form a divisor chain")
     for j, (xj, yj) in enumerate(pairs):
         for l, (xl, yl) in enumerate(pairs):
             want = Fraction(1, orders[j]) if j == l else Fraction(0)
-            assert _pair(m, xj, yl) == want
-            assert _pair(m, xj, xl) == 0 and _pair(m, yj, yl) == 0
+            if (form_pairing(m, xj, yl) != want or form_pairing(m, xj, xl)
+                    or form_pairing(m, yj, yl)):
+                raise DegeneratePairing("reduced pairs are not a symplectic basis")
     return SymplecticBasis(pairs, orders)
 
 
@@ -144,10 +134,7 @@ def elementary_divisors(ms) -> tuple[int, ...]:
             raise ValueError("moduli must be >= 1")
     if not ms:
         return ()
-    diag = IntMatrix.from_rows(
-        [[ms[i] if i == j else 0 for j in range(len(ms))] for i in range(len(ms))],
-        cols=len(ms))
-    return tuple(d for d in snf_diagonal(diag) if d > 1)
+    return tuple(d for d in snf_diagonal(IntMatrix.diagonal(ms)) if d > 1)
 
 
 @dataclass(frozen=True)
@@ -184,12 +171,7 @@ def _x_polarization(factors) -> PolarizedTorus:
 
 def _y_polarization(y_dim: int, divisors) -> PolarizedTorus:
     diag = [1] * (y_dim - len(divisors)) + list(divisors)
-    b = IntMatrix.from_rows(
-        [[diag[i] if i == j else 0 for j in range(y_dim)] for i in range(y_dim)],
-        cols=y_dim)
-    z = IntMatrix.zeros(y_dim, y_dim)
-    return PolarizedTorus(Torus(RATIONAL, y_dim),
-                          IntMatrix.from_blocks([[z, b], [-b, z]]))
+    return PolarizedTorus(Torus(RATIONAL, y_dim), split_form(IntMatrix.diagonal(diag)))
 
 
 def _embed_block(block: IntMatrix, offset: int, total: int) -> OrderMatrix:
@@ -233,7 +215,8 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
 
     f = symplectic_basis(kernel_group(x_pol))
     h = symplectic_basis(kernel_group(y_pol))
-    assert f.orders == divisors == h.orders
+    if not f.orders == divisors == h.orders:
+        raise TypeMismatch(f"kernel orders {f.orders}, {h.orders} differ from {divisors}")
     # the factor exchange negates the pairing; check it on the generating set
     images = []
     for (xj, yj), (uj, vj) in zip(f.pairs, h.pairs):
@@ -241,8 +224,8 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
         images.append((yj, uj))
     for a, ia in images:
         for b, ib in images:
-            assert qmodz(_pair(y_pol.form, ia, ib)
-                         + _pair(x_pol.form, a, b)) == 0
+            if qmodz(form_pairing(y_pol.form, ia, ib) + form_pairing(x_pol.form, a, b)):
+                raise IntegralityFailure("graph is not isotropic for the product form")
     graph = tuple(_graph_lift(t, u, gx, gy) for t, u in images)
 
     cols = [tuple(Fraction(int(i == j)) for i in range(2 * n)) for j in range(2 * n)]
@@ -254,11 +237,10 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     m_a = m_rat.to_int()
 
     index = Fraction(1) / abs(p.det())
-    total = 1
-    for d in divisors:
-        total *= d
-    assert index == total ** 2
-    assert abs(pfaffian(m_a)) == 1
+    if index != math.prod(divisors) ** 2:
+        raise TypeMismatch(f"overlattice index {index} is not the squared divisor product")
+    if abs(pfaffian(m_a)) != 1:
+        raise TypeMismatch("pulled-back form is not principal")
 
     p_inv = p.inverse()
     actions = []
@@ -339,11 +321,8 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
     x_group = closure(_factor_generators(a.factors, x_pol.g))
     checks.append(("x-action-reflections", pseudoreflection_generated(x_group)[0]))
 
-    total = 1
-    for d in divisors:
-        total *= d
     index = Fraction(1) / abs(p.det())
-    checks.append(("overlattice-index", index == total ** 2))
+    checks.append(("overlattice-index", index == math.prod(divisors) ** 2))
 
     stacked = vstack(*(rho - IntMatrix.identity(2 * n) for rho in a.actions))
     fdim = kernel_basis(stacked).cols // 2
@@ -365,14 +344,6 @@ class GlueDecomposition(NamedTuple):
     quotient_order: int
 
 
-def _paired_type(form: IntMatrix) -> tuple[int, ...]:
-    diag = snf_diagonal(form)
-    for k in range(0, len(diag), 2):
-        if diag[k] != diag[k + 1]:
-            raise NotAlternating("divisors of an alternating form must pair up")
-    return tuple(diag[0::2])
-
-
 def decompose_glued(a: GluedPPAV) -> GlueDecomposition:
     """Split a verified glue into its fixed part and polarized complement."""
     report = verify_glued(a)
@@ -382,18 +353,12 @@ def decompose_glued(a: GluedPPAV) -> GlueDecomposition:
     y_basis = kernel_basis(vstack(*(rho - IntMatrix.identity(n2)
                                     for rho in a.actions)))
     x_basis = kernel_basis(y_basis.transpose() * a.form)
-    y_type = _paired_type(y_basis.transpose() * a.form * y_basis)
-    x_type = _paired_type(x_basis.transpose() * a.form * x_basis)
-    quotient = abs(hstack(x_basis, y_basis).to_rat().det())
-    assert quotient.denominator == 1
-    kx = 1
-    for d in x_type:
-        kx *= d ** 2
-    ky = 1
-    for d in y_type:
-        ky *= d ** 2
-    assert int(quotient) ** 2 == kx * ky
-    return GlueDecomposition(y_basis, x_basis, y_type, x_type, int(quotient))
+    y_type = alternating_type(y_basis.transpose() * a.form * y_basis)
+    x_type = alternating_type(x_basis.transpose() * a.form * x_basis)
+    quotient = abs(hstack(x_basis, y_basis).det())
+    if quotient != math.prod(x_type) * math.prod(y_type):
+        raise InvalidGlue(f"gluing index {quotient} does not match the types")
+    return GlueDecomposition(y_basis, x_basis, y_type, x_type, quotient)
 
 
 # -- serialization ----------------------------------------------------------------
@@ -410,10 +375,7 @@ def _parse_grid(grid) -> IntMatrix:
 
 def glued_to_json(a: GluedPPAV) -> str:
     den = a.overlattice.common_denominator()
-    graph_den = 1
-    for gamma in a.graph:
-        for c in gamma:
-            graph_den = graph_den * c.denominator // _gcd(graph_den, c.denominator)
+    graph_den = math.lcm(*(c.denominator for gamma in a.graph for c in gamma))
     return json.dumps({
         "factors": list(a.factors),
         "y_dim": a.y_dim,

@@ -32,6 +32,7 @@ from ppavlab.polarizations import (
     polarization_type,
     qmodz,
     scale,
+    split_form,
     theta_g,
     weil_pairing,
     xi_g,
@@ -58,11 +59,6 @@ def neg_group(g=2):
 
 def trivial_group(order=RATIONAL, g=2):
     return closure([OrderMatrix.identity(order, g)])
-
-
-def split_form(b: IntMatrix) -> IntMatrix:
-    z = IntMatrix.zeros(b.rows, b.cols)
-    return IntMatrix.from_blocks([[z, b], [-b, z]])
 
 
 def factorial(n):
@@ -351,3 +347,20 @@ def test_group_json_roundtrip():
 def test_group_json_roundtrip_regenerates():
     back = group_from_json(group_to_json(example_c()[0]))
     assert closure(back.generators).order == 16
+
+
+def _s3_json(pick):
+    grp = example_b(2)[0]
+    t1, t2 = grp.generators[:2]
+    ident = OrderMatrix.identity(RATIONAL, 2)
+    elems = tuple(pick(ident, t1, t1 * t2))
+    return group_to_json(MatrixGroup(grp.torus, elems, elems))
+
+
+@pytest.mark.parametrize("pick", [
+    lambda ident, transposition, three_cycle: (ident, transposition, three_cycle),
+    lambda ident, transposition, three_cycle: (ident, transposition, transposition),
+], ids=["not-closed", "repeated"])
+def test_group_json_rejects_non_group(pick):
+    with pytest.raises(ValueError):
+        group_from_json(_s3_json(pick))

@@ -37,16 +37,12 @@ from ppavlab.polarizations import (
     scale,
     scan_subtorus_types,
     self_intersection,
+    split_form,
     theta_g,
     weil_pairing,
     xi_g,
 )
 from ppavlab.tori import GAUSSIAN, EISENSTEIN, RATIONAL, Torus
-
-
-def split_form(b: IntMatrix) -> IntMatrix:
-    z = IntMatrix.zeros(b.rows, b.cols)
-    return IntMatrix.from_blocks([[z, b], [-b, z]])
 
 
 def random_pd_block(g, rng, span=2):
