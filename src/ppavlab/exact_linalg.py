@@ -276,11 +276,7 @@ class RatMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
     def common_denominator(self) -> int:
-        den = 1
-        for r in self.entries:
-            for x in r:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        return den
+        return math.lcm(*(x.denominator for r in self.entries for x in r))
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for r in self.entries for x in r)
@@ -563,10 +559,7 @@ def rank_over_field(m: RatMatrix | IntMatrix) -> int:
     # cross-multiplication, and shrink rows by their gcd to bound growth
     a = []
     for r in m.entries:
-        den = 1
-        for x in r:
-            d = Fraction(x).denominator
-            den = den * d // math.gcd(den, d)
+        den = math.lcm(*(x.denominator for x in r))
         a.append([int(x * den) for x in r])
     rank = 0
     for col in range(m.cols):

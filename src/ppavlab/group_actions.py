@@ -4,9 +4,11 @@ Groups are closed element lists over a torus, built by breadth-first closure
 from generators.  The checks cover polarization invariance, generation by
 pseudoreflections, fixed sublattices, the invariant part of the module of
 compatible forms, averaged pullbacks, and the induced action on kernel
-groups.  Three example actions are provided: coordinate units with
-permutations, the permutation action on a zero-sum lattice, and an
-order-16 group over the Gaussian integers.
+groups.  Each predicate on an element, the pseudoreflection test included,
+is decided on its integer action matrix ``rational_rep``.  Three example
+actions are provided: coordinate units with permutations, the permutation
+action on a zero-sum lattice, and an order-16 group over the Gaussian
+integers.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import IntMatrix, is_positive_definite, kernel_basis, vstack
+from .exact_linalg import (
+    IntMatrix,
+    is_positive_definite,
+    kernel_basis,
+    rank_over_field,
+    vstack,
+)
 from .polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
@@ -34,7 +42,6 @@ from .tori import (
     OrderMatrix,
     RATIONAL,
     Torus,
-    analytic_rank_minus_id,
     order_by_kind,
     rational_rep,
     unit_of_order,
@@ -111,8 +118,15 @@ def invariant_form(group: MatrixGroup, p: PolarizedTorus) -> bool:
 
 
 def pseudoreflection_generated(group: MatrixGroup) -> tuple[bool, int]:
-    """(whether the pseudoreflections generate, how many there are)."""
-    refl = [e for e in group.elements if analytic_rank_minus_id(e) == 1]
+    """(whether the pseudoreflections generate, how many there are).
+
+    A pseudoreflection has rank(e - 1) = 1 over the fraction field of the
+    order.  The integer action matrix is the regular representation, whose
+    Q-rank is twice that (over Z it is diag(A, A)), so the test is rank 2.
+    """
+    ident = IntMatrix.identity(group.torus.lattice_rank)
+    refl = [e for e in group.elements
+            if rank_over_field(rational_rep(e) - ident) == 2]
     if not refl:
         return group.order == 1, 0
     sub = closure(tuple(refl))

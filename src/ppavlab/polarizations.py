@@ -418,7 +418,6 @@ def scan_subtorus_types(n: int, height: int) -> tuple[SubtorusRestriction, ...]:
         raise BudgetExceeded("supported budget is n <= 4, height <= 5")
     if n < 2:
         return ()
-    ambient = xi_g(n)
     prims = _primitive_vectors(n, height)
     seen: dict[tuple, IntMatrix] = {}
     for k in range(1, n):
@@ -429,12 +428,11 @@ def scan_subtorus_types(n: int, height: int) -> tuple[SubtorusRestriction, ...]:
             except RankDeficient:
                 continue  # same span arises from a smaller subset
             seen.setdefault(sat.entries, sat)
-    results = []
-    for sat in seen.values():
-        z = IntMatrix.zeros(n, sat.cols)
-        doubled = IntMatrix.from_blocks([[sat, z], [z, sat]])
-        t = polarization_type(restrict(ambient, doubled))
-        results.append(SubtorusRestriction(sat, t))
+    # xi_g(n) is split_form(gram); restricted to diag(S, S) it is
+    # split_form(S^t gram S), whose type is the Smith diagonal of that block
+    gram = xi_g(n).form.block(0, n, n, 2 * n)
+    results = [SubtorusRestriction(sat, snf_diagonal(sat.transpose() * gram * sat))
+               for sat in seen.values()]
     results.sort(key=lambda r: (r.basis.cols, r.basis.entries))
     for r in results:
         if all(d == 1 for d in r.type):

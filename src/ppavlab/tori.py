@@ -2,14 +2,16 @@
 
 An order O is Z, Z[i], or Z[w] with w^2 = u*w + v.  A torus of dimension g is
 the lattice O^g with Z-basis (e_1..e_g, w*e_1..w*e_g); endomorphism matrices
-over O act on that basis through ``rational_rep``.
+over O act on that basis through ``rational_rep``.  That integer matrix is
+the one arithmetic that decides predicates on an element: its determinant
+is the norm of the O-determinant, and its rank over Q is twice the rank over
+the fraction field of O.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -234,7 +236,8 @@ class OrderMatrix:
         return total
 
     def is_invertible(self) -> bool:
-        return abs(onorm(self.order, self.det())) == 1
+        # det_Z(rational_rep(m)) is the norm of det_O(m), a unit iff it is +-1
+        return abs(rational_rep(self).det()) == 1
 
     def flat_key(self) -> tuple[int, ...]:
         return tuple(c for r in self.entries for x in r for c in x)
@@ -258,44 +261,3 @@ def rational_rep(m: OrderMatrix) -> IntMatrix:
         z = IntMatrix.zeros(m.g, m.g)
         return IntMatrix.from_blocks([[a, z], [z, a]])
     return IntMatrix.from_blocks([[a, b.scaled(o.v)], [b, a + b.scaled(o.u)]])
-
-
-# -- rank over the fraction field -------------------------------------------
-
-# Frac(O) elements are pairs (x, y) of Fractions meaning x + y*w.
-
-
-def _fmul(o: QuadOrder, s, t):
-    return (s[0] * t[0] + o.v * s[1] * t[1],
-            s[0] * t[1] + s[1] * t[0] + o.u * s[1] * t[1])
-
-
-def _finv(o: QuadOrder, s):
-    n = s[0] * s[0] + o.u * s[0] * s[1] - o.v * s[1] * s[1]
-    return ((s[0] + o.u * s[1]) / n, -s[1] / n)
-
-
-def analytic_rank_minus_id(m: OrderMatrix) -> int:
-    """Rank of (m - 1) over the fraction field of the order.
-
-    Computed by direct field elimination; rank 1 characterises the
-    pseudoreflections among finite-order automorphisms.
-    """
-    g = m.g
-    d = m - OrderMatrix.identity(m.order, g)
-    a = [[(Fraction(x.a), Fraction(x.b)) for x in row] for row in d.entries]
-    o = m.order
-    rank = 0
-    for col in range(g):
-        piv = next((i for i in range(rank, g) if a[i][col] != (0, 0)), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = _finv(o, a[rank][col])
-        for i in range(rank + 1, g):
-            if a[i][col] != (0, 0):
-                c = _fmul(o, a[i][col], inv)
-                a[i] = [(x[0] - _fmul(o, c, y)[0], x[1] - _fmul(o, c, y)[1])
-                        for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank

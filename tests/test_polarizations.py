@@ -349,6 +349,16 @@ def test_scan_height_one_contains_diagonal():
         assert r.type == ((v.transpose() * b * v)[0, 0],)
 
 
+def test_scan_type_matches_full_restriction():
+    # the scan reads each type off the k x k Gram block; restricting xi_g to
+    # the doubled sublattice is the independent route
+    for r in scan_subtorus_types(3, 2):
+        s = r.basis
+        z = IntMatrix.zeros(s.rows, s.cols)
+        doubled = IntMatrix.from_blocks([[s, z], [z, s]])
+        assert r.type == polarization_type(restrict(xi_g(3), doubled))
+
+
 def test_scan_none_principal_at_height_three():
     for r in scan_subtorus_types(2, 3):
         assert any(d > 1 for d in r.type)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ppavlab.exact_linalg import IntMatrix, pfaffian
+from ppavlab.group_actions import closure, pseudoreflection_generated
 from ppavlab.polarizations import (
     FiniteSymplecticGroup,
     box_product,
@@ -22,6 +23,7 @@ from ppavlab.standard_construction import (
     IntegralityFailure,
     InvalidGlue,
     TypeMismatch,
+    _factor_generators,
     build_standard,
     decompose_glued,
     elementary_divisors,
@@ -137,6 +139,18 @@ def test_build_check_names_ordered():
         "form-positive", "complex-structure", "action-preserves-form",
         "action-commutes-structure", "graph-action-trivial",
         "x-action-reflections", "overlattice-index"]
+
+
+def test_x_action_reflections_matches_closed_product_group():
+    # verify_glued decides the check per factor group; closing the block
+    # product of the factors and counting its pseudoreflections is the
+    # independent route
+    for factors in ((1,), (2,), (1, 1), (2, 3), (1, 1, 1, 1)):
+        y_dim = len(elementary_divisors([g + 1 for g in factors]))
+        report = verify_glued(build_standard(factors, y_dim))
+        product = closure(_factor_generators(factors, sum(factors)))
+        assert (dict(report.checks)["x-action-reflections"]
+                == pseudoreflection_generated(product)[0])
 
 
 def test_build_rejects_small_y():

@@ -1,9 +1,8 @@
-"""Order arithmetic, rational representations, and analytic ranks."""
+"""Order arithmetic, rational representations, and ranks over Frac(O)."""
 
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from ppavlab.exact_linalg import IntMatrix, rank_over_field
 from ppavlab.tori import (
@@ -17,7 +16,7 @@ from ppavlab.tori import (
     RATIONAL,
     Torus,
     W,
-    analytic_rank_minus_id,
+    ZERO,
     conj,
     oconj,
     omul,
@@ -115,6 +114,43 @@ def test_order_matrix_det_and_invertibility():
     assert not OrderMatrix.from_int_rows(GAUSSIAN, [[2, 0], [0, 1]]).is_invertible()
 
 
+def random_unimodular_word(o, g, rng):
+    # a product of unit diagonals, permutations and elementary shears
+    units = [OrderElem(-1, 0)] + ([W, OrderElem(0, -1)] if o.is_cm else [])
+    m = OrderMatrix.identity(o, g)
+    for _ in range(rng.randint(1, 4)):
+        rows = [[ONE if i == j else ZERO for j in range(g)] for i in range(g)]
+        kind = rng.randrange(3)
+        i, j = rng.sample(range(g), 2)
+        if kind == 0:
+            rows[i][i] = rng.choice(units)
+        elif kind == 1:
+            rows[i][i] = rows[j][j] = ZERO
+            rows[i][j] = rows[j][i] = ONE
+        else:
+            b = rng.randint(-3, 3) if o.is_cm else 0
+            rows[i][j] = OrderElem(rng.randint(-3, 3), b)
+        m = m * OrderMatrix(o, tuple(tuple(r) for r in rows))
+    return m
+
+
+def test_is_invertible_matches_unit_norm_of_det_seeded():
+    # the integer action matrix decides invertibility; the O-determinant's
+    # norm is the independent route
+    rng = random.Random(23)
+    seen = set()
+    for o in ALL_ORDERS:
+        for _ in range(60):
+            g = rng.randint(2, 3)
+            m = random_unimodular_word(o, g, rng)
+            if rng.random() < 0.4:
+                m = m * random_order_matrix(o, g, rng, span=2)
+            got = m.is_invertible()
+            assert got == (abs(onorm(o, m.det())) == 1)
+            seen.add(got)
+    assert seen == {True, False}
+
+
 def test_det_multiplicative_seeded():
     rng = random.Random(11)
     for o in ALL_ORDERS:
@@ -169,42 +205,27 @@ def test_conjugation_base_change():
                 assert c * rational_rep(m) * c == rational_rep(conj(m))
 
 
-# -- analytic rank -----------------------------------------------------------
+# -- rank over the fraction field ---------------------------------------------
+
+
+def doubled_rank_minus_id(m):
+    # Q-rank of the integer action of m - 1: twice its rank over Frac(O)
+    return rank_over_field(rational_rep(m) - IntMatrix.identity(2 * m.g))
 
 
 def test_analytic_rank_examples():
-    assert analytic_rank_minus_id(OrderMatrix.identity(GAUSSIAN, 3)) == 0
+    assert doubled_rank_minus_id(OrderMatrix.identity(GAUSSIAN, 3)) == 0
     # diag(i, 1) moves a single coordinate line
     refl = OrderMatrix.from_pairs(GAUSSIAN, [[(0, 1), (0, 0)], [(0, 0), (1, 0)]])
-    assert analytic_rank_minus_id(refl) == 1
+    assert doubled_rank_minus_id(refl) == 2
     m = OrderMatrix.from_pairs(GAUSSIAN, [[(0, -1), (-1, 1)], [(0, 0), (0, 1)]])
-    assert analytic_rank_minus_id(m) == 2
+    assert doubled_rank_minus_id(m) == 4
 
 
 def test_analytic_rank_of_minus_id():
     for o in ALL_ORDERS:
         m = OrderMatrix.scalar(o, 3, OrderElem(-1, 0))
-        assert analytic_rank_minus_id(m) == 3
-
-
-def test_rational_rank_doubles_analytic_rank_seeded():
-    # two independent elimination routes: Frac(O) on the O-matrix versus Q on
-    # the doubled integer matrix
-    rng = random.Random(19)
-    for o in CM_ORDERS:
-        for _ in range(60):
-            g = rng.randint(1, 3)
-            m = random_order_matrix(o, g, rng)
-            d = rational_rep(m) - IntMatrix.identity(2 * g)
-            assert rank_over_field(d) == 2 * analytic_rank_minus_id(m)
-
-
-@given(st.sampled_from(CM_ORDERS),
-       st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=4, max_size=4))
-def test_rank_doubling_property(o, flat):
-    m = OrderMatrix.from_pairs(o, [flat[:2], flat[2:]])
-    d = rational_rep(m) - IntMatrix.identity(4)
-    assert rank_over_field(d) == 2 * analytic_rank_minus_id(m)
+        assert doubled_rank_minus_id(m) == 6
 
 
 # -- torus-level helpers -----------------------------------------------------
