@@ -10,7 +10,6 @@ scans.  No floats anywhere; every claim is checked by exact equality.
 from .exact_linalg import (
     IntMatrix,
     RatMatrix,
-    hnf_basis,
     hnf_columns,
     is_positive_definite,
     kernel_basis,
@@ -76,7 +75,7 @@ from .jacobian_feasibility import (
 from .checks import CHECKS, RunOptions, run_checks
 
 __all__ = [
-    "IntMatrix", "RatMatrix", "hnf_basis", "hnf_columns",
+    "IntMatrix", "RatMatrix", "hnf_columns",
     "is_positive_definite", "kernel_basis", "pfaffian", "saturate",
     "snf", "snf_diagonal",
     "EISENSTEIN", "GAUSSIAN", "OrderElem", "OrderMatrix", "QuadOrder",

@@ -221,16 +221,6 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return IntMatrix.identity(n).to_rat()
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
-
-    def columns(self) -> list[tuple]:
-        return [self.column(j) for j in range(self.cols)]
-
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -469,20 +459,6 @@ def hnf_columns(m: IntMatrix) -> IntMatrix:
     """Canonical basis (as columns) of the lattice spanned by the columns of m."""
     basis_rows = _row_hnf([list(c) for c in m.columns()], m.rows)
     return IntMatrix.from_columns([tuple(r) for r in basis_rows], rows=m.rows)
-
-
-def hnf_basis(cols: RatMatrix) -> RatMatrix:
-    """Canonical basis of the full-rank lattice spanned by rational columns.
-
-    Denominators are cleared, the integer column HNF is taken, and the
-    scaling is undone; the result is lower triangular with positive diagonal
-    and depends only on the lattice, not on the generators.
-    """
-    den = cols.common_denominator()
-    h = hnf_columns(cols.scaled(den).to_int())
-    if h.cols < cols.rows:
-        raise RankDeficient(f"columns span rank {h.cols} < {cols.rows}")
-    return h.to_rat().scaled(Fraction(1, den))
 
 
 # -- Pfaffian --------------------------------------------------------------

@@ -12,6 +12,7 @@ the fixed sublattice and its complement.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -20,17 +21,17 @@ from typing import NamedTuple
 
 from .exact_linalg import (
     IntMatrix,
-    NotAlternating,
     RatMatrix,
-    hnf_basis,
+    hnf_columns,
     hstack,
     is_positive_definite,
     kernel_basis,
     pfaffian,
+    rank_over_field,
     snf_diagonal,
     vstack,
 )
-from .group_actions import example_b, pseudoreflection_generated
+from .group_actions import example_b
 from .polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
@@ -38,7 +39,6 @@ from .polarizations import (
     box_product,
     form_pairing,
     kernel_group,
-    qmodz,
     split_form,
     xi_g,
 )
@@ -71,46 +71,51 @@ class SymplecticBasis(NamedTuple):
     orders: tuple[int, ...]
 
 
-def _elem_order(x) -> int:
-    return math.lcm(*(c.denominator for c in x))
-
-
-def _scalar_mult(t: int, x) -> tuple:
-    return tuple(qmodz(t * c) for c in x)
-
-
 def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
     """Greedy hyperbolic reduction of a finite kernel group.
 
     Repeatedly takes an element of maximal order, finds a partner whose
     pairing has that exact order, normalizes the pairing to +1/d, and
-    recurses on the orthogonal complement.  Deterministic for a fixed
-    generator list.
+    recurses on the orthogonal complement.  Elements are integer numerators
+    v over the exponent e: v has order e / gcd(e, v), and <v, w> is
+    (v^t·form·w / e) mod e over e.  Deterministic for a fixed generator list.
     """
     m = k.ambient.form
-    pool = [e for e in k.elements() if any(e)]
+    e = math.lcm(*k.orders)
+    gens = IntMatrix.from_columns([[int(c * e) for c in gen] for gen in k.generators],
+                                  rows=m.rows)
+
+    def order(v) -> int:
+        return e // math.gcd(e, *v)
+
+    def pair(v, w) -> int:
+        return (sum(a * b for a, b in zip(v, m.mul_vec(w))) // e) % e
+
+    # every element in the order of FiniteSymplecticGroup.elements()
+    pool = [v for v in (tuple(x % e for x in gens.mul_vec(c))
+                        for c in itertools.product(*map(range, k.orders))) if any(v)]
     collected = []
     while pool:
-        x = max(pool, key=_elem_order)
-        d = _elem_order(x)
-        y = next((c for c in pool if form_pairing(m, x, c).denominator == d), None)
+        x = max(pool, key=order)
+        d = order(x)
+        step = e // d
+        y = next((c for c in pool if e // math.gcd(e, pair(x, c)) == d), None)
         if y is None:
             raise DegeneratePairing(f"no partner of order {d} in the pairing")
-        num = int(form_pairing(m, x, y) * d)
-        y = _scalar_mult(pow(num, -1, d), y)
+        t = pow(pair(x, y) // step, -1, d)
+        y = tuple(t * c % e for c in y)
         collected.append(((x, y), d))
         fresh = set()
         for z in pool:
-            alpha, beta = form_pairing(m, x, z), form_pairing(m, y, z)
-            a_co = int(-beta * d) % d
-            b_co = int(alpha * d) % d
-            w = tuple(qmodz(zc - a_co * xc - b_co * yc)
-                      for zc, xc, yc in zip(z, x, y))
+            a_co = -(pair(y, z) // step) % d
+            b_co = pair(x, z) // step % d
+            w = tuple((zc - a_co * xc - b_co * yc) % e for zc, xc, yc in zip(z, x, y))
             if any(w):
                 fresh.add(w)
         pool = sorted(fresh)
     collected.reverse()
-    pairs = tuple(pq for pq, _ in collected)
+    pairs = tuple(tuple(tuple(Fraction(c, e) for c in v) for v in pq)
+                  for pq, _ in collected)
     orders = tuple(d for _, d in collected)
     if any(nxt % prev for prev, nxt in zip(orders, orders[1:])):
         raise DegeneratePairing(f"orders {orders} do not form a divisor chain")
@@ -198,6 +203,16 @@ def _graph_lift(t, u, gx: int, gy: int) -> tuple[Fraction, ...]:
     return tuple(t[:gx]) + tuple(u[:gy]) + tuple(t[gx:]) + tuple(u[gy:])
 
 
+def _denominator(graph) -> int:
+    return math.lcm(*(c.denominator for gamma in graph for c in gamma))
+
+
+def _graph_columns(graph, n: int, den: int) -> IntMatrix:
+    """den·graph as integer columns; den is a multiple of every denominator."""
+    return IntMatrix.from_columns([[int(den * c) for c in gamma] for gamma in graph],
+                                  rows=2 * n)
+
+
 def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     """Glue the permutation factors to a matching Y along their kernels."""
     factors = tuple(int(g) for g in factor_genera)
@@ -213,39 +228,39 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     n = gx + gy
     prod = box_product(x_pol, y_pol)
 
-    f = symplectic_basis(kernel_group(x_pol))
-    h = symplectic_basis(kernel_group(y_pol))
-    if not f.orders == divisors == h.orders:
-        raise TypeMismatch(f"kernel orders {f.orders}, {h.orders} differ from {divisors}")
-    # the factor exchange negates the pairing; check it on the generating set
+    bx = symplectic_basis(kernel_group(x_pol))
+    by = symplectic_basis(kernel_group(y_pol))
+    if not bx.orders == divisors == by.orders:
+        raise TypeMismatch(f"kernel orders {bx.orders}, {by.orders} differ from {divisors}")
+    # x_j -> v_j, y_j -> u_j negates the pairing, so the graph is isotropic;
+    # the pulled-back form is integral exactly when it is
     images = []
-    for (xj, yj), (uj, vj) in zip(f.pairs, h.pairs):
+    for (xj, yj), (uj, vj) in zip(bx.pairs, by.pairs):
         images.append((xj, vj))
         images.append((yj, uj))
-    for a, ia in images:
-        for b, ib in images:
-            if qmodz(form_pairing(y_pol.form, ia, ib) + form_pairing(x_pol.form, a, b)):
-                raise IntegralityFailure("graph is not isotropic for the product form")
     graph = tuple(_graph_lift(t, u, gx, gy) for t, u in images)
 
-    cols = [tuple(Fraction(int(i == j)) for i in range(2 * n)) for j in range(2 * n)]
-    cols.extend(graph)
-    p = hnf_basis(RatMatrix.from_columns(cols, rows=2 * n))
-    m_rat = p.transpose() * prod.form.to_rat() * p
+    # the overlattice is h/den with h the column HNF of den·[I | graph]
+    den = _denominator(graph)
+    h = hnf_columns(hstack(IntMatrix.identity(2 * n).scaled(den),
+                           _graph_columns(graph, n, den)))
+    p = h.to_rat().scaled(Fraction(1, den))
+    m_rat = (h.transpose() * prod.form * h).to_rat().scaled(Fraction(1, den * den))
     if not m_rat.is_integral():
         raise IntegralityFailure("pulled-back form is not integral")
     m_a = m_rat.to_int()
 
-    index = Fraction(1) / abs(p.det())
+    index = Fraction(den ** (2 * n), abs(h.det()))
     if index != math.prod(divisors) ** 2:
         raise TypeMismatch(f"overlattice index {index} is not the squared divisor product")
     if abs(pfaffian(m_a)) != 1:
         raise TypeMismatch("pulled-back form is not principal")
 
-    p_inv = p.inverse()
+    # the overlattice contains Z^2n, so its inverse basis is integral
+    q = p.inverse().to_int()
     actions = []
     for gen in _factor_generators(factors, n):
-        lifted = p_inv * rational_rep(gen).to_rat() * p
+        lifted = (q * rational_rep(gen) * h).to_rat().scaled(Fraction(1, den))
         if not lifted.is_integral():
             raise IntegralityFailure("action does not preserve the overlattice")
         actions.append(lifted.to_int())
@@ -270,65 +285,66 @@ class GlueReport:
 
 
 def verify_glued(a: GluedPPAV) -> GlueReport:
-    """Re-derive and test all invariants of a glued variety from scratch."""
+    """Re-derive and test all invariants of a glued variety from scratch.
+
+    With the overlattice p = h/den and p^-1 = q/qden every check is an integer
+    matrix product.  Each stored action must be the identity or a
+    pseudoreflection, and the stored graph must span the overlattice with Z^2n.
+    """
     divisors = elementary_divisors([g + 1 for g in a.factors])
     x_pol = _x_polarization(a.factors)
     y_pol = _y_polarization(a.y_dim, divisors)
     prod = box_product(x_pol, y_pol)
     n = a.dim
-    p = a.overlattice
-    p_inv = p.inverse()
-    form_rat = a.form.to_rat()
+    form = a.form
+    den = a.overlattice.common_denominator()
+    h = a.overlattice.scaled(den).to_int()
+    p_inv = a.overlattice.inverse()
+    qden = p_inv.common_denominator()
+    q = p_inv.scaled(qden).to_int()
+    # j = k·p^-1·J·p with k = qden·den > 0, a multiple of the lifted structure
+    k = qden * den
+    j = q * Torus(RATIONAL, n).complex_structure() * h
 
     checks = []
-    recomputed = p.transpose() * prod.form.to_rat() * p
     checks.append(("form-integral",
-                   recomputed.is_integral() and recomputed == form_rat))
-    alternating = a.form.transpose() == -a.form
+                   h.transpose() * prod.form * h == form.scaled(den * den)))
+    alternating = form.transpose() == -form
     checks.append(("form-alternating", alternating))
-    unimodular = False
-    if alternating:
-        try:
-            unimodular = abs(pfaffian(a.form)) == 1
-        except NotAlternating:
-            unimodular = False
-    checks.append(("form-unimodular", unimodular))
+    checks.append(("form-unimodular", alternating and form.rows % 2 == 0
+                   and abs(pfaffian(form)) == 1))
 
-    j_a = p_inv * Torus(RATIONAL, n).complex_structure().to_rat() * p
-    s = form_rat * j_a * 2
-    den = s.common_denominator()
-    s_int = s.scaled(den).to_int()
-    checks.append(("form-positive",
-                   s_int == s_int.transpose() and is_positive_definite(s_int)))
+    s = form * j * 2
+    checks.append(("form-positive", s == s.transpose() and is_positive_definite(s)))
     checks.append(("complex-structure",
-                   j_a.transpose() * form_rat * j_a == form_rat))
+                   j.transpose() * form * j == form.scaled(k * k)))
 
-    rhos = [rho.to_rat() for rho in a.actions]
     checks.append(("action-preserves-form",
-                   all(r.transpose() * form_rat * r == form_rat for r in rhos)))
+                   all(r.transpose() * form * r == form for r in a.actions)))
     checks.append(("action-commutes-structure",
-                   all(r * j_a == j_a * r for r in rhos)))
+                   all(r * j == j * r for r in a.actions)))
 
-    graph_ok = True
-    for r in rhos:
-        r_prod = p * r * p_inv
-        for gamma in a.graph:
-            moved = r_prod.mul_vec(gamma)
-            if any(qmodz(mi - gi) != 0 for mi, gi in zip(moved, gamma)):
-                graph_ok = False
-    checks.append(("graph-action-trivial", graph_ok))
+    # r moves each graph vector by a product-lattice vector: with the graph
+    # as integer columns over gden, (h·r·q - k)·cols vanishes mod k·gden
+    gden = _denominator(a.graph)
+    cols = _graph_columns(a.graph, n, gden)
+    checks.append(("graph-action-trivial", all(
+        x % (k * gden) == 0
+        for r in a.actions
+        for row in (h * r * q * cols - cols.scaled(k)).entries for x in row)))
 
-    # the pseudoreflections of a block-diagonal product are the embedded
-    # pseudoreflections of its factors, so the product is generated by them
-    # exactly when every factor is
+    identity = IntMatrix.identity(2 * n)
     checks.append(("x-action-reflections",
-                   all(pseudoreflection_generated(example_b(g)[0])[0]
-                       for g in a.factors)))
+                   all(rank_over_field(r - identity) in (0, 2) for r in a.actions)))
 
-    index = Fraction(1) / abs(p.det())
-    checks.append(("overlattice-index", index == math.prod(divisors) ** 2))
+    index = Fraction(den ** (2 * n), abs(h.det()))
+    span = math.lcm(den, gden)
+    checks.append(("overlattice-index",
+                   index == math.prod(divisors) ** 2
+                   and hnf_columns(h.scaled(span // den)) == hnf_columns(
+                       hstack(identity.scaled(span), _graph_columns(a.graph, n, span)))))
 
-    stacked = vstack(*(rho - IntMatrix.identity(2 * n) for rho in a.actions))
+    stacked = vstack(*(rho - identity for rho in a.actions))
     fdim = kernel_basis(stacked).cols // 2
     first = next((name for name, ok in checks if not ok), None)
     return GlueReport(tuple(checks), first, fdim,
@@ -379,7 +395,7 @@ def _parse_grid(grid) -> IntMatrix:
 
 def glued_to_json(a: GluedPPAV) -> str:
     den = a.overlattice.common_denominator()
-    graph_den = math.lcm(*(c.denominator for gamma in a.graph for c in gamma))
+    graph_den = _denominator(a.graph)
     return json.dumps({
         "factors": list(a.factors),
         "y_dim": a.y_dim,
@@ -393,13 +409,16 @@ def glued_to_json(a: GluedPPAV) -> str:
 
 
 def glued_from_json(text: str) -> GluedPPAV:
+    """Load a glued variety and re-verify it; raises InvalidGlue on a failed check."""
     data = json.loads(text)
     den = int(data["overlattice_den"])
-    num = _parse_grid(data["overlattice_num"])
     graph_den = int(data["graph_den"])
+    if den < 1 or graph_den < 1:
+        raise ValueError("overlattice_den and graph_den must be positive")
+    num = _parse_grid(data["overlattice_num"])
     graph = tuple(tuple(Fraction(int(c), graph_den) for c in gamma)
                   for gamma in data["graph_num"])
-    return GluedPPAV(
+    glued = GluedPPAV(
         factors=tuple(int(g) for g in data["factors"]),
         y_dim=int(data["y_dim"]),
         overlattice=num.to_rat().scaled(Fraction(1, den)),
@@ -407,3 +426,7 @@ def glued_from_json(text: str) -> GluedPPAV:
         actions=tuple(_parse_grid(m) for m in data["actions"]),
         graph=graph,
     )
+    report = verify_glued(glued)
+    if report.first_failure is not None:
+        raise InvalidGlue(report.first_failure)
+    return glued

@@ -11,7 +11,6 @@ from ppavlab.exact_linalg import (
     NotAlternating,
     RankDeficient,
     RatMatrix,
-    hnf_basis,
     hnf_columns,
     is_positive_definite,
     kernel_basis,
@@ -121,33 +120,6 @@ def test_snf_properties(m):
 
 
 # -- Hermite normal form -----------------------------------------------------
-
-
-def test_hnf_basis_half_lattice():
-    cols = RatMatrix.from_columns([(Fraction(1, 2), Fraction(1, 2)), (1, 0), (0, 1)])
-    h = hnf_basis(cols)
-    assert h.det() == Fraction(1, 2)
-    assert h == RatMatrix.from_columns([(Fraction(1, 2), Fraction(1, 2)), (0, 1)])
-
-
-def test_hnf_basis_overlattice_by_point_count():
-    # Z^2 + (1/2,1/2) has index-2 overlattice structure: covolume 1/2, so the
-    # fundamental box [0,1)^2 must contain exactly two lattice points.
-    cols = RatMatrix.from_columns([(1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2))])
-    h = hnf_basis(cols)
-    pts = set()
-    for a in range(-4, 5):
-        for b in range(-4, 5):
-            x = a * h[0, 0] + b * h[0, 1]
-            y = a * h[1, 0] + b * h[1, 1]
-            if 0 <= x < 1 and 0 <= y < 1:
-                pts.add((x, y))
-    assert len(pts) == 2
-
-
-def test_hnf_rank_deficient():
-    with pytest.raises(RankDeficient):
-        hnf_basis(RatMatrix.from_columns([(1, 2), (2, 4)]))
 
 
 def test_hnf_is_lower_triangular_with_reduced_entries():

@@ -1,0 +1,36 @@
+"""The glue outputs must keep the digests the benchmark recorded.
+
+`perfbench/reference.json` holds a digest of everything `build_standard`,
+`verify_glued` and `decompose_glued` produce on each glue case of the
+benchmark.  This test recomputes them with the benchmark's own canonical
+form, so a change to any glue output fails here, not only in a benchmark
+run.  It imports `perfbench/workloads.py` without running the benchmark.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+from ppavlab.standard_construction import build_standard, decompose_glued, verify_glued
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
+
+
+def test_glue_outputs_match_reference_digests(workloads):
+    got, want = {}, {}
+    for factors, y_dim in workloads.GLUE_CASES:
+        label = workloads.case_label(factors, y_dim)
+        glued = build_standard(factors, y_dim)
+        out = workloads.glue_output(glued, verify_glued(glued), decompose_glued(glued))
+        got[label] = workloads.digest(out)
+        want[label] = REFERENCE["glue"][label]["digest"]
+    assert got == want

@@ -6,13 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from ppavlab.exact_linalg import IntMatrix, pfaffian
+from ppavlab.exact_linalg import IntMatrix, RatMatrix, pfaffian
 from ppavlab.group_actions import closure, pseudoreflection_generated
 from ppavlab.polarizations import (
     FiniteSymplecticGroup,
+    PolarizedTorus,
+    alternating_type,
     box_product,
     kernel_group,
     polarization_type,
+    scale,
+    split_form,
     theta_g,
     weil_pairing,
     xi_g,
@@ -32,6 +36,7 @@ from ppavlab.standard_construction import (
     symplectic_basis,
     verify_glued,
 )
+from ppavlab.tori import RATIONAL, Torus
 
 GRID = (((1,), 1), ((2,), 1), ((1, 1), 2), ((2, 3), 1))
 
@@ -101,6 +106,24 @@ def test_symplectic_basis_pairing_matrix():
             assert weil_pairing(k, yj, yl) == 0
 
 
+@pytest.mark.parametrize("pol", [
+    box_product(xi_g(3), xi_g(1)),
+    box_product(xi_g(2), xi_g(4)),
+    scale(theta_g(2), 6),
+    PolarizedTorus(Torus(RATIONAL, 3), split_form(IntMatrix.diagonal([2, 4, 12]))),
+], ids=["xi3-xi1", "xi2-xi4", "6theta2", "split-2-4-12"])
+def test_symplectic_basis_named_kernels(pol):
+    k = kernel_group(pol)
+    basis = symplectic_basis(k)
+    assert basis.orders == tuple(d for d in alternating_type(pol.form) if d > 1)
+    for j, (xj, yj) in enumerate(basis.pairs):
+        for l, (xl, yl) in enumerate(basis.pairs):
+            want = Fraction(1, basis.orders[j]) if j == l else 0
+            assert weil_pairing(k, xj, yl) == want
+            assert weil_pairing(k, xj, xl) == 0
+            assert weil_pairing(k, yj, yl) == 0
+
+
 def test_symplectic_basis_deterministic():
     k = kernel_group(box_product(xi_g(2), xi_g(1)))
     assert symplectic_basis(k) == symplectic_basis(k)
@@ -142,9 +165,9 @@ def test_build_check_names_ordered():
 
 
 def test_x_action_reflections_matches_closed_product_group():
-    # verify_glued decides the check per factor group; closing the block
-    # product of the factors and counting its pseudoreflections is the
-    # independent route
+    # verify_glued decides the check on the stored generators; closing the
+    # block product of the factors and counting its pseudoreflections is
+    # the independent route
     for factors in ((1,), (2,), (1, 1), (2, 3), (1, 1, 1, 1)):
         y_dim = len(elementary_divisors([g + 1 for g in factors]))
         report = verify_glued(build_standard(factors, y_dim))
@@ -199,6 +222,90 @@ def test_verify_detects_bad_action():
                                     "graph-action-trivial")
 
 
+def _shifted(m, cells):
+    rows = [list(r) for r in m.entries]
+    for i, j, d in cells:
+        rows[i][j] += d
+    return IntMatrix.from_rows(rows, cols=m.cols)
+
+
+def _corrupted(glued):
+    """Named corruptions of one invariant each of a built glue."""
+    n2 = glued.form.rows
+    acts = glued.actions
+    yield "form-pair", dataclasses.replace(
+        glued, form=_shifted(glued.form, [(0, 1, 1), (1, 0, -1)]))
+    yield "form-entry", dataclasses.replace(
+        glued, form=_shifted(glued.form, [(0, 1, 1)]))
+    yield "form-double", dataclasses.replace(glued, form=glued.form.scaled(2))
+    yield "action-shear", dataclasses.replace(
+        glued, actions=(_shifted(IntMatrix.identity(n2), [(0, 1, 1)]),))
+    yield "action-square", dataclasses.replace(
+        glued, actions=tuple(r * r for r in acts))
+    if len(acts) >= 2:
+        yield "action-product", dataclasses.replace(
+            glued, actions=(acts[0] * acts[1],))
+    yield "overlattice-half", dataclasses.replace(
+        glued, overlattice=glued.overlattice.scaled(Fraction(1, 2)))
+    yield "overlattice-identity", dataclasses.replace(
+        glued, overlattice=RatMatrix.identity(n2))
+    yield "graph-triple", dataclasses.replace(
+        glued, graph=tuple(tuple(3 * c for c in gamma) for gamma in glued.graph))
+
+
+# check verdicts in report order (1 = passed) and the first failure.  A
+# shear or a product of two reflections is not a pseudoreflection, so
+# x-action-reflections fails on it; the tripled graph of a divisor prime to 3
+# still spans the overlattice, so only (2,) and (2, 3) fail overlattice-index.
+PINNED_VERDICTS = {
+    ((1,), "form-pair"): ("0110001111", "form-integral"),
+    ((1,), "form-entry"): ("0000001111", "form-integral"),
+    ((1,), "form-double"): ("0101111111", "form-integral"),
+    ((1,), "action-shear"): ("1111100001", "action-preserves-form"),
+    ((1,), "action-square"): ("1111111111", None),
+    ((1,), "overlattice-half"): ("0111111110", "form-integral"),
+    ((1,), "overlattice-identity"): ("0111110010", "form-integral"),
+    ((1,), "graph-triple"): ("1111111111", None),
+    ((2,), "form-pair"): ("0110001111", "form-integral"),
+    ((2,), "form-entry"): ("0000001111", "form-integral"),
+    ((2,), "form-double"): ("0101111111", "form-integral"),
+    ((2,), "action-shear"): ("1111100101", "action-preserves-form"),
+    ((2,), "action-square"): ("1111111111", None),
+    ((2,), "action-product"): ("1111111101", "x-action-reflections"),
+    ((2,), "overlattice-half"): ("0111111110", "form-integral"),
+    ((2,), "overlattice-identity"): ("0110010010", "form-integral"),
+    ((2,), "graph-triple"): ("1111111110", "overlattice-index"),
+    ((1, 1), "form-pair"): ("0110001111", "form-integral"),
+    ((1, 1), "form-entry"): ("0000001111", "form-integral"),
+    ((1, 1), "form-double"): ("0101111111", "form-integral"),
+    ((1, 1), "action-shear"): ("1111100001", "action-preserves-form"),
+    ((1, 1), "action-square"): ("1111111111", None),
+    ((1, 1), "action-product"): ("1111111101", "x-action-reflections"),
+    ((1, 1), "overlattice-half"): ("0111111110", "form-integral"),
+    ((1, 1), "overlattice-identity"): ("0111110010", "form-integral"),
+    ((1, 1), "graph-triple"): ("1111111111", None),
+    ((2, 3), "form-pair"): ("0110001111", "form-integral"),
+    ((2, 3), "form-entry"): ("0000001111", "form-integral"),
+    ((2, 3), "form-double"): ("0101111111", "form-integral"),
+    ((2, 3), "action-shear"): ("1111100101", "action-preserves-form"),
+    ((2, 3), "action-square"): ("1111111111", None),
+    ((2, 3), "action-product"): ("1111111101", "x-action-reflections"),
+    ((2, 3), "overlattice-half"): ("0111111110", "form-integral"),
+    ((2, 3), "overlattice-identity"): ("0110010010", "form-integral"),
+    ((2, 3), "graph-triple"): ("1111111110", "overlattice-index"),
+}
+
+
+def test_corrupted_glue_verdicts_pinned():
+    seen = {}
+    for factors, y_dim in GRID:
+        for name, bad in _corrupted(build_standard(factors, y_dim)):
+            report = verify_glued(bad)
+            bits = "".join(str(int(ok)) for _, ok in report.checks)
+            seen[factors, name] = (bits, report.first_failure)
+    assert seen == PINNED_VERDICTS
+
+
 # -- decomposition -----------------------------------------------------------------
 
 
@@ -241,6 +348,21 @@ def test_glued_json_roundtrip():
         glued = build_standard(factors, y_dim)
         back = glued_from_json(glued_to_json(glued))
         assert back == glued
+
+
+def test_glued_json_rejects_nonpositive_denominators():
+    data = json.loads(glued_to_json(build_standard([1], 1)))
+    for key in ("overlattice_den", "graph_den"):
+        for value in ("0", "-2"):
+            with pytest.raises(ValueError, match="must be positive"):
+                glued_from_json(json.dumps({**data, key: value}))
+
+
+def test_glued_json_rejects_tampered_form():
+    data = json.loads(glued_to_json(build_standard([2], 1)))
+    data["form"][0][1] = str(int(data["form"][0][1]) + 1)
+    with pytest.raises(InvalidGlue, match="form-integral"):
+        glued_from_json(json.dumps(data))
 
 
 def test_glued_json_uses_decimal_strings():
