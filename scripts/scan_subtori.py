@@ -11,7 +11,8 @@ import argparse
 import sys
 from collections import Counter
 
-from ppavlab.polarizations import PrincipalRestrictionFound, scan_subtorus_types
+from ppavlab.polarizations import (
+    BudgetExceeded, PrincipalRestrictionFound, scan_subtorus_types)
 
 
 def main() -> int:
@@ -26,6 +27,9 @@ def main() -> int:
     except PrincipalRestrictionFound as found:
         print(f"principal restriction found: {found}", file=sys.stderr)
         return 1
+    except BudgetExceeded as refused:
+        print(f"refused: {refused}", file=sys.stderr)
+        return 2
 
     by_rank: dict[int, Counter] = {}
     for r in results:

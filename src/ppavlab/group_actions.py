@@ -77,7 +77,10 @@ def closure(gens, cap: int = 10 ** 6) -> MatrixGroup:
     """Group generated by finite-order matrices, in breadth-first order.
 
     Elements are listed by word length and, within a level, by lexicographic
-    entry order, so element indexing is reproducible.
+    entry order, so element indexing is reproducible.  Raises CapExceeded
+    past `cap` elements, or as soon as two elements agree mod 3: reduction
+    mod p >= 3 is injective on finite subgroups of GL_N(Z) (Minkowski), and
+    flat_key holds Z-coordinates of the action, so such a group is infinite.
     """
     gens = tuple(gens)
     if not gens:
@@ -90,6 +93,7 @@ def closure(gens, cap: int = 10 ** 6) -> MatrixGroup:
             raise ValueError("generators must have unit determinant")
     ident = OrderMatrix.identity(torus.order, torus.g)
     seen = {ident.flat_key()}
+    residues = {tuple(c % 3 for c in key) for key in seen}
     elements = [ident]
     frontier = [ident]
     while frontier:
@@ -100,6 +104,11 @@ def closure(gens, cap: int = 10 ** 6) -> MatrixGroup:
                 key = p.flat_key()
                 if key not in seen and key not in fresh:
                     fresh[key] = p
+        for key in fresh:
+            residue = tuple(c % 3 for c in key)
+            if residue in residues:
+                raise CapExceeded("two elements agree mod 3, so the group is infinite")
+            residues.add(residue)
         seen.update(fresh)
         frontier = [fresh[k] for k in sorted(fresh)]
         elements.extend(frontier)

@@ -407,11 +407,66 @@ def _primitive_vectors(n: int, height: int) -> list[tuple[int, ...]]:
     return out
 
 
+_SCAN_SUBSET_BUDGET = 200_000
+
+
+def _minors(vs: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The k x k minors of the columns vs (k <= 3), rows in lexicographic order."""
+    if len(vs) == 1:
+        return vs[0]
+    rows = range(len(vs[0]))
+    if len(vs) == 2:
+        a, b = vs
+        return tuple(a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(rows, 2))
+    a, b, c = vs
+    return tuple(a[i] * (b[j] * c[l] - b[l] * c[j])
+                 - a[j] * (b[i] * c[l] - b[l] * c[i])
+                 + a[l] * (b[i] * c[j] - b[j] * c[i])
+                 for i, j, l in itertools.combinations(rows, 3))
+
+
+def _distinct_spans(n: int, prims: list[tuple[int, ...]]) -> list[IntMatrix]:
+    """Saturated basis of each distinct Q-span of fewer than n of the vectors.
+
+    Two k-subsets span the same Q-space exactly when their k x k minors (the
+    Plücker vector) agree up to a scalar, so each span is saturated once.
+    """
+    sublattices = []
+    for k in range(1, n):
+        # keys are compared within one k: for n = 3 the 1- and 2-minors are
+        # both 3-vectors
+        keys = set()
+        for combo in itertools.combinations(prims, k):
+            minors = _minors(combo)
+            g = math.gcd(*minors)
+            if g == 0:
+                continue  # rank-deficient: the same span arises from a smaller subset
+            if next(x for x in minors if x) < 0:
+                g = -g
+            key = tuple(x // g for x in minors)
+            if key in keys:
+                continue
+            keys.add(key)
+            if k == 1:
+                # a primitive vector with leading entry positive is its own HNF
+                sat = IntMatrix.from_columns(combo, rows=n)
+            elif k == n - 1:
+                # signed maximal minors: the normal vector of the hyperplane
+                normal = [(-1) ** r * key[n - 1 - r] for r in range(n)]
+                sat = kernel_basis(IntMatrix.from_rows([normal], cols=n))
+            else:
+                sat = saturate(IntMatrix.from_columns(combo, rows=n))
+            sublattices.append(sat)
+    return sublattices
+
+
 def scan_subtorus_types(n: int, height: int) -> tuple[SubtorusRestriction, ...]:
     """Restrict xi_g(n) to every proper stable sublattice of bounded height.
 
     Sublattices are the saturations of spans of primitive vectors with
-    entries in [-height, height], tensored with the order.  Raises if any
+    entries in [-height, height], tensored with the order; each distinct
+    span is saturated once.  Raises BudgetExceeded beyond n <= 4,
+    height <= 5 or 200,000 subsets, and PrincipalRestrictionFound if any
     restricted type is all ones.
     """
     if n > 4 or height > 5:
@@ -419,20 +474,15 @@ def scan_subtorus_types(n: int, height: int) -> tuple[SubtorusRestriction, ...]:
     if n < 2:
         return ()
     prims = _primitive_vectors(n, height)
-    seen: dict[tuple, IntMatrix] = {}
-    for k in range(1, n):
-        for combo in itertools.combinations(prims, k):
-            m = IntMatrix.from_columns([list(v) for v in combo], rows=n)
-            try:
-                sat = saturate(m)
-            except RankDeficient:
-                continue  # same span arises from a smaller subset
-            seen.setdefault(sat.entries, sat)
+    subsets = sum(math.comb(len(prims), k) for k in range(1, n))
+    if subsets > _SCAN_SUBSET_BUDGET:
+        raise BudgetExceeded(f"scan of n={n}, height={height} needs {subsets} subsets;"
+                             f" the budget is {_SCAN_SUBSET_BUDGET}")
     # xi_g(n) is split_form(gram); restricted to diag(S, S) it is
     # split_form(S^t gram S), whose type is the Smith diagonal of that block
     gram = xi_g(n).form.block(0, n, n, 2 * n)
     results = [SubtorusRestriction(sat, snf_diagonal(sat.transpose() * gram * sat))
-               for sat in seen.values()]
+               for sat in _distinct_spans(n, prims)]
     results.sort(key=lambda r: (r.basis.cols, r.basis.entries))
     for r in results:
         if all(d == 1 for d in r.type):

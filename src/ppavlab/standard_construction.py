@@ -299,12 +299,16 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
     form = a.form
     den = a.overlattice.common_denominator()
     h = a.overlattice.scaled(den).to_int()
-    p_inv = a.overlattice.inverse()
-    qden = p_inv.common_denominator()
-    q = p_inv.scaled(qden).to_int()
-    # j = k·p^-1·J·p with k = qden·den > 0, a multiple of the lifted structure
-    k = qden * den
-    j = q * Torus(RATIONAL, n).complex_structure() * h
+    hdet = h.det()
+    # a singular overlattice fails every check that needs p^-1
+    j = None
+    if hdet:
+        p_inv = a.overlattice.inverse()
+        qden = p_inv.common_denominator()
+        q = p_inv.scaled(qden).to_int()
+        # j = k·p^-1·J·p with k = qden·den > 0, a multiple of the lifted structure
+        k = qden * den
+        j = q * Torus(RATIONAL, n).complex_structure() * h
 
     checks = []
     checks.append(("form-integral",
@@ -314,21 +318,21 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
     checks.append(("form-unimodular", alternating and form.rows % 2 == 0
                    and abs(pfaffian(form)) == 1))
 
-    s = form * j * 2
-    checks.append(("form-positive", s == s.transpose() and is_positive_definite(s)))
-    checks.append(("complex-structure",
-                   j.transpose() * form * j == form.scaled(k * k)))
+    # is_positive_definite also tests symmetry
+    checks.append(("form-positive", j is not None and is_positive_definite(form * j * 2)))
+    checks.append(("complex-structure", j is not None
+                   and j.transpose() * form * j == form.scaled(k * k)))
 
     checks.append(("action-preserves-form",
                    all(r.transpose() * form * r == form for r in a.actions)))
     checks.append(("action-commutes-structure",
-                   all(r * j == j * r for r in a.actions)))
+                   j is not None and all(r * j == j * r for r in a.actions)))
 
     # r moves each graph vector by a product-lattice vector: with the graph
     # as integer columns over gden, (h·r·q - k)·cols vanishes mod k·gden
     gden = _denominator(a.graph)
     cols = _graph_columns(a.graph, n, gden)
-    checks.append(("graph-action-trivial", all(
+    checks.append(("graph-action-trivial", j is not None and all(
         x % (k * gden) == 0
         for r in a.actions
         for row in (h * r * q * cols - cols.scaled(k)).entries for x in row)))
@@ -337,7 +341,7 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
     checks.append(("x-action-reflections",
                    all(rank_over_field(r - identity) in (0, 2) for r in a.actions)))
 
-    index = Fraction(den ** (2 * n), abs(h.det()))
+    index = Fraction(den ** (2 * n), abs(hdet)) if hdet else Fraction(0)
     span = math.lcm(den, gden)
     checks.append(("overlattice-index",
                    index == math.prod(divisors) ** 2

@@ -1,5 +1,6 @@
 """Closure, invariance, pseudoreflections, averaging, and kernel actions."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,18 @@ def test_closure_cap():
     gens = example_c()[0].generators
     with pytest.raises(CapExceeded):
         closure(gens, cap=5)
+
+
+def test_closure_of_infinite_group_fails_fast():
+    # [[-1, 0], [i, 1]] has order 2, but with example_c's first two
+    # generators it generates an infinite group; two of its elements agree
+    # mod 3 within a few levels of the breadth-first search
+    gens = list(example_c()[0].generators)
+    gens[2] = OrderMatrix.from_pairs(GAUSSIAN, [[(-1, 0), (0, 0)], [(0, 1), (1, 0)]])
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="mod 3"):
+        closure(gens)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- example orders --------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Forms, kernels, restriction, and the bounded sublattice scan."""
 
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 from ppavlab.exact_linalg import (
     IntMatrix,
     NotAlternating,
+    RankDeficient,
     hnf_columns,
     hstack,
     saturate,
+    snf_diagonal,
 )
 from ppavlab.polarizations import (
     Degenerate,
@@ -24,6 +28,8 @@ from ppavlab.polarizations import (
     NotStable,
     BudgetExceeded,
     PolarizedTorus,
+    SubtorusRestriction,
+    _primitive_vectors,
     box_product,
     complement,
     is_principal,
@@ -335,6 +341,68 @@ def test_scan_rejects_large_budget():
         scan_subtorus_types(5, 1)
     with pytest.raises(BudgetExceeded):
         scan_subtorus_types(2, 6)
+
+
+def test_scan_budget_counts_subsets():
+    # (4, 2) has 272 primitive vectors and 3,354,168 subsets of size < 4;
+    # the guard counts them without enumerating any
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="3354168 subsets"):
+        scan_subtorus_types(4, 2)
+    assert time.perf_counter() - start < 0.5
+
+
+def _scan_by_saturating_every_subset(n, height):
+    """Reference scan: saturate every k-subset and dedupe the saturations."""
+    prims = _primitive_vectors(n, height)
+    seen = {}
+    for k in range(1, n):
+        for combo in itertools.combinations(prims, k):
+            m = IntMatrix.from_columns([list(v) for v in combo], rows=n)
+            try:
+                sat = saturate(m)
+            except RankDeficient:
+                continue
+            seen.setdefault(sat.entries, sat)
+    gram = xi_g(n).form.block(0, n, n, 2 * n)
+    results = [SubtorusRestriction(sat, snf_diagonal(sat.transpose() * gram * sat))
+               for sat in seen.values()]
+    results.sort(key=lambda r: (r.basis.cols, r.basis.entries))
+    return tuple(results)
+
+
+@pytest.mark.parametrize("n, height", [(2, 3), (3, 1), (3, 2)])
+def test_scan_matches_saturating_every_subset(n, height):
+    assert scan_subtorus_types(n, height) == _scan_by_saturating_every_subset(n, height)
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _adjugate(m):
+    k = len(m)
+    return [[(-1) ** (i + j) * _det([row[:i] + row[i + 1:]
+                                     for r, row in enumerate(m) if r != j])
+             for j in range(k)] for i in range(k)]
+
+
+def test_scan_type_product_by_determinant_lemma():
+    # the scan's block is S^t (I + J) S = G + u u^t with G = S^t S and
+    # u = S^t 1, so its determinant, the product of the type, is
+    # det G + u^t adj(G) u (matrix determinant lemma)
+    for r in scan_subtorus_types(3, 3):
+        s = r.basis
+        gram = (s.transpose() * s).entries
+        u = [sum(col) for col in zip(*s.entries)]
+        adj = _adjugate([list(row) for row in gram])
+        det_g = _det([list(row) for row in gram])
+        assert det_g >= 1
+        assert math.prod(r.type) == det_g + sum(
+            u[i] * adj[i][j] * u[j] for i in range(len(u)) for j in range(len(u)))
 
 
 def test_scan_height_one_contains_diagonal():

@@ -1,10 +1,12 @@
-"""The glue outputs must keep the digests the benchmark recorded.
+"""The glue and scan outputs must keep the digests the benchmark recorded.
 
 `perfbench/reference.json` holds a digest of everything `build_standard`,
 `verify_glued` and `decompose_glued` produce on each glue case of the
-benchmark.  This test recomputes them with the benchmark's own canonical
-form, so a change to any glue output fails here, not only in a benchmark
-run.  It imports `perfbench/workloads.py` without running the benchmark.
+benchmark, and of every sublattice and type `scan_subtorus_types` returns
+on each scan bound.  These tests recompute them with the benchmark's own
+canonical form, so a change to any glue or scan output fails here, not
+only in a benchmark run.  They import `perfbench/workloads.py` without
+running the benchmark.
 """
 
 import importlib
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from ppavlab.polarizations import scan_subtorus_types
 from ppavlab.standard_construction import build_standard, decompose_glued, verify_glued
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -33,4 +36,13 @@ def test_glue_outputs_match_reference_digests(workloads):
         out = workloads.glue_output(glued, verify_glued(glued), decompose_glued(glued))
         got[label] = workloads.digest(out)
         want[label] = REFERENCE["glue"][label]["digest"]
+    assert got == want
+
+
+def test_scan_outputs_match_reference_digests(workloads):
+    got, want = {}, {}
+    for n, height in workloads.SCAN_BOUNDS:
+        label = f"{n}_{height}"
+        got[label] = workloads.digest(workloads.scan_output(scan_subtorus_types(n, height)))
+        want[label] = REFERENCE["scan"][label]["digest"]
     assert got == want

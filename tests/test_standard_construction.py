@@ -251,12 +251,15 @@ def _corrupted(glued):
         glued, overlattice=RatMatrix.identity(n2))
     yield "graph-triple", dataclasses.replace(
         glued, graph=tuple(tuple(3 * c for c in gamma) for gamma in glued.graph))
+    yield "overlattice-zero", dataclasses.replace(
+        glued, overlattice=glued.overlattice.scaled(0))
 
 
 # check verdicts in report order (1 = passed) and the first failure.  A
 # shear or a product of two reflections is not a pseudoreflection, so
 # x-action-reflections fails on it; the tripled graph of a divisor prime to 3
 # still spans the overlattice, so only (2,) and (2, 3) fail overlattice-index.
+# A zero overlattice fails every check that needs its inverse.
 PINNED_VERDICTS = {
     ((1,), "form-pair"): ("0110001111", "form-integral"),
     ((1,), "form-entry"): ("0000001111", "form-integral"),
@@ -293,6 +296,10 @@ PINNED_VERDICTS = {
     ((2, 3), "overlattice-half"): ("0111111110", "form-integral"),
     ((2, 3), "overlattice-identity"): ("0110010010", "form-integral"),
     ((2, 3), "graph-triple"): ("1111111110", "overlattice-index"),
+    ((1,), "overlattice-zero"): ("0110010010", "form-integral"),
+    ((2,), "overlattice-zero"): ("0110010010", "form-integral"),
+    ((1, 1), "overlattice-zero"): ("0110010010", "form-integral"),
+    ((2, 3), "overlattice-zero"): ("0110010010", "form-integral"),
 }
 
 
@@ -361,6 +368,13 @@ def test_glued_json_rejects_nonpositive_denominators():
 def test_glued_json_rejects_tampered_form():
     data = json.loads(glued_to_json(build_standard([2], 1)))
     data["form"][0][1] = str(int(data["form"][0][1]) + 1)
+    with pytest.raises(InvalidGlue, match="form-integral"):
+        glued_from_json(json.dumps(data))
+
+
+def test_glued_json_rejects_singular_overlattice():
+    data = json.loads(glued_to_json(build_standard([1], 1)))
+    data["overlattice_num"] = [["0"] * len(row) for row in data["overlattice_num"]]
     with pytest.raises(InvalidGlue, match="form-integral"):
         glued_from_json(json.dumps(data))
 
