@@ -8,6 +8,7 @@ all with arbitrary-precision arithmetic.  No floats anywhere; rationals are
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -122,7 +123,7 @@ class IntMatrix:
                 raise ValueError("shape mismatch in product")
             bt = other.transpose().entries
             return IntMatrix(self.rows, other.cols,
-                             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
+                             tuple(tuple(sum(map(operator.mul, row, col)) for col in bt)
                                    for row in self.entries))
         return NotImplemented
 

@@ -1,11 +1,11 @@
 """Finite matrix groups over an order acting on polarized tori.
 
 Groups are closed element lists over a torus, built by breadth-first closure
-from generators.  The checks cover polarization invariance, generation by
-pseudoreflections, fixed sublattices, the invariant part of the module of
-compatible forms, averaged pullbacks, and the induced action on kernel
-groups.  Each predicate on an element, the pseudoreflection test included,
-is decided on its integer action matrix ``rational_rep``.  Three example
+from generators.  Each element is stored as its integer action matrix on the
+2g-lattice; ``OrderMatrix`` is only the notation generators are written in.
+The checks cover polarization invariance, generation by pseudoreflections,
+fixed sublattices, the invariant part of the module of compatible forms,
+averaged pullbacks, and the induced action on kernel groups.  Three example
 actions are provided: coordinate units with permutations, the permutation
 action on a zero-sum lattice, and an order-16 group over the Gaussian
 integers.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact_linalg import (
@@ -29,7 +28,6 @@ from .polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
     associated_symmetric,
-    qmodz,
     split_form,
     theta_g,
     xi_g,
@@ -62,59 +60,65 @@ class NotInvariant(ValueError):
 
 @dataclass(frozen=True)
 class MatrixGroup:
-    """Finite group of invertible order-matrices on a fixed torus."""
+    """Finite group on a torus; each element is its integer action matrix."""
 
     torus: Torus
-    generators: tuple[OrderMatrix, ...]
-    elements: tuple[OrderMatrix, ...]
+    generators: tuple[IntMatrix, ...]
+    elements: tuple[IntMatrix, ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
-def closure(gens, cap: int = 10 ** 6) -> MatrixGroup:
-    """Group generated by finite-order matrices, in breadth-first order.
+def _pairs(g: int, r: IntMatrix) -> list[tuple[int, int]]:
+    """O-entries (a, b) row by row: A + B*w acts as [[A, vB], [B, A + uB]]."""
+    rows = r.entries
+    return [(rows[i][j], rows[g + i][j]) for i in range(g) for j in range(g)]
 
-    Elements are listed by word length and, within a level, by lexicographic
-    entry order, so element indexing is reproducible.  Raises CapExceeded
-    past `cap` elements, or as soon as two elements agree mod 3: reduction
-    mod p >= 3 is injective on finite subgroups of GL_N(Z) (Minkowski), and
-    flat_key holds Z-coordinates of the action, so such a group is infinite.
+
+def _close(torus: Torus, actions: tuple[IntMatrix, ...], cap: int) -> MatrixGroup:
+    """Group generated by integer action matrices, in breadth-first order.
+
+    Elements are listed by word length and, within a level, by the
+    lexicographic order of their O-entries, so element indexing is
+    reproducible.  Raises CapExceeded past `cap` elements, or as soon as two
+    elements agree mod 3: reduction mod p >= 3 is injective on finite
+    subgroups of GL_2g(Z) (Minkowski), so such a group is infinite.
     """
-    gens = tuple(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    torus = Torus(gens[0].order, gens[0].g)
-    for m in gens:
-        if m.order != gens[0].order or m.g != gens[0].g:
-            raise DimensionMismatch("generators must share the torus")
-        if not m.is_invertible():
-            raise ValueError("generators must have unit determinant")
-    ident = OrderMatrix.identity(torus.order, torus.g)
-    seen = {ident.flat_key()}
-    residues = {tuple(c % 3 for c in key) for key in seen}
-    elements = [ident]
-    frontier = [ident]
-    while frontier:
-        fresh = {}
-        for e in frontier:
-            for m in gens:
-                p = e * m
-                key = p.flat_key()
-                if key not in seen and key not in fresh:
-                    fresh[key] = p
-        for key in fresh:
-            residue = tuple(c % 3 for c in key)
+    if any(abs(r.det()) != 1 for r in actions):
+        raise ValueError("generators must have unit determinant")
+    seen, residues, elements = set(), set(), []
+    level = [IntMatrix.identity(torus.lattice_rank)]
+    while level:
+        for p in level:
+            residue = tuple(c % 3 for row in p.entries for c in row)
             if residue in residues:
                 raise CapExceeded("two elements agree mod 3, so the group is infinite")
             residues.add(residue)
-        seen.update(fresh)
-        frontier = [fresh[k] for k in sorted(fresh)]
-        elements.extend(frontier)
+        seen.update(level)
+        elements.extend(level)
         if len(elements) > cap:
             raise CapExceeded(f"group has more than {cap} elements")
-    return MatrixGroup(torus, gens, tuple(elements))
+        fresh = {}
+        for e in level:
+            for r in actions:
+                p = e * r
+                if p not in seen and p not in fresh:
+                    fresh[p] = [c for pair in _pairs(torus.g, p) for c in pair]
+        level = sorted(fresh, key=fresh.get)
+    return MatrixGroup(torus, actions, tuple(elements))
+
+
+def closure(gens, cap: int = 10 ** 6) -> MatrixGroup:
+    """Group generated by finite-order O-matrices on one torus (see _close)."""
+    gens = tuple(gens)
+    if not gens:
+        raise ValueError("need at least one generator")
+    order, g = gens[0].order, gens[0].g
+    if any(m.order != order or m.g != g for m in gens):
+        raise DimensionMismatch("generators must share the torus")
+    return _close(Torus(order, g), tuple(rational_rep(m) for m in gens), cap)
 
 
 def invariant_form(group: MatrixGroup, p: PolarizedTorus) -> bool:
@@ -122,8 +126,7 @@ def invariant_form(group: MatrixGroup, p: PolarizedTorus) -> bool:
     if group.torus != p.torus:
         raise DimensionMismatch("group and polarization live on different tori")
     m = p.form
-    return all(rational_rep(e).transpose() * m * rational_rep(e) == m
-               for e in group.elements)
+    return all(e.transpose() * m * e == m for e in group.elements)
 
 
 def pseudoreflection_generated(group: MatrixGroup) -> tuple[bool, int]:
@@ -132,21 +135,28 @@ def pseudoreflection_generated(group: MatrixGroup) -> tuple[bool, int]:
     A pseudoreflection has rank(e - 1) = 1 over the fraction field of the
     order.  The integer action matrix is the regular representation, whose
     Q-rank is twice that (over Z it is diag(A, A)), so the test is rank 2.
+    The subgroup is closed greedily: a reflection joins the generators only
+    when the subgroup so far misses it, until the subgroup is the group.
     """
     ident = IntMatrix.identity(group.torus.lattice_rank)
-    refl = [e for e in group.elements
-            if rank_over_field(rational_rep(e) - ident) == 2]
+    refl = [e for e in group.elements if rank_over_field(e - ident) == 2]
     if not refl:
         return group.order == 1, 0
-    sub = closure(tuple(refl))
-    return sub.order == group.order, len(refl)
+    gens, sub = [], set()
+    for r in refl:
+        if r in sub:
+            continue
+        gens.append(r)
+        sub = set(_close(group.torus, tuple(gens), group.order).elements)
+        if len(sub) == group.order:
+            break
+    return len(sub) == group.order, len(refl)
 
 
 def fixed_sublattice(group: MatrixGroup) -> IntMatrix:
     """Saturated basis of the lattice vectors fixed by every element."""
     n = group.torus.lattice_rank
-    stacked = vstack(*(rational_rep(m) - IntMatrix.identity(n)
-                       for m in group.generators))
+    stacked = vstack(*(m - IntMatrix.identity(n) for m in group.generators))
     return kernel_basis(stacked)
 
 
@@ -198,18 +208,16 @@ def ns_fixed(group: MatrixGroup) -> tuple[int, tuple[IntMatrix, ...]]:
         j = torus.complex_structure()
         nw = torus.order.norm_w
         constraints = [lambda m: j.transpose() * m * j - m.scaled(nw)]
-        for gmat in group.generators:
-            rho = rational_rep(gmat)
+        for rho in group.generators:
             constraints.append(lambda m, r=rho: r.transpose() * m * r - m)
         rows_per = lambda m: _upper_entries(m, strict=True)
         rebuild = lambda coeffs: _linear_combination(basis, coeffs)
     else:
         g = torus.g
         basis = _symmetric_basis(g)
-        constraints = []
-        for gmat in group.generators:
-            a = gmat.a_part()
-            constraints.append(lambda m, r=a: r.transpose() * m * r - m)
+        # over Z the action is diag(A, A); B is invariant when A^t B A = B
+        constraints = [lambda m, r=rho.block(0, g, 0, g): r.transpose() * m * r - m
+                       for rho in group.generators]
         rows_per = lambda m: _upper_entries(m, strict=False)
         rebuild = lambda coeffs: split_form(_linear_combination(basis, coeffs))
 
@@ -252,8 +260,7 @@ def average_pullback(group: MatrixGroup, p: PolarizedTorus) -> tuple[PolarizedTo
         raise DimensionMismatch("group and polarization live on different tori")
     n = p.torus.lattice_rank
     total = IntMatrix.zeros(n, n)
-    for e in group.elements:
-        rho = rational_rep(e)
+    for rho in group.elements:
         total = total + rho.transpose() * p.form * rho
     mult = total.entry_gcd()
     primitive = IntMatrix.from_rows(
@@ -265,12 +272,9 @@ def action_on_kernel(group: MatrixGroup, k: FiniteSymplecticGroup) -> bool:
     """True iff the group fixes every kernel element mod the lattice."""
     if not invariant_form(group, k.ambient):
         raise NotInvariant("kernel group's form is not preserved")
-    for e in group.generators:
-        rho = rational_rep(e)
+    for rho in group.generators:
         for x in k.generators:
-            moved = [sum(Fraction(rho[i, j]) * x[j] for j in range(len(x)))
-                     for i in range(rho.rows)]
-            if any(qmodz(a - b) != 0 for a, b in zip(moved, x)):
+            if any((a - b).denominator != 1 for a, b in zip(rho.mul_vec(x), x)):
                 return False
     return True
 
@@ -369,8 +373,7 @@ def group_to_json(group: MatrixGroup) -> str:
     return json.dumps({
         "order_kind": group.torus.order.kind,
         "g": group.torus.g,
-        "elements": [[[x.a, x.b] for row in e.entries for x in row]
-                     for e in group.elements],
+        "elements": [_pairs(group.torus.g, e) for e in group.elements],
     })
 
 
@@ -378,20 +381,20 @@ def group_from_json(text: str) -> MatrixGroup:
     data = json.loads(text)
     order = order_by_kind(data["order_kind"])
     g = int(data["g"])
-    elements = []
-    for flat in data["elements"]:
-        rows = [[(int(flat[i * g + j][0]), int(flat[i * g + j][1]))
-                 for j in range(g)] for i in range(g)]
-        elements.append(OrderMatrix.from_pairs(order, rows))
-    if len({e.flat_key() for e in elements}) != len(elements):
+    torus = Torus(order, g)
+    elements = tuple(
+        rational_rep(OrderMatrix.from_pairs(
+            order, [flat[i * g:(i + 1) * g] for i in range(g)]))
+        for flat in data["elements"])
+    if len(set(elements)) != len(elements):
         raise ValueError("element list repeats an element")
-    # closure checks unit determinants and a shared torus, and it holds the
-    # identity and every listed element: a group is exactly its own closure
+    # _close checks unit determinants, and it holds the identity and every
+    # listed element: a group is exactly its own closure
     try:
-        closed = closure(elements, cap=len(elements)).order == len(elements)
+        closed = _close(torus, elements, cap=len(elements)).order == len(elements)
     except CapExceeded:
         closed = False
     if not closed:
         raise ValueError("element list is not closed under multiplication")
     # the schema stores no generator subset; the full element list generates
-    return MatrixGroup(Torus(order, g), tuple(elements), tuple(elements))
+    return MatrixGroup(torus, elements, elements)

@@ -12,6 +12,7 @@ the fixed sublattice and its complement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -42,7 +43,7 @@ from .polarizations import (
     split_form,
     xi_g,
 )
-from .tori import OrderMatrix, RATIONAL, Torus, rational_rep
+from .tori import RATIONAL, Torus
 
 
 class DegeneratePairing(ValueError):
@@ -179,21 +180,18 @@ def _y_polarization(y_dim: int, divisors) -> PolarizedTorus:
     return PolarizedTorus(Torus(RATIONAL, y_dim), split_form(IntMatrix.diagonal(diag)))
 
 
-def _embed_block(block: IntMatrix, offset: int, total: int) -> OrderMatrix:
-    rows = [[int(i == j) for j in range(total)] for i in range(total)]
-    for r in range(block.rows):
-        for c in range(block.cols):
-            rows[offset + r][offset + c] = block[r, c]
-    return OrderMatrix.from_int_rows(RATIONAL, rows)
-
-
-def _factor_generators(factors, total: int) -> list[OrderMatrix]:
-    """Permutation generators of each factor, block-embedded side by side."""
+def _factor_generators(factors, total: int) -> list[IntMatrix]:
+    """Permutation generators of each factor, embedded side by side in diag(E, E)."""
     gens = []
     offset = 0
     for g in factors:
         for b in example_b(g)[0].generators:
-            gens.append(_embed_block(b.a_part(), offset, total))
+            rows = [[int(i == j) for j in range(2 * total)] for i in range(2 * total)]
+            for half in (0, total):
+                for r in range(g):
+                    for c in range(g):
+                        rows[half + offset + r][half + offset + c] = b[r, c]
+            gens.append(IntMatrix.from_rows(rows))
         offset += g
     return gens
 
@@ -260,7 +258,7 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     q = p.inverse().to_int()
     actions = []
     for gen in _factor_generators(factors, n):
-        lifted = (q * rational_rep(gen) * h).to_rat().scaled(Fraction(1, den))
+        lifted = (q * gen * h).to_rat().scaled(Fraction(1, den))
         if not lifted.is_integral():
             raise IntegralityFailure("action does not preserve the overlattice")
         actions.append(lifted.to_int())
@@ -284,12 +282,15 @@ class GlueReport:
         return self.first_failure is None
 
 
+@functools.lru_cache(maxsize=None)
 def verify_glued(a: GluedPPAV) -> GlueReport:
     """Re-derive and test all invariants of a glued variety from scratch.
 
     With the overlattice p = h/den and p^-1 = q/qden every check is an integer
-    matrix product.  Each stored action must be the identity or a
-    pseudoreflection, and the stored graph must span the overlattice with Z^2n.
+    matrix product.  There must be one stored action per factor generator,
+    each the identity or a pseudoreflection, and the stored graph must span
+    the overlattice with Z^2n.  A GluedPPAV is a frozen value, so the report
+    is cached: decompose_glued re-uses the one its caller already made.
     """
     divisors = elementary_divisors([g + 1 for g in a.factors])
     x_pol = _x_polarization(a.factors)
@@ -338,8 +339,8 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
         for row in (h * r * q * cols - cols.scaled(k)).entries for x in row)))
 
     identity = IntMatrix.identity(2 * n)
-    checks.append(("x-action-reflections",
-                   all(rank_over_field(r - identity) in (0, 2) for r in a.actions)))
+    checks.append(("x-action-reflections", len(a.actions) == a.x_dim
+                   and all(rank_over_field(r - identity) in (0, 2) for r in a.actions)))
 
     index = Fraction(den ** (2 * n), abs(hdet)) if hdet else Fraction(0)
     span = math.lcm(den, gden)

@@ -54,7 +54,6 @@ from ppavlab.tori import (
     OrderMatrix,
     RATIONAL,
     Torus,
-    rational_rep,
 )
 
 
@@ -210,13 +209,13 @@ def test_kernel_fixedness(capsys):
         # element of the group is the identity mod (1+i): Z[i]/(1+i) = F_2
         # and a + bi reduces to (a + b) mod 2.  A matrix M = I + (1+i)N sends
         # (1+i)/2 * v to itself plus (1+i)^2/2 * Nv = i*Nv, a lattice vector,
-        # so the whole group fixes the kernel pointwise.
+        # so the whole group fixes the kernel pointwise.  An element is stored
+        # as its action [[A, -B], [B, A]] on the Z-basis, so its O-entry
+        # (i, j) is a + bi with a = e[i, j] and b = e[2 + i, j].
         for e in grp_c.elements:
-            assert all((z.a + z.b - (i == j)) % 2 == 0
-                       for i, row in enumerate(e.entries)
-                       for j, z in enumerate(row))
-        for e in grp_c.generators:
-            rho = rational_rep(e)
+            assert all((e[i, j] + e[2 + i, j] - (i == j)) % 2 == 0
+                       for i in range(2) for j in range(2))
+        for rho in grp_c.generators:
             for x in k.generators:
                 moved = [sum(Fraction(rho[i, j]) * x[j] for j in range(4)) - x[i]
                          for i in range(4)]

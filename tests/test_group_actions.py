@@ -1,17 +1,19 @@
 """Closure, invariance, pseudoreflections, averaging, and kernel actions."""
 
+import hashlib
 import time
 from fractions import Fraction
 
 import pytest
 
-from ppavlab.exact_linalg import IntMatrix
+from ppavlab.exact_linalg import IntMatrix, rank_over_field
 from ppavlab.group_actions import (
     ActionReport,
     CapExceeded,
     DimensionMismatch,
     MatrixGroup,
     NotInvariant,
+    _close,
     action_on_kernel,
     action_report,
     average_pullback,
@@ -41,10 +43,19 @@ from ppavlab.polarizations import (
 from ppavlab.tori import (
     BadOrder,
     GAUSSIAN,
+    OrderElem,
     OrderMatrix,
     RATIONAL,
     Torus,
     rational_rep,
+)
+
+
+# example_c's generators as written down over Z[i]
+C_GENS = (
+    OrderMatrix.from_pairs(GAUSSIAN, [[(-1, 0), (1, 1)], [(0, 0), (1, 0)]]),
+    OrderMatrix.from_pairs(GAUSSIAN, [[(0, -1), (-1, 1)], [(0, 0), (0, 1)]]),
+    OrderMatrix.from_pairs(GAUSSIAN, [[(-1, 0), (0, 0)], [(-1, 1), (1, 0)]]),
 )
 
 
@@ -54,7 +65,6 @@ def swap_group():
 
 
 def neg_group(g=2):
-    from ppavlab.tori import OrderElem
     return closure([OrderMatrix.scalar(RATIONAL, g, OrderElem(-1, 0))])
 
 
@@ -75,20 +85,25 @@ def factorial(n):
 def test_closure_swap():
     grp = swap_group()
     assert grp.order == 2
-    assert grp.elements[0] == OrderMatrix.identity(RATIONAL, 2)
+    assert grp.elements[0] == IntMatrix.identity(4)
+    # over Z an O-matrix A acts on the 2g-lattice as diag(A, A)
+    assert grp.elements[1] == IntMatrix.from_rows(
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    assert grp.generators == (grp.elements[1],)
 
 
 def test_closure_deterministic():
-    a = closure(example_c()[0].generators)
-    b = closure(example_c()[0].generators)
-    assert [e.flat_key() for e in a.elements] == [e.flat_key() for e in b.elements]
+    a = closure(C_GENS)
+    b = closure(C_GENS)
+    assert a.generators == tuple(rational_rep(m) for m in C_GENS)
+    assert a.elements == b.elements == example_c()[0].elements
 
 
 def test_closure_idempotent():
     grp = example_b(2)[0]
-    again = closure(grp.elements)
+    again = _close(grp.torus, grp.elements, cap=10 ** 6)
     assert again.order == grp.order
-    assert {e.flat_key() for e in again.elements} == {e.flat_key() for e in grp.elements}
+    assert set(again.elements) == set(grp.elements)
 
 
 def test_closure_rejects_bad_generators():
@@ -102,16 +117,15 @@ def test_closure_rejects_bad_generators():
 
 
 def test_closure_cap():
-    gens = example_c()[0].generators
     with pytest.raises(CapExceeded):
-        closure(gens, cap=5)
+        closure(C_GENS, cap=5)
 
 
 def test_closure_of_infinite_group_fails_fast():
     # [[-1, 0], [i, 1]] has order 2, but with example_c's first two
     # generators it generates an infinite group; two of its elements agree
     # mod 3 within a few levels of the breadth-first search
-    gens = list(example_c()[0].generators)
+    gens = list(C_GENS)
     gens[2] = OrderMatrix.from_pairs(GAUSSIAN, [[(-1, 0), (0, 0)], [(0, 1), (1, 0)]])
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match="mod 3"):
@@ -159,6 +173,41 @@ def test_example_c_polarization_frozen():
     assert polarization_type(pol) == (1, 2)
 
 
+def _named_group(key):
+    kind, *args = key
+    return {"a": example_a, "b": example_b, "c": example_c}[kind](*args)[0]
+
+
+# sha256 of group_to_json, recorded from the closure over O-matrices that the
+# integer closure replaced: the breadth-first element order and the JSON
+# format must not move
+GROUP_JSON_SHA256 = {
+    ("a", 1, 2): "e11d1105e014c319fe91223148624bc8c0408511d3b83f8911b7584bd6efa440",
+    ("a", 1, 3): "121449b1b615be535838628bbb5e5097d425c39d7235962a539b679d5da6e315",
+    ("a", 1, 4): "df029b041719c9130d7ad08fb3d8be61f289f7403bd0d1d53613c396d2baffc2",
+    ("a", 1, 6): "35f412a15c55dcedc2b61547b82de1ce4a2b6fb016213056bd24f2e8a60a5020",
+    ("a", 2, 2): "acb9ac46eee8ce9696d6baa0a09319e61382673e7610193b9e76eabf97dc2b22",
+    ("a", 2, 3): "adae4fc2cd651698322929346bd2f0a533901e682e47ae3e0e19843b38f36cd3",
+    ("a", 2, 4): "9b41270ebfbdc71ba60e0cb8586509248038a3842db84598f93fd352c6cf085a",
+    ("a", 2, 6): "d5154a913c02329cf87c808f6fd121062e97d25a774a025f9c5d2a5628be3e6c",
+    ("a", 3, 2): "e526368e7952466e4595f4b8c2985187a5d49694c2ba071d541870ae2d881096",
+    ("a", 3, 3): "1f1032751ef46e54b944462cc258f218a319f7122e9fa36ed63738e27b17cd7f",
+    ("a", 3, 4): "45cebed3c551e5a410b0dd94ba9b54255d32d2752c0fbc113d2163f812a62714",
+    ("a", 3, 6): "5fba6ec063fbc5330fa01a4ce944bfd47b2b8c0fa30e8b318485f1fd83033f6e",
+    ("b", 1): "e11d1105e014c319fe91223148624bc8c0408511d3b83f8911b7584bd6efa440",
+    ("b", 2): "345d968cb06d38d4470708305df3eabdfc449500dab1034f6245e8969b265cd4",
+    ("b", 3): "448f867ba72b8baff68084ba6c5efd8f27f0c8eb7eb89ecb16c5f90e026b46ae",
+    ("b", 4): "adbe1f49a0ec6aa6025220855ca5dcf83c87b6c8a091828b3856e1ac0c07b5c3",
+    ("c",): "3fece4c5ac37a1b8ae18c4fbd8b1e192984f6d5cdd95c73589f748989bd9f3d6",
+}
+
+
+@pytest.mark.parametrize("key", list(GROUP_JSON_SHA256), ids=str)
+def test_group_json_digest_pinned(key):
+    text = group_to_json(_named_group(key))
+    assert hashlib.sha256(text.encode()).hexdigest() == GROUP_JSON_SHA256[key]
+
+
 # -- invariance ------------------------------------------------------------------
 
 
@@ -201,6 +250,43 @@ def test_pseudoreflections_example_c():
 def test_negation_has_no_pseudoreflections():
     assert pseudoreflection_generated(neg_group()) == (False, 0)
     assert pseudoreflection_generated(trivial_group()) == (True, 0)
+
+
+def proper_group():
+    # diag(-1, 1, 1) is the only reflection of <diag(-1, 1, 1), -I>, order 4
+    d = OrderMatrix.from_int_rows(RATIONAL, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    return closure([d, OrderMatrix.scalar(RATIONAL, 3, OrderElem(-1, 0))])
+
+
+def test_pseudoreflections_generate_proper_subgroup():
+    grp = proper_group()
+    assert grp.order == 4
+    assert pseudoreflection_generated(grp) == (False, 1)
+
+
+# every unit order of example_a, the registry's reflection-generation groups,
+# and groups with no reflections or with reflections that miss elements
+ORACLE_GROUPS = {
+    **{key: (lambda key=key: _named_group(key))
+       for key in [("a", 2, m) for m in (2, 3, 4, 6)] + [("a", 3, 3)]
+       + [("b", g) for g in (1, 2, 3, 4)] + [("c",)]},
+    "negation": neg_group,
+    "trivial": lambda: trivial_group(GAUSSIAN, 2),
+    "proper": proper_group,
+}
+
+
+@pytest.mark.parametrize("key", list(ORACLE_GROUPS), ids=str)
+def test_pseudoreflection_generated_matches_closing_all_reflections(key):
+    # the greedy subgroup closure gives the verdict of closing every reflection
+    grp = ORACLE_GROUPS[key]()
+    ident = IntMatrix.identity(grp.torus.lattice_rank)
+    refl = tuple(e for e in grp.elements if rank_over_field(e - ident) == 2)
+    if refl:
+        generated = _close(grp.torus, refl, cap=grp.order).order == grp.order
+    else:
+        generated = grp.order == 1
+    assert pseudoreflection_generated(grp) == (generated, len(refl))
 
 
 # -- fixed sublattices ---------------------------------------------------------------
@@ -257,8 +343,7 @@ def test_ns_fixed_forms_are_invariant():
     for grp, _ in (example_a(2, 3), example_b(3), example_c()):
         _, forms = ns_fixed(grp)
         for f in forms:
-            for e in grp.elements:
-                rho = rational_rep(e)
+            for rho in grp.elements:
                 assert rho.transpose() * f * rho == f
 
 
@@ -318,8 +403,7 @@ def test_kernel_action_example_c():
     assert weil_pairing(k, (h, 0, h, 0), (0, h, 0, h)) in (Fraction(1, 2),)
     swept = all(
         qmodz(sum(Fraction(rho[i, j]) * x[j] for j in range(4)) - x[i]) == 0
-        for e in grp.elements
-        for rho in (rational_rep(e),)
+        for rho in grp.elements
         for x in k.elements()
         for i in range(4))
     assert action_on_kernel(grp, k) is True
@@ -353,19 +437,18 @@ def test_group_json_roundtrip():
         back = group_from_json(group_to_json(grp))
         assert back.torus == grp.torus
         assert back.order == grp.order
-        assert ({e.flat_key() for e in back.elements}
-                == {e.flat_key() for e in grp.elements})
+        assert back.elements == grp.elements
 
 
 def test_group_json_roundtrip_regenerates():
     back = group_from_json(group_to_json(example_c()[0]))
-    assert closure(back.generators).order == 16
+    assert _close(back.torus, back.generators, cap=10 ** 6).order == 16
 
 
 def _s3_json(pick):
     grp = example_b(2)[0]
     t1, t2 = grp.generators[:2]
-    ident = OrderMatrix.identity(RATIONAL, 2)
+    ident = IntMatrix.identity(4)
     elems = tuple(pick(ident, t1, t1 * t2))
     return group_to_json(MatrixGroup(grp.torus, elems, elems))
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ppavlab.exact_linalg import IntMatrix, RatMatrix, pfaffian
-from ppavlab.group_actions import closure, pseudoreflection_generated
+from ppavlab.group_actions import _close, pseudoreflection_generated
 from ppavlab.polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
@@ -171,7 +171,9 @@ def test_x_action_reflections_matches_closed_product_group():
     for factors in ((1,), (2,), (1, 1), (2, 3), (1, 1, 1, 1)):
         y_dim = len(elementary_divisors([g + 1 for g in factors]))
         report = verify_glued(build_standard(factors, y_dim))
-        product = closure(_factor_generators(factors, sum(factors)))
+        x_dim = sum(factors)
+        product = _close(Torus(RATIONAL, x_dim),
+                         tuple(_factor_generators(factors, x_dim)), cap=10 ** 6)
         assert (dict(report.checks)["x-action-reflections"]
                 == pseudoreflection_generated(product)[0])
 
@@ -253,13 +255,16 @@ def _corrupted(glued):
         glued, graph=tuple(tuple(3 * c for c in gamma) for gamma in glued.graph))
     yield "overlattice-zero", dataclasses.replace(
         glued, overlattice=glued.overlattice.scaled(0))
+    yield "actions-empty", dataclasses.replace(glued, actions=())
 
 
 # check verdicts in report order (1 = passed) and the first failure.  A
 # shear or a product of two reflections is not a pseudoreflection, so
 # x-action-reflections fails on it; the tripled graph of a divisor prime to 3
 # still spans the overlattice, so only (2,) and (2, 3) fail overlattice-index.
-# A zero overlattice fails every check that needs its inverse.
+# A zero overlattice fails every check that needs its inverse.  With no
+# stored actions every action check holds vacuously, so only the count of
+# one action per factor generator in x-action-reflections fails.
 PINNED_VERDICTS = {
     ((1,), "form-pair"): ("0110001111", "form-integral"),
     ((1,), "form-entry"): ("0000001111", "form-integral"),
@@ -300,6 +305,10 @@ PINNED_VERDICTS = {
     ((2,), "overlattice-zero"): ("0110010010", "form-integral"),
     ((1, 1), "overlattice-zero"): ("0110010010", "form-integral"),
     ((2, 3), "overlattice-zero"): ("0110010010", "form-integral"),
+    ((1,), "actions-empty"): ("1111111101", "x-action-reflections"),
+    ((2,), "actions-empty"): ("1111111101", "x-action-reflections"),
+    ((1, 1), "actions-empty"): ("1111111101", "x-action-reflections"),
+    ((2, 3), "actions-empty"): ("1111111101", "x-action-reflections"),
 }
 
 
@@ -376,6 +385,13 @@ def test_glued_json_rejects_singular_overlattice():
     data = json.loads(glued_to_json(build_standard([1], 1)))
     data["overlattice_num"] = [["0"] * len(row) for row in data["overlattice_num"]]
     with pytest.raises(InvalidGlue, match="form-integral"):
+        glued_from_json(json.dumps(data))
+
+
+def test_glued_json_rejects_empty_actions():
+    data = json.loads(glued_to_json(build_standard([1], 1)))
+    data["actions"] = []
+    with pytest.raises(InvalidGlue, match="x-action-reflections"):
         glued_from_json(json.dumps(data))
 
 

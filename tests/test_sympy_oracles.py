@@ -93,9 +93,15 @@ def test_rational_rank_doubles_analytic_rank_seeded():
             cases.append(OrderMatrix.from_pairs(
                 o, [[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(g)]
                     for _ in range(g)]))
-    for group in (example_a(2, 4), example_a(2, 3), example_a(2, 6)):
-        cases.extend(group[0].elements)
-    cases.extend(example_c()[0].elements)
+    for grp in (example_a(2, 4)[0], example_a(2, 3)[0], example_a(2, 6)[0],
+                example_c()[0]):
+        # read each stored action [[A, vB], [B, A + uB]] back as A + B*w
+        for e in grp.elements:
+            m = OrderMatrix.from_pairs(
+                grp.torus.order, [[(e[i, j], e[2 + i, j]) for j in range(2)]
+                                  for i in range(2)])
+            assert rational_rep(m) == e
+            cases.append(m)
     ranks = set()
     for m in cases:
         rank = sympy_rank_minus_id(m)

@@ -1,9 +1,10 @@
-"""The benchmark's tracer wraps class methods by name; they must all exist.
+"""The benchmark reaches into the library by name; those names must exist.
 
 `perfbench/tracer.py` looks each `(module, class, method)` of its `METHODS`
-table up in the class `__dict__` when it installs.  A method deleted from
-the library would make a traced benchmark run crash, so this test fails
-first.  It imports the tracer without installing it.
+table up in the class `__dict__` when it installs, and `perfbench/child.py`
+reads `rational_rep.cache_info` before every pass.  A deleted method or a
+dropped cache would make benchmark runs crash, so these tests fail first.
+They import the tracer without installing it.
 """
 
 import importlib
@@ -23,3 +24,9 @@ def test_every_traced_method_exists(monkeypatch):
             missing.extend(f"{layer}.{cls_name}.{m}" for m in methods
                            if m not in cls.__dict__)
     assert missing == []
+
+
+def test_rational_rep_keeps_its_cache():
+    from ppavlab import tori
+
+    assert callable(getattr(tori.rational_rep, "cache_info", None))
