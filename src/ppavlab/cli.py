@@ -16,13 +16,23 @@ import sys
 from .checks import RunOptions, UnknownCheck, run_checks
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
+
 def _parse_factors(text: str) -> tuple[int, ...]:
     try:
-        factors = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError("factors must be a comma list of counts")
+        factors = tuple(_positive_int(part) for part in text.split(",") if part.strip())
+    except argparse.ArgumentTypeError:
+        factors = ()
     if not factors:
-        raise argparse.ArgumentTypeError("factors must be a comma list of counts")
+        raise argparse.ArgumentTypeError("factors must be a comma list of counts >= 1")
     return factors
 
 
@@ -34,11 +44,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run named checks (default: all)")
     run_p.add_argument("--check", action="append", dest="checks", metavar="ID",
                        help="check id to run; repeatable")
-    run_p.add_argument("--gmax", type=int, default=6,
+    run_p.add_argument("--gmax", type=_positive_int, default=6,
                        help="largest genus for the per-genus sweeps")
     run_p.add_argument("--factors", type=_parse_factors, default=None,
                        metavar="a,b,..", help="factor genera for standard-build")
-    run_p.add_argument("--ydim", type=int, default=None,
+    run_p.add_argument("--ydim", type=_positive_int, default=None,
                        help="matching torus dimension for standard-build")
     run_p.add_argument("--seed", type=int, default=0,
                        help="seed for the randomized property checks")

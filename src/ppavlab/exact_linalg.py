@@ -7,6 +7,7 @@ all with arbitrary-precision arithmetic.  No floats anywhere; rationals are
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -405,6 +406,30 @@ def snf(m: IntMatrix) -> SNF:
 
 
 def snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
+    """The invariant factors of m: the diagonal of its Smith normal form.
+
+    Square matrices up to 3x3 skip the transforms: with D_k the gcd of the
+    k x k minors, d_k = D_k / D_{k-1}, or 0 when D_k = 0 (Newman,
+    *Integral Matrices*, Thm II.9).
+    """
+    n = m.rows
+    if n == m.cols and 1 <= n <= 3:
+        e = m.entries
+        if n == 1:
+            return (abs(e[0][0]),)
+        if n == 2:
+            (a, b), (c, d) = e
+            d1, d2 = math.gcd(a, b, c, d), abs(a * d - b * c)
+            return (d1, d2 // d1 if d2 else 0)
+        (a, b, c), (d, f, g), (h, i, j) = e
+        # the 2x2 minors of the lower two rows give the cofactor expansion
+        low12, low02, low01 = f * j - g * i, d * j - g * h, d * i - f * h
+        det = abs(a * low12 - b * low02 + c * low01)
+        d1 = math.gcd(a, b, c, d, f, g, h, i, j)
+        d2 = math.gcd(low12, low02, low01,
+                      a * f - b * d, a * g - c * d, b * g - c * f,
+                      a * i - b * h, a * j - c * h, b * j - c * i)
+        return (d1, d2 // d1 if d2 else 0, det // d2 if det else 0)
     d = snf(m).d
     return tuple(d[i, i] for i in range(min(m.rows, m.cols)))
 
@@ -559,6 +584,18 @@ def rank_over_field(m: RatMatrix | IntMatrix) -> int:
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Canonical basis (as columns) of the saturated lattice {x in Z^n : m x = 0}."""
+    if m.rows == 1 and any(m.entries[0]):
+        # the Koszul vectors b_j e_i - b_i e_j of the primitive row b = a/gcd(a)
+        # generate its kernel: with c.b = 1, x = sum c_j x_i (b_j e_i - b_i e_j)
+        a = m.entries[0]
+        g = math.gcd(*a)
+        b = [x // g for x in a]
+        cols = []
+        for i, j in itertools.combinations(range(m.cols), 2):
+            v = [0] * m.cols
+            v[i], v[j] = b[j], -b[i]
+            cols.append(v)
+        return hnf_columns(IntMatrix.from_columns(cols, rows=m.cols))
     f = snf(m)
     r = sum(1 for i in range(min(m.rows, m.cols)) if f.d[i, i])
     if r == m.cols:

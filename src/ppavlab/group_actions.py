@@ -380,7 +380,15 @@ def group_to_json(group: MatrixGroup) -> str:
 def group_from_json(text: str) -> MatrixGroup:
     data = json.loads(text)
     order = order_by_kind(data["order_kind"])
-    g = int(data["g"])
+    g = data["g"]
+    if type(g) is not int or g < 1:
+        raise ValueError("g must be an integer >= 1")
+    for flat in data["elements"]:
+        if not isinstance(flat, list) or len(flat) != g * g:
+            raise ValueError(f"each element needs exactly {g * g} O-entries")
+        if not all(isinstance(x, list) and len(x) == 2 and all(type(c) is int for c in x)
+                   for x in flat):
+            raise ValueError("each O-entry must be a pair of 2 integers")
     torus = Torus(order, g)
     elements = tuple(
         rational_rep(OrderMatrix.from_pairs(

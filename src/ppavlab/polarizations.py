@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
@@ -478,11 +479,17 @@ def scan_subtorus_types(n: int, height: int) -> tuple[SubtorusRestriction, ...]:
     if subsets > _SCAN_SUBSET_BUDGET:
         raise BudgetExceeded(f"scan of n={n}, height={height} needs {subsets} subsets;"
                              f" the budget is {_SCAN_SUBSET_BUDGET}")
-    # xi_g(n) is split_form(gram); restricted to diag(S, S) it is
-    # split_form(S^t gram S), whose type is the Smith diagonal of that block
-    gram = xi_g(n).form.block(0, n, n, 2 * n)
-    results = [SubtorusRestriction(sat, snf_diagonal(sat.transpose() * gram * sat))
-               for sat in _distinct_spans(n, prims)]
+    # xi_g(n) is split_form(I + J), J all ones; restricted to diag(S, S) it
+    # is split_form(S^t S + u u^t) with u = S^t 1, whose type is the Smith
+    # diagonal of that block
+    results = []
+    for sat in _distinct_spans(n, prims):
+        cols = sat.columns()
+        u = [sum(c) for c in cols]
+        block = IntMatrix.from_rows(
+            [[sum(map(operator.mul, x, y)) + ux * uy for y, uy in zip(cols, u)]
+             for x, ux in zip(cols, u)])
+        results.append(SubtorusRestriction(sat, snf_diagonal(block)))
     results.sort(key=lambda r: (r.basis.cols, r.basis.entries))
     for r in results:
         if all(d == 1 for d in r.type):

@@ -34,8 +34,9 @@ def test_failing_check_exits_one(capsys):
 
 
 def test_error_status_exits_one(capsys):
+    # two divisors of order 2 do not fit on a one-dimensional Y
     code, lines = run_lines(capsys, ["run", "--check", "standard-build",
-                                     "--factors", "1", "--ydim", "0"])
+                                     "--factors", "1,1", "--ydim", "1"])
     assert code == 1
     assert lines[0]["status"] == "error"
 
@@ -52,6 +53,19 @@ def test_bad_factors_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--factors", "x,y"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--gmax", "0"), ("--gmax", "-3"), ("--ydim", "0"), ("--ydim", "-1"),
+    ("--factors", "1,0"), ("--factors", "-2"), ("--gmax", "two"),
+])
+def test_non_positive_sizes_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--check", "theta-principal", f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert flag in captured.err
+    assert captured.out == ""
 
 
 def test_missing_subcommand_usage_error():

@@ -18,6 +18,7 @@ from ppavlab.exact_linalg import (
     rank_over_field,
     saturate,
     snf,
+    snf_diagonal,
 )
 
 
@@ -119,6 +120,32 @@ def test_snf_properties(m):
                 assert d[i, j] == 0
 
 
+@st.composite
+def small_square(draw):
+    """1x1 to 3x3, entries in [-20, 20]; a third are rank-deficient by construction."""
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-20, 20)
+    shape = draw(st.sampled_from(("any", "repeated-row", "outer")))
+    if shape == "outer":
+        # rank at most 1: u v^t with |u_i v_j| <= 16
+        u = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        v = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        return M([[a * b for b in v] for a in u])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if shape == "repeated-row":
+        # the last row is -1, 0 or 1 times the first: rank below n
+        k = draw(st.integers(-1, 1))
+        rows[-1] = [k * x for x in rows[0]]
+    return M(rows)
+
+
+@settings(max_examples=600)
+@given(small_square())
+def test_snf_diagonal_closed_form_matches_snf(m):
+    d = snf(m).d
+    assert snf_diagonal(m) == tuple(d[i, i] for i in range(m.rows))
+
+
 # -- Hermite normal form -----------------------------------------------------
 
 
@@ -212,6 +239,23 @@ def test_kernel_basis_sum_map():
 def test_kernel_of_injective_map_is_empty():
     k = kernel_basis(M([[1, 0], [0, 1], [1, 1]]))
     assert k.cols == 0
+
+
+def _kernel_by_snf(m):
+    f = snf(m)
+    r = sum(1 for i in range(min(m.rows, m.cols)) if f.d[i, i])
+    return hnf_columns(IntMatrix.from_columns([f.v.column(j) for j in range(r, m.cols)],
+                                              rows=m.cols))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6).flatmap(
+           lambda n: st.lists(st.integers(-12, 12), min_size=n, max_size=n)),
+       st.integers(1, 6))
+def test_one_row_kernel_matches_snf_route(row, scale):
+    # scaled rows are not primitive; the kernel must not notice
+    m = M([[scale * x for x in row]])
+    assert kernel_basis(m) == _kernel_by_snf(m)
 
 
 def test_saturate_doubles_down():

@@ -1,6 +1,7 @@
 """Closure, invariance, pseudoreflections, averaging, and kernel actions."""
 
 import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -460,3 +461,25 @@ def _s3_json(pick):
 def test_group_json_rejects_non_group(pick):
     with pytest.raises(ValueError):
         group_from_json(_s3_json(pick))
+
+
+@pytest.mark.parametrize("g, elements, message", [
+    (0, [[]], "g must be"),
+    (-1, [[[1, 0]]], "g must be"),
+    (1.9, [[[1, 0]]], "g must be"),
+    (1, [[[1, 0], [0, 0]]], "exactly 1 O-entries"),
+    (2, [[[1, 0], [0, 0], [0, 0]]], "exactly 4 O-entries"),
+    (1, [[[1, 0, 5]]], "pair of 2 integers"),
+    (1, [[[1]]], "pair of 2 integers"),
+    (1, [[[1, "0"]]], "pair of 2 integers"),
+], ids=["g-zero", "g-negative", "g-float", "extra-entry", "missing-entry", "triple", "single",
+        "string"])
+def test_group_json_rejects_malformed_elements(g, elements, message):
+    text = json.dumps({"order_kind": "Z", "g": g, "elements": elements})
+    with pytest.raises(ValueError, match=message):
+        group_from_json(text)
+
+
+def test_group_json_accepts_trivial_group():
+    back = group_from_json(json.dumps({"order_kind": "Z", "g": 1, "elements": [[[1, 0]]]}))
+    assert back.order == 1

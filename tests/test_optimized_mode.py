@@ -22,7 +22,7 @@ def test_library_has_no_assert_statements():
 
 
 def test_registry_statuses_unchanged_under_optimize_flag():
-    checks = ("standard-build", "jacobian-cases")
+    checks = ("standard-build", "subtorus-not-principal", "jacobian-cases")
     argv = [sys.executable, "-O", "-m", "ppavlab.cli", "run"]
     for check_id in checks:
         argv += ["--check", check_id]
@@ -36,4 +36,5 @@ def test_registry_statuses_unchanged_under_optimize_flag():
             optimized.kill()
     statuses = {line["check_id"]: line["status"]
                 for line in map(json.loads, out.splitlines())}
-    assert statuses == plain == {"standard-build": "pass", "jacobian-cases": "pass"}
+    assert statuses == plain == {"standard-build": "pass", "subtorus-not-principal": "pass",
+                                 "jacobian-cases": "pass"}

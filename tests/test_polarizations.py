@@ -16,7 +16,7 @@ from ppavlab.exact_linalg import (
     hnf_columns,
     hstack,
     saturate,
-    snf_diagonal,
+    snf,
 )
 from ppavlab.polarizations import (
     Degenerate,
@@ -117,7 +117,6 @@ def test_polarization_type_examples():
 
 def brute_kernel_order(form: IntMatrix) -> int:
     # walk the finite grid (1/D)Z^n mod 1 and count members; D = last divisor
-    from ppavlab.exact_linalg import snf
     d = snf(form).d
     den = max(d[i, i] for i in range(form.rows))
     n = form.rows
@@ -365,8 +364,11 @@ def _scan_by_saturating_every_subset(n, height):
                 continue
             seen.setdefault(sat.entries, sat)
     gram = xi_g(n).form.block(0, n, n, 2 * n)
-    results = [SubtorusRestriction(sat, snf_diagonal(sat.transpose() * gram * sat))
-               for sat in seen.values()]
+    results = []
+    for sat in seen.values():
+        # the full Smith form of the IntMatrix product, not the scan's route
+        d = snf(sat.transpose() * gram * sat).d
+        results.append(SubtorusRestriction(sat, tuple(d[i, i] for i in range(d.rows))))
     results.sort(key=lambda r: (r.basis.cols, r.basis.entries))
     return tuple(results)
 
