@@ -10,11 +10,12 @@ import argparse
 import sys
 
 from ppavlab.checks import RunOptions, run_checks
+from ppavlab.cli import _positive_int
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--gmax", type=int, default=6,
+    parser.add_argument("--gmax", type=_positive_int, default=6,
                         help="largest genus for the per-genus sweeps")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized property checks")

@@ -613,7 +613,26 @@ def saturate(l: IntMatrix) -> IntMatrix:
 
 
 def is_positive_definite(m: IntMatrix) -> bool:
-    """Sylvester test on an integer symmetric matrix: exact, no floats."""
+    """Sylvester test on an integer symmetric matrix: exact, no floats.
+
+    One Bareiss pass without pivoting: pivot k is the k-th leading principal
+    minor, so the first pivot <= 0 decides, and the exact divisions by the
+    previous (positive) pivot keep every entry an integer.
+    """
     if not m.is_symmetric():
         return False
-    return all(m.block(0, k, 0, k).det() > 0 for k in range(1, m.rows + 1))
+    n = m.rows
+    a = [list(r) for r in m.entries]
+    prev = 1
+    for k in range(n):
+        piv = a[k][k]
+        if piv <= 0:
+            return False
+        row_k = a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            c = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * piv - c * row_k[j]) // prev
+        prev = piv
+    return True

@@ -511,6 +511,12 @@ def polarization_to_json(p: PolarizedTorus) -> str:
 
 def polarization_from_json(text: str) -> PolarizedTorus:
     data = json.loads(text)
-    form = IntMatrix.from_rows([[int(x) for x in row] for row in data["form"]],
-                               cols=2 * int(data["g"]))
-    return PolarizedTorus(Torus(order_by_kind(data["order"]), int(data["g"])), form)
+    g = data["g"]
+    if type(g) is not int or g < 1:
+        raise ValueError("g must be an integer >= 1")
+    rows = data["form"]
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in rows):
+        raise ValueError("form must be a list of rows of integers")
+    form = IntMatrix.from_rows(rows, cols=2 * g)
+    return PolarizedTorus(Torus(order_by_kind(data["order"]), g), form)

@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -27,7 +28,6 @@ from .exact_linalg import (
     hstack,
     is_positive_definite,
     kernel_basis,
-    pfaffian,
     rank_over_field,
     snf_diagonal,
     vstack,
@@ -38,7 +38,6 @@ from .polarizations import (
     PolarizedTorus,
     alternating_type,
     box_product,
-    form_pairing,
     kernel_group,
     split_form,
     xi_g,
@@ -79,18 +78,25 @@ def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
     pairing has that exact order, normalizes the pairing to +1/d, and
     recurses on the orthogonal complement.  Elements are integer numerators
     v over the exponent e: v has order e / gcd(e, v), and <v, w> is
-    (v^t·form·w / e) mod e over e.  Deterministic for a fixed generator list.
+    (v^t·form·w / e) mod e over e.  The covector v^t·form of each chosen
+    x and y is taken once, so every pairing is one dot product.
+    Deterministic for a fixed generator list.
     """
     m = k.ambient.form
     e = math.lcm(*k.orders)
     gens = IntMatrix.from_columns([[int(c * e) for c in gen] for gen in k.generators],
                                   rows=m.rows)
+    mt = m.transpose()
 
     def order(v) -> int:
         return e // math.gcd(e, *v)
 
-    def pair(v, w) -> int:
-        return (sum(a * b for a, b in zip(v, m.mul_vec(w))) // e) % e
+    def dot(u, w) -> int:
+        return sum(map(operator.mul, u, w))
+
+    def pair(cv, w) -> int:
+        # cv is the covector v^t·form of the left argument
+        return (dot(cv, w) // e) % e
 
     # every element in the order of FiniteSymplecticGroup.elements()
     pool = [v for v in (tuple(x % e for x in gens.mul_vec(c))
@@ -98,34 +104,37 @@ def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
     collected = []
     while pool:
         x = max(pool, key=order)
+        cx = mt.mul_vec(x)
         d = order(x)
         step = e // d
-        y = next((c for c in pool if e // math.gcd(e, pair(x, c)) == d), None)
+        y = next((c for c in pool if e // math.gcd(e, pair(cx, c)) == d), None)
         if y is None:
             raise DegeneratePairing(f"no partner of order {d} in the pairing")
-        t = pow(pair(x, y) // step, -1, d)
+        t = pow(pair(cx, y) // step, -1, d)
         y = tuple(t * c % e for c in y)
-        collected.append(((x, y), d))
+        cy = mt.mul_vec(y)
+        collected.append((x, y, cx, cy, d))
         fresh = set()
         for z in pool:
-            a_co = -(pair(y, z) // step) % d
-            b_co = pair(x, z) // step % d
+            a_co = -(pair(cy, z) // step) % d
+            b_co = pair(cx, z) // step % d
             w = tuple((zc - a_co * xc - b_co * yc) % e for zc, xc, yc in zip(z, x, y))
             if any(w):
                 fresh.add(w)
         pool = sorted(fresh)
     collected.reverse()
-    pairs = tuple(tuple(tuple(Fraction(c, e) for c in v) for v in pq)
-                  for pq, _ in collected)
-    orders = tuple(d for _, d in collected)
+    orders = tuple(d for *_, d in collected)
     if any(nxt % prev for prev, nxt in zip(orders, orders[1:])):
         raise DegeneratePairing(f"orders {orders} do not form a divisor chain")
-    for j, (xj, yj) in enumerate(pairs):
-        for l, (xl, yl) in enumerate(pairs):
-            want = Fraction(1, orders[j]) if j == l else Fraction(0)
-            if (form_pairing(m, xj, yl) != want or form_pairing(m, xj, xl)
-                    or form_pairing(m, yj, yl)):
+    # <x_j/e, y_l/e> = x_j^t·form·y_l / e^2 mod 1, decided on the numerator
+    e2 = e * e
+    for j, (_, _, cxj, cyj, dj) in enumerate(collected):
+        for l, (xl, yl, *_) in enumerate(collected):
+            want = e2 // dj if j == l else 0
+            if dot(cxj, yl) % e2 != want or dot(cxj, xl) % e2 or dot(cyj, yl) % e2:
                 raise DegeneratePairing("reduced pairs are not a symplectic basis")
+    pairs = tuple((tuple(Fraction(c, e) for c in x), tuple(Fraction(c, e) for c in y))
+                  for x, y, *_ in collected)
     return SymplecticBasis(pairs, orders)
 
 
@@ -211,6 +220,13 @@ def _graph_columns(graph, n: int, den: int) -> IntMatrix:
                                   rows=2 * n)
 
 
+def _divided(m: IntMatrix, k: int) -> IntMatrix | None:
+    """m / k when k divides every entry, else None."""
+    if any(x % k for row in m.entries for x in row):
+        return None
+    return IntMatrix(m.rows, m.cols, tuple(tuple(x // k for x in row) for row in m.entries))
+
+
 def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     """Glue the permutation factors to a matching Y along their kernels."""
     factors = tuple(int(g) for g in factor_genera)
@@ -243,25 +259,25 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     h = hnf_columns(hstack(IntMatrix.identity(2 * n).scaled(den),
                            _graph_columns(graph, n, den)))
     p = h.to_rat().scaled(Fraction(1, den))
-    m_rat = (h.transpose() * prod.form * h).to_rat().scaled(Fraction(1, den * den))
-    if not m_rat.is_integral():
+    m_a = _divided(h.transpose() * prod.form * h, den * den)
+    if m_a is None:
         raise IntegralityFailure("pulled-back form is not integral")
-    m_a = m_rat.to_int()
 
     index = Fraction(den ** (2 * n), abs(h.det()))
     if index != math.prod(divisors) ** 2:
         raise TypeMismatch(f"overlattice index {index} is not the squared divisor product")
-    if abs(pfaffian(m_a)) != 1:
+    # m_a is integral and alternating, so det = Pf^2 and |Pf| = 1 iff det = 1
+    if m_a.det() != 1:
         raise TypeMismatch("pulled-back form is not principal")
 
     # the overlattice contains Z^2n, so its inverse basis is integral
     q = p.inverse().to_int()
     actions = []
     for gen in _factor_generators(factors, n):
-        lifted = (q * gen * h).to_rat().scaled(Fraction(1, den))
-        if not lifted.is_integral():
+        lifted = _divided(q * gen * h, den)
+        if lifted is None:
             raise IntegralityFailure("action does not preserve the overlattice")
-        actions.append(lifted.to_int())
+        actions.append(lifted)
     return GluedPPAV(factors, y_dim, p, m_a, tuple(actions), graph)
 
 
@@ -316,8 +332,9 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
                    h.transpose() * prod.form * h == form.scaled(den * den)))
     alternating = form.transpose() == -form
     checks.append(("form-alternating", alternating))
-    checks.append(("form-unimodular", alternating and form.rows % 2 == 0
-                   and abs(pfaffian(form)) == 1))
+    # an alternating form has det = Pf^2 (0 at odd size), so |Pf| = 1
+    # exactly when det = 1
+    checks.append(("form-unimodular", alternating and form.det() == 1))
 
     # is_positive_definite also tests symmetry
     checks.append(("form-positive", j is not None and is_positive_definite(form * j * 2)))

@@ -1,6 +1,10 @@
 """Command line surface: exit codes, JSON lines output, flag plumbing."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -66,6 +70,21 @@ def test_non_positive_sizes_usage_error(capsys, flag, value):
     assert exc.value.code == 2
     assert flag in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_desk_script_rejects_non_positive_gmax(value):
+    # the desk script shares the command's --gmax parsing, so a size below 1
+    # is a usage error before any check runs
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, str(root / "scripts" / "run_all_checks.py"),
+                           f"--gmax={value}"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 2
+    assert "--gmax" in done.stderr
+    assert done.stdout == ""
 
 
 def test_missing_subcommand_usage_error():

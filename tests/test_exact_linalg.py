@@ -313,3 +313,43 @@ def test_positive_definite():
     assert not is_positive_definite(M([[1, 2], [2, 1]]))
     assert not is_positive_definite(M([[0, 1], [1, 0]]))
     assert not is_positive_definite(M([[1, 0], [1, 1]]))  # not symmetric
+
+
+def sylvester_by_leading_minors(m):
+    """Every leading principal minor positive, each minor its own determinant."""
+    return m.is_symmetric() and all(m.block(0, k, 0, k).det() > 0
+                                    for k in range(1, m.rows + 1))
+
+
+@st.composite
+def symmetric_probe(draw):
+    """(kind, matrix): 1x1 to 8x8 symmetric matrices from entries in [-6, 6]."""
+    n = draw(st.integers(1, 8))
+    entry = st.integers(-6, 6)
+    kind = draw(st.sampled_from(("symmetric", "gram", "semidefinite", "zero-corner")))
+    if kind in ("gram", "semidefinite"):
+        # B^t B: positive definite when B has rank n, only semidefinite below
+        k = n if kind == "gram" else draw(st.integers(0, n - 1))
+        b = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+        return kind, M([[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i]
+    if kind == "zero-corner" and n >= 3:
+        # leading minors 0, -b^2, -b^2 c: the first is 0 and the third positive
+        b = draw(st.integers(1, 6))
+        c = draw(st.integers(-6, -1))
+        rows[0][:3] = [0, b, 0]
+        rows[1][0], rows[1][2] = b, 0
+        rows[2][:3] = [0, 0, c]
+    return kind, M(rows)
+
+
+@settings(max_examples=500, deadline=None)
+@given(symmetric_probe())
+def test_positive_definite_matches_leading_minors(probe):
+    kind, m = probe
+    assert is_positive_definite(m) == sylvester_by_leading_minors(m)
+    if kind == "semidefinite" or (kind == "zero-corner" and m.rows >= 3):
+        assert not is_positive_definite(m)

@@ -1,6 +1,7 @@
 """Forms, kernels, restriction, and the bounded sublattice scan."""
 
 import itertools
+import json
 import math
 import random
 import time
@@ -432,3 +433,32 @@ def test_scan_type_matches_full_restriction():
 def test_scan_none_principal_at_height_three():
     for r in scan_subtorus_types(2, 3):
         assert any(d > 1 for d in r.type)
+
+
+# -- serialization -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pol", [theta_g(2), xi_g(3), scale(theta_g(1), 4),
+                                 theta_g(1, GAUSSIAN)], ids=["theta2", "xi3", "4theta1", "gauss"])
+def test_polarization_json_roundtrip(pol):
+    assert polarization_from_json(polarization_to_json(pol)) == pol
+
+
+@pytest.mark.parametrize("g, form, message", [
+    (1, [[0, 1.7], [-1, 0]], "form must be"),
+    (1, [[0, 1.0], [-1, 0]], "form must be"),
+    (1, [[0, True], [-1, 0]], "form must be"),
+    (1, [[0, "1"], [-1, 0]], "form must be"),
+    (1, [0, 1, -1, 0], "form must be"),
+    (1, {"0": [0, 1]}, "form must be"),
+    (1.9, [[0, 1], [-1, 0]], "g must be"),
+    (1.0, [[0, 1], [-1, 0]], "g must be"),
+    (True, [[0, 1], [-1, 0]], "g must be"),
+    (0, [], "g must be"),
+    (-1, [[0, 1], [-1, 0]], "g must be"),
+], ids=["entry-float", "entry-integral-float", "entry-bool", "entry-string", "flat-form",
+        "form-object", "g-float", "g-integral-float", "g-bool", "g-zero", "g-negative"])
+def test_polarization_json_rejects_non_integers(g, form, message):
+    text = json.dumps({"order": "Z", "g": g, "form": form})
+    with pytest.raises(ValueError, match=message):
+        polarization_from_json(text)

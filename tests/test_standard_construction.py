@@ -1,8 +1,12 @@
 """Kernel gluing: symplectic bases, the glued overlattice, and decomposition."""
 
 import dataclasses
+import importlib.util
+import itertools
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from ppavlab.polarizations import (
     PolarizedTorus,
     alternating_type,
     box_product,
+    form_pairing,
     kernel_group,
     polarization_type,
     scale,
@@ -26,8 +31,11 @@ from ppavlab.standard_construction import (
     GluedPPAV,
     IntegralityFailure,
     InvalidGlue,
+    SymplecticBasis,
     TypeMismatch,
     _factor_generators,
+    _x_polarization,
+    _y_polarization,
     build_standard,
     decompose_glued,
     elementary_divisors,
@@ -135,6 +143,99 @@ def test_symplectic_basis_degenerate():
                                       (k.orders[0],))
     with pytest.raises(DegeneratePairing):
         symplectic_basis(isotropic)
+
+
+def _symplectic_basis_by_fractions(k):
+    """The reduction with every pairing taken through the form, as Fractions."""
+    m = k.ambient.form
+    e = math.lcm(*k.orders)
+    gens = IntMatrix.from_columns([[int(c * e) for c in gen] for gen in k.generators],
+                                  rows=m.rows)
+
+    def order(v):
+        return e // math.gcd(e, *v)
+
+    def pair(v, w):
+        return (sum(a * b for a, b in zip(v, m.mul_vec(w))) // e) % e
+
+    pool = [v for v in (tuple(x % e for x in gens.mul_vec(c))
+                        for c in itertools.product(*map(range, k.orders))) if any(v)]
+    collected = []
+    while pool:
+        x = max(pool, key=order)
+        d = order(x)
+        step = e // d
+        y = next((c for c in pool if e // math.gcd(e, pair(x, c)) == d), None)
+        if y is None:
+            raise DegeneratePairing(f"no partner of order {d} in the pairing")
+        t = pow(pair(x, y) // step, -1, d)
+        y = tuple(t * c % e for c in y)
+        collected.append(((x, y), d))
+        fresh = set()
+        for z in pool:
+            a_co = -(pair(y, z) // step) % d
+            b_co = pair(x, z) // step % d
+            w = tuple((zc - a_co * xc - b_co * yc) % e for zc, xc, yc in zip(z, x, y))
+            if any(w):
+                fresh.add(w)
+        pool = sorted(fresh)
+    collected.reverse()
+    pairs = tuple(tuple(tuple(Fraction(c, e) for c in v) for v in pq)
+                  for pq, _ in collected)
+    orders = tuple(d for _, d in collected)
+    if any(nxt % prev for prev, nxt in zip(orders, orders[1:])):
+        raise DegeneratePairing(f"orders {orders} do not form a divisor chain")
+    for j, (xj, yj) in enumerate(pairs):
+        for l, (xl, yl) in enumerate(pairs):
+            want = Fraction(1, orders[j]) if j == l else Fraction(0)
+            if (form_pairing(m, xj, yl) != want or form_pairing(m, xj, xl)
+                    or form_pairing(m, yj, yl)):
+                raise DegeneratePairing("reduced pairs are not a symplectic basis")
+    return SymplecticBasis(pairs, orders)
+
+
+def _outcome(reduce, k):
+    try:
+        return reduce(k)
+    except DegeneratePairing as exc:
+        return ("DegeneratePairing", str(exc))
+
+
+def _oracle_kernels():
+    """Kernels of the glue sides, the named forms, and two that do not reduce."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("workloads", perfbench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for factors, y_dim in GRID + workloads.GLUE_CASES:
+        divisors = elementary_divisors([g + 1 for g in factors])
+        yield f"x{factors}", kernel_group(_x_polarization(factors))
+        yield f"y{factors}-{y_dim}", kernel_group(_y_polarization(y_dim, divisors))
+    for g in range(1, 6):
+        yield f"xi{g}", kernel_group(xi_g(g))
+    for a, b in ((1, 1), (1, 2), (2, 2), (3, 1), (2, 4), (1, 5)):
+        yield f"xi{a}-xi{b}", kernel_group(box_product(xi_g(a), xi_g(b)))
+    yield "6theta2", kernel_group(scale(theta_g(2), 6))
+    yield "split-2-4-12", kernel_group(
+        PolarizedTorus(Torus(RATIONAL, 3), split_form(IntMatrix.diagonal([2, 4, 12]))))
+    k = kernel_group(xi_g(2))
+    yield "isotropic", FiniteSymplecticGroup(k.ambient, (k.generators[0],), (k.orders[0],))
+    # twice the generators of the (Z/4)^2 kernel of 4·theta_1 span an
+    # isotropic (Z/2)^2
+    k = kernel_group(scale(theta_g(1), 4))
+    yield "4theta1-half", FiniteSymplecticGroup(
+        k.ambient, tuple(tuple(2 * c % 1 for c in gen) for gen in k.generators), (2, 2))
+
+
+def test_symplectic_basis_matches_fraction_pairing():
+    outcomes = {}
+    for name, k in _oracle_kernels():
+        got, want = _outcome(symplectic_basis, k), _outcome(_symplectic_basis_by_fractions, k)
+        assert got == want, name
+        outcomes[name] = want
+    assert {name: o for name, o in outcomes.items() if not isinstance(o, SymplecticBasis)} == {
+        "isotropic": ("DegeneratePairing", "no partner of order 3 in the pairing"),
+        "4theta1-half": ("DegeneratePairing", "no partner of order 2 in the pairing")}
 
 
 # -- building ------------------------------------------------------------------
@@ -320,6 +421,16 @@ def test_corrupted_glue_verdicts_pinned():
             bits = "".join(str(int(ok)) for _, ok in report.checks)
             seen[factors, name] = (bits, report.first_failure)
     assert seen == PINNED_VERDICTS
+
+
+def test_unimodular_by_det_agrees_with_pfaffian():
+    # build_standard and form-unimodular decide |Pf| = 1 as det = 1; both
+    # sides of the equivalence are exercised, the glued form and its double
+    for factors, y_dim in GRID:
+        glued = build_standard(factors, y_dim)
+        doubled = dict(_corrupted(glued))["form-double"].form
+        for form, unimodular in ((glued.form, True), (doubled, False)):
+            assert (form.det() == 1) == (abs(pfaffian(form)) == 1) == unimodular
 
 
 # -- decomposition -----------------------------------------------------------------

@@ -17,6 +17,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from ppavlab.exact_linalg import (  # noqa: E402
     IntMatrix,
     hnf_columns,
+    is_positive_definite,
     rank_over_field,
     snf_diagonal,
 )
@@ -40,6 +41,25 @@ def test_snf_diagonal_matches_sympy_invariant_factors(m):
                                                   domain=sympy.ZZ)]
     expected += [0] * (min(m.rows, m.cols) - len(expected))
     assert list(snf_diagonal(m)) == expected
+
+
+@st.composite
+def symmetric_matrix(draw, max_dim=6):
+    """A symmetric matrix, or half the time a Gram matrix B^t B (often definite)."""
+    n = draw(st.integers(1, max_dim))
+    rows = draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n))
+        rows = [[sum(rows[r][i] * rows[r][j] for r in range(k)) for j in range(n)]
+                for i in range(n)]
+    return IntMatrix.from_rows([[rows[min(i, j)][max(i, j)] for j in range(n)]
+                                for i in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrix())
+def test_positive_definite_matches_sympy(m):
+    assert is_positive_definite(m) == sympy.Matrix(m.entries).is_positive_definite
 
 
 def sympy_hnf(m: IntMatrix) -> IntMatrix:
