@@ -7,7 +7,6 @@ all with arbitrary-precision arithmetic.  No floats anywhere; rationals are
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -36,15 +35,18 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if list(map(len, self.entries)) != [self.cols] * self.rows:
             raise ValueError("entry grid does not match declared shape")
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
+        """Matrix with the given rows; cols, if given, must be their length."""
         rows = _tuplize(rows)
         if rows:
+            if cols is not None and cols != len(rows[0]):
+                raise ValueError(f"cols={cols} disagrees with rows of length {len(rows[0])}")
             cols = len(rows[0])
         elif cols is None:
             cols = 0
@@ -52,12 +54,16 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
+        """Matrix with the given columns; rows, if given, must be their length."""
         columns = list(columns)
-        if columns:
+        if not columns:
+            return cls(rows or 0, 0, ((),) * (rows or 0))
+        if rows is None:
             rows = len(columns[0])
-        elif rows is None:
-            rows = 0
-        return cls(rows, len(columns), tuple(tuple(c[i] for c in columns) for i in range(rows)))
+        # zip would silently truncate to the shortest column
+        if list(map(len, columns)) != [rows] * len(columns):
+            raise ValueError(f"columns do not all have length {rows}")
+        return cls(rows, len(columns), tuple(zip(*columns)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -96,7 +102,7 @@ class IntMatrix:
         return tuple(r[j] for r in self.entries)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.entries)) if self.rows else [()] * self.cols
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "IntMatrix":
         return IntMatrix.from_rows([r[c0:c1] for r in self.entries[r0:r1]], cols=c1 - c0)
@@ -122,9 +128,9 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            bt = other.transpose().entries
+            cols = other.columns()
             return IntMatrix(self.rows, other.cols,
-                             tuple(tuple(sum(map(operator.mul, row, col)) for col in bt)
+                             tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
                                    for row in self.entries))
         return NotImplemented
 
@@ -137,14 +143,12 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(tuple(k * x for x in r) for r in self.entries))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+        return IntMatrix(self.cols, self.rows, tuple(self.columns()))
 
     def mul_vec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(sum(map(operator.mul, row, v)) for row in self.entries)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self == self.transpose()
@@ -483,8 +487,7 @@ def _row_hnf(rows_in: list, ncols: int) -> list[list[int]]:
 
 def hnf_columns(m: IntMatrix) -> IntMatrix:
     """Canonical basis (as columns) of the lattice spanned by the columns of m."""
-    basis_rows = _row_hnf([list(c) for c in m.columns()], m.rows)
-    return IntMatrix.from_columns([tuple(r) for r in basis_rows], rows=m.rows)
+    return IntMatrix.from_columns(_row_hnf(m.columns(), m.rows), rows=m.rows)
 
 
 # -- Pfaffian --------------------------------------------------------------
@@ -584,24 +587,11 @@ def rank_over_field(m: RatMatrix | IntMatrix) -> int:
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Canonical basis (as columns) of the saturated lattice {x in Z^n : m x = 0}."""
-    if m.rows == 1 and any(m.entries[0]):
-        # the Koszul vectors b_j e_i - b_i e_j of the primitive row b = a/gcd(a)
-        # generate its kernel: with c.b = 1, x = sum c_j x_i (b_j e_i - b_i e_j)
-        a = m.entries[0]
-        g = math.gcd(*a)
-        b = [x // g for x in a]
-        cols = []
-        for i, j in itertools.combinations(range(m.cols), 2):
-            v = [0] * m.cols
-            v[i], v[j] = b[j], -b[i]
-            cols.append(v)
-        return hnf_columns(IntMatrix.from_columns(cols, rows=m.cols))
     f = snf(m)
     r = sum(1 for i in range(min(m.rows, m.cols)) if f.d[i, i])
     if r == m.cols:
         return IntMatrix.zeros(m.cols, 0)
-    cols = [f.v.column(j) for j in range(r, m.cols)]
-    return hnf_columns(IntMatrix.from_columns(cols, rows=m.cols))
+    return hnf_columns(IntMatrix.from_columns(f.v.columns()[r:], rows=m.cols))
 
 
 def saturate(l: IntMatrix) -> IntMatrix:

@@ -426,11 +426,95 @@ def _minors(vs: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
                  for i, j, l in itertools.combinations(rows, 3))
 
 
+def _hyperplane_basis(c: Sequence[int]) -> IntMatrix:
+    """HNF basis (as columns) of the kernel {x in Z^n : c.x = 0} of a primitive row c.
+
+    With m the last index where c_m != 0 and t_i = gcd(c_i, ..., c_{n-1}),
+    the kernel vectors that vanish before index i take at i exactly the
+    multiples of d_i = t_{i+1} / t_i when i < m, only 0 at m, and every
+    integer past m (Newman, *Integral Matrices*, Ch. II).  So row i < m has
+    pivot d_i, each entry x_j with i < j < m is the one residue in [0, d_j)
+    that keeps the rest of c.x = 0 solvable, and x_m closes it; the rows
+    past m are unit vectors.
+    """
+    n = len(c)
+    m = max(i for i in range(n) if c[i])
+    t = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        t[i] = math.gcd(c[i], t[i + 1])
+    d = [t[i + 1] // t[i] for i in range(m)]
+    rows = []
+    for i in range(n):
+        if i == m:
+            continue
+        x = [0] * n
+        if i > m:
+            x[i] = 1
+        else:
+            x[i] = d[i]
+            rem = -c[i] * d[i]  # what c_{i+1} x_{i+1} + ... + c_m x_m must make
+            for j in range(i + 1, m):
+                if d[j] > 1:
+                    # rem is a multiple of t_j; leave a multiple of t_{j+1}
+                    x[j] = rem // t[j] * pow(c[j] // t[j], -1, d[j]) % d[j]
+                    rem -= c[j] * x[j]
+            x[m] = rem // c[m]
+        rows.append(x)
+    return IntMatrix.from_columns(rows, rows=n)
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b = g = gcd(a, b), for a, b >= 0."""
+    u0, u1, v0, v1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return a, u0, v0
+
+
+def _plane_basis(n: int, key: Sequence[int]) -> IntMatrix:
+    """HNF basis (as columns) of the saturated rank-2 lattice with Plücker key `key`.
+
+    key holds the 2 x 2 minors p_ij (i < j, lexicographic), primitive.  For
+    the HNF rows r1, r2 (pivots c1 < c2) of the lattice, p = s (r1 ^ r2) with
+    s = +-1, so row c1 of p is s r1[c1] r2: r2 and r1[c1] are its primitive
+    part and gcd.  Row c2 of p gives D r1[j] = y r2[j] - s p_{c2 j} with
+    D = r2[c2] and y = r1[c2] in [0, D), and y is fixed mod D because r2 is
+    primitive.
+    """
+    p = [[0] * n for _ in range(n)]
+    for (i, j), x in zip(itertools.combinations(range(n), 2), key):
+        p[i][j], p[j][i] = x, -x
+    q = next(row for row in p if any(row))
+    g = math.gcd(*q)
+    r2 = [x // g for x in q]
+    c2 = next(j for j in range(n) if r2[j])
+    s = 1
+    if r2[c2] < 0:
+        r2 = [-x for x in r2]
+        s = -1
+    big_d = r2[c2]
+    rhs = [s * x for x in p[c2]]  # y r2[j] == rhs[j] (mod D) for every j
+    # fold D and r2's entries into their gcd, 1, carrying the right-hand
+    # sides along: y * h == acc (mod D) throughout
+    h, acc = big_d, 0
+    for j in range(c2 + 1, n):
+        if h == 1:
+            break
+        h, u, v = _bezout(h, r2[j] % big_d)
+        acc = u * acc + v * rhs[j]
+    y = acc % big_d
+    r1 = [(y * b - a) // big_d for a, b in zip(rhs, r2)]
+    return IntMatrix.from_columns([r1, r2], rows=n)
+
+
 def _distinct_spans(n: int, prims: list[tuple[int, ...]]) -> list[IntMatrix]:
     """Saturated basis of each distinct Q-span of fewer than n of the vectors.
 
     Two k-subsets span the same Q-space exactly when their k x k minors (the
-    Plücker vector) agree up to a scalar, so each span is saturated once.
+    Plücker vector) agree up to a scalar.  The primitive Plücker vector fixes
+    the saturated span, so each span's canonical basis is read off it once.
     """
     sublattices = []
     for k in range(1, n):
@@ -453,10 +537,9 @@ def _distinct_spans(n: int, prims: list[tuple[int, ...]]) -> list[IntMatrix]:
                 sat = IntMatrix.from_columns(combo, rows=n)
             elif k == n - 1:
                 # signed maximal minors: the normal vector of the hyperplane
-                normal = [(-1) ** r * key[n - 1 - r] for r in range(n)]
-                sat = kernel_basis(IntMatrix.from_rows([normal], cols=n))
-            else:
-                sat = saturate(IntMatrix.from_columns(combo, rows=n))
+                sat = _hyperplane_basis([(-1) ** r * key[n - 1 - r] for r in range(n)])
+            else:  # k == 2 < n - 1
+                sat = _plane_basis(n, key)
             sublattices.append(sat)
     return sublattices
 
@@ -466,9 +549,9 @@ def scan_subtorus_types(n: int, height: int) -> tuple[SubtorusRestriction, ...]:
 
     Sublattices are the saturations of spans of primitive vectors with
     entries in [-height, height], tensored with the order; each distinct
-    span is saturated once.  Raises BudgetExceeded beyond n <= 4,
-    height <= 5 or 200,000 subsets, and PrincipalRestrictionFound if any
-    restricted type is all ones.
+    span's saturated basis is read off its Plücker vector once.  Raises
+    BudgetExceeded beyond n <= 4, height <= 5 or 200,000 subsets, and
+    PrincipalRestrictionFound if any restricted type is all ones.
     """
     if n > 4 or height > 5:
         raise BudgetExceeded("supported budget is n <= 4, height <= 5")
@@ -518,5 +601,5 @@ def polarization_from_json(text: str) -> PolarizedTorus:
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(type(x) is int for x in row) for row in rows):
         raise ValueError("form must be a list of rows of integers")
-    form = IntMatrix.from_rows(rows, cols=2 * g)
+    form = IntMatrix.from_rows(rows)
     return PolarizedTorus(Torus(order_by_kind(data["order"]), g), form)

@@ -285,6 +285,31 @@ def test_saturate_idempotent():
     assert rank_over_field(RatMatrix.from_columns(l.columns() + s.columns())) == 2
 
 
+# -- construction and shape --------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IntMatrix.from_columns([(1, 2), (3, 4, 5)]),
+    lambda: IntMatrix.from_columns([(1, 2, 3), (4, 5)]),
+    lambda: IntMatrix.from_columns([(1, 2)], rows=5),
+    lambda: IntMatrix.from_rows([[1, 2]], cols=3),
+    lambda: IntMatrix.from_rows([[1, 2], [3]]),
+], ids=["longer-column", "shorter-column", "rows-hint", "cols-hint", "ragged-rows"])
+def test_constructors_reject_bad_shapes(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_empty_shapes_survive_transpose_and_products():
+    assert IntMatrix.from_columns([], rows=3) == IntMatrix.zeros(3, 0)
+    assert IntMatrix.from_rows([], cols=2) == IntMatrix.zeros(0, 2)
+    assert IntMatrix.zeros(0, 3).columns() == [(), (), ()]
+    assert IntMatrix.zeros(0, 3).transpose() == IntMatrix.zeros(3, 0)
+    assert IntMatrix.zeros(2, 0) * IntMatrix.zeros(0, 3) == IntMatrix.zeros(2, 3)
+    m = IntMatrix.from_columns([(1, 2), (3, 4), (5, 6)], rows=2)
+    assert m == M([[1, 3, 5], [2, 4, 6]]) and m.transpose().columns() == [(1, 3, 5), (2, 4, 6)]
+
+
 # -- misc --------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ppavlab.exact_linalg import (
     IntMatrix,
@@ -16,6 +16,7 @@ from ppavlab.exact_linalg import (
     RankDeficient,
     hnf_columns,
     hstack,
+    kernel_basis,
     saturate,
     snf,
 )
@@ -30,6 +31,8 @@ from ppavlab.polarizations import (
     BudgetExceeded,
     PolarizedTorus,
     SubtorusRestriction,
+    _hyperplane_basis,
+    _plane_basis,
     _primitive_vectors,
     box_product,
     complement,
@@ -374,9 +377,54 @@ def _scan_by_saturating_every_subset(n, height):
     return tuple(results)
 
 
-@pytest.mark.parametrize("n, height", [(2, 3), (3, 1), (3, 2)])
+@pytest.mark.parametrize("n, height", [(2, 3), (3, 1), (3, 2), (4, 1)])
 def test_scan_matches_saturating_every_subset(n, height):
     assert scan_subtorus_types(n, height) == _scan_by_saturating_every_subset(n, height)
+
+
+_sparse_entry = st.one_of(st.just(0), st.integers(-30, 30))
+
+
+@st.composite
+def _primitive_rows(draw):
+    n = draw(st.integers(2, 6))
+    live = draw(st.integers(1, n))  # entries past `live` are zero
+    row = draw(st.lists(_sparse_entry, min_size=live, max_size=live)) + [0] * (n - live)
+    g = math.gcd(*row)
+    assume(g)
+    return [x // g for x in row]
+
+
+@settings(max_examples=400)
+@given(_primitive_rows())
+def test_hyperplane_basis_matches_kernel_basis(row):
+    assert _hyperplane_basis(row) == kernel_basis(IntMatrix.from_rows([row]))
+
+
+@st.composite
+def _unsaturated_pairs(draw):
+    n = draw(st.sampled_from([4, 5]))
+    vec = st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=n, max_size=n)
+    a, b = draw(vec), draw(vec)
+    s1, s2, t = draw(st.integers(2, 6)), draw(st.integers(1, 6)), draw(st.integers(-5, 5))
+    # (s1 a + t b, s2 b) spans a sublattice of index s1 s2 in span_Z(a, b)
+    return [s1 * x + t * y for x, y in zip(a, b)], [s2 * y for y in b]
+
+
+def _plucker_key(a, b):
+    minors = [a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(range(len(a)), 2)]
+    g = math.gcd(*minors)
+    assume(g)
+    if next(x for x in minors if x) < 0:
+        g = -g
+    return tuple(x // g for x in minors)
+
+
+@settings(max_examples=200)
+@given(_unsaturated_pairs())
+def test_plane_basis_matches_saturate(pair):
+    a, b = pair
+    assert _plane_basis(len(a), _plucker_key(a, b)) == saturate(IntMatrix.from_columns(pair))
 
 
 def _det(m):
@@ -451,13 +499,14 @@ def test_polarization_json_roundtrip(pol):
     (1, [[0, "1"], [-1, 0]], "form must be"),
     (1, [0, 1, -1, 0], "form must be"),
     (1, {"0": [0, 1]}, "form must be"),
+    (1, [[0, 1, 0], [-1, 0, 0]], "form must be 2x2"),
     (1.9, [[0, 1], [-1, 0]], "g must be"),
     (1.0, [[0, 1], [-1, 0]], "g must be"),
     (True, [[0, 1], [-1, 0]], "g must be"),
     (0, [], "g must be"),
     (-1, [[0, 1], [-1, 0]], "g must be"),
 ], ids=["entry-float", "entry-integral-float", "entry-bool", "entry-string", "flat-form",
-        "form-object", "g-float", "g-integral-float", "g-bool", "g-zero", "g-negative"])
+        "form-object", "form-too-wide", "g-float", "g-integral-float", "g-bool", "g-zero", "g-negative"])
 def test_polarization_json_rejects_non_integers(g, form, message):
     text = json.dumps({"order": "Z", "g": g, "form": form})
     with pytest.raises(ValueError, match=message):
