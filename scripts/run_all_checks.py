@@ -10,13 +10,13 @@ import argparse
 import sys
 
 from ppavlab.checks import RunOptions, run_checks
-from ppavlab.cli import _positive_int
+from ppavlab.cli import GMAX_LIMIT, _gmax
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--gmax", type=_positive_int, default=6,
-                        help="largest genus for the per-genus sweeps")
+    parser.add_argument("--gmax", type=_gmax, default=6,
+                        help=f"largest genus for the per-genus sweeps (1..{GMAX_LIMIT})")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized property checks")
     args = parser.parse_args()

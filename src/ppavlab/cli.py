@@ -11,28 +11,54 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .checks import RunOptions, UnknownCheck, run_checks
 
 
-def _positive_int(text: str) -> int:
+# Upper limits on the size flags, set by timing the checks they feed on a
+# 2-core host: --gmax 40 takes xi-kernel-type and theta-principal about 6 s
+# together; a factor of 6 closes example_b(6), 5,040 elements in 0.6 s (7
+# would close 40,320 in 6 s and 200 MB); the X kernel has prod(g + 1)^2
+# elements, and 256 (eight factors of 1) builds in 5 s; --ydim 32 builds
+# factors 6,6 in 7 s.
+GMAX_LIMIT = 40
+YDIM_LIMIT = 32
+FACTOR_LIMIT = 6
+FACTOR_PRODUCT_LIMIT = 256
+
+
+def _positive_int(text: str, limit: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    if not 1 <= value <= limit:
+        raise argparse.ArgumentTypeError(f"{value} is not in 1..{limit}")
     return value
+
+
+def _gmax(text: str) -> int:
+    return _positive_int(text, GMAX_LIMIT)
+
+
+def _ydim(text: str) -> int:
+    return _positive_int(text, YDIM_LIMIT)
 
 
 def _parse_factors(text: str) -> tuple[int, ...]:
     try:
-        factors = tuple(_positive_int(part) for part in text.split(",") if part.strip())
+        factors = tuple(_positive_int(part, FACTOR_LIMIT)
+                        for part in text.split(",") if part.strip())
     except argparse.ArgumentTypeError:
         factors = ()
     if not factors:
-        raise argparse.ArgumentTypeError("factors must be a comma list of counts >= 1")
+        raise argparse.ArgumentTypeError(
+            f"factors must be a comma list of counts in 1..{FACTOR_LIMIT}")
+    if math.prod(g + 1 for g in factors) > FACTOR_PRODUCT_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"the product of (factor + 1) must be at most {FACTOR_PRODUCT_LIMIT}")
     return factors
 
 
@@ -44,12 +70,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run named checks (default: all)")
     run_p.add_argument("--check", action="append", dest="checks", metavar="ID",
                        help="check id to run; repeatable")
-    run_p.add_argument("--gmax", type=_positive_int, default=6,
-                       help="largest genus for the per-genus sweeps")
+    run_p.add_argument("--gmax", type=_gmax, default=6,
+                       help=f"largest genus for the per-genus sweeps (1..{GMAX_LIMIT})")
     run_p.add_argument("--factors", type=_parse_factors, default=None,
-                       metavar="a,b,..", help="factor genera for standard-build")
-    run_p.add_argument("--ydim", type=_positive_int, default=None,
-                       help="matching torus dimension for standard-build")
+                       metavar="a,b,..",
+                       help=f"factor genera for standard-build, each in 1..{FACTOR_LIMIT}, "
+                            f"with prod(g + 1) <= {FACTOR_PRODUCT_LIMIT}")
+    run_p.add_argument("--ydim", type=_ydim, default=None,
+                       help=f"matching torus dimension for standard-build (1..{YDIM_LIMIT})")
     run_p.add_argument("--seed", type=int, default=0,
                        help="seed for the randomized property checks")
     run_p.add_argument("--json", dest="json_path", default=None,

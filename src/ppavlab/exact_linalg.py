@@ -206,8 +206,11 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "RatMatrix":
+        """Matrix with the given rows; cols, if given, must be their length."""
         rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
         if rows:
+            if cols is not None and cols != len(rows[0]):
+                raise ValueError(f"cols={cols} disagrees with rows of length {len(rows[0])}")
             cols = len(rows[0])
         elif cols is None:
             cols = 0
@@ -215,11 +218,14 @@ class RatMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "RatMatrix":
+        """Matrix with the given columns; rows, if given, must be their length."""
         columns = list(columns)
-        if columns:
+        if not columns:
+            return cls(rows or 0, 0, ((),) * (rows or 0))
+        if rows is None:
             rows = len(columns[0])
-        elif rows is None:
-            rows = 0
+        if list(map(len, columns)) != [rows] * len(columns):
+            raise ValueError(f"columns do not all have length {rows}")
         return cls(rows, len(columns),
                    tuple(tuple(Fraction(c[i]) for c in columns) for i in range(rows)))
 

@@ -14,6 +14,7 @@ integers.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +22,6 @@ from .exact_linalg import (
     IntMatrix,
     is_positive_definite,
     kernel_basis,
-    rank_over_field,
     vstack,
 )
 from .polarizations import (
@@ -77,6 +77,31 @@ def _pairs(g: int, r: IntMatrix) -> list[tuple[int, int]]:
     return [(rows[i][j], rows[g + i][j]) for i in range(g) for j in range(g)]
 
 
+def _column_nonzeros(r: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each column's non-zero entries of r, as (row, value) pairs."""
+    return tuple(tuple((k, v) for k, v in enumerate(col) if v) for col in r.columns())
+
+
+def _times(cols: tuple, nonzeros: tuple) -> tuple:
+    """Columns of e * r, from e's columns and r's column non-zeros.
+
+    Column j of e * r is the sum of v * (column k of e) over the non-zeros
+    (k, v) of column j of r.  r is invertible, so no column of r is zero.
+    """
+    out = []
+    for nz in nonzeros:
+        acc = None
+        for k, v in nz:
+            col = cols[k] if v == 1 else [v * x for x in cols[k]]
+            acc = col if acc is None else list(map(operator.add, acc, col))
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _identity_columns(n: int) -> tuple:
+    return tuple(IntMatrix.identity(n).columns())
+
+
 def _close(torus: Torus, actions: tuple[IntMatrix, ...], cap: int) -> MatrixGroup:
     """Group generated by integer action matrices, in breadth-first order.
 
@@ -85,29 +110,39 @@ def _close(torus: Torus, actions: tuple[IntMatrix, ...], cap: int) -> MatrixGrou
     reproducible.  Raises CapExceeded past `cap` elements, or as soon as two
     elements agree mod 3: reduction mod p >= 3 is injective on finite
     subgroups of GL_2g(Z) (Minkowski), so such a group is infinite.
+
+    The search holds each element by its columns and multiplies it by a
+    generator through the generator's column non-zeros (`_times`); the
+    residue and the sort key of an element are taken once, when it is new.
     """
     if any(abs(r.det()) != 1 for r in actions):
         raise ValueError("generators must have unit determinant")
-    seen, residues, elements = set(), set(), []
-    level = [IntMatrix.identity(torus.lattice_rank)]
+    g, n = torus.g, torus.lattice_rank
+    steps = [_column_nonzeros(r) for r in actions]
+    level = [_identity_columns(n)]
+    seen = set(level)
+    residues = {tuple([x % 3 for col in level[0] for x in col])}
+    elements = []
     while level:
-        for p in level:
-            residue = tuple(c % 3 for row in p.entries for c in row)
-            if residue in residues:
-                raise CapExceeded("two elements agree mod 3, so the group is infinite")
-            residues.add(residue)
-        seen.update(level)
         elements.extend(level)
         if len(elements) > cap:
             raise CapExceeded(f"group has more than {cap} elements")
         fresh = {}
         for e in level:
-            for r in actions:
-                p = e * r
-                if p not in seen and p not in fresh:
-                    fresh[p] = [c for pair in _pairs(torus.g, p) for c in pair]
+            for step in steps:
+                p = _times(e, step)
+                if p in seen:
+                    continue
+                seen.add(p)
+                residue = tuple([x % 3 for col in p for x in col])
+                if residue in residues:
+                    raise CapExceeded("two elements agree mod 3, so the group is infinite")
+                residues.add(residue)
+                # the _pairs order: entry (i, j) and (g + i, j), row by row
+                fresh[p] = [x for i in range(g) for col in p[:g] for x in (col[i], col[g + i])]
         level = sorted(fresh, key=fresh.get)
-    return MatrixGroup(torus, actions, tuple(elements))
+    return MatrixGroup(torus, actions,
+                       tuple(IntMatrix(n, n, tuple(zip(*e))) for e in elements))
 
 
 def closure(gens, cap: int = 10 ** 6) -> MatrixGroup:
@@ -129,6 +164,28 @@ def invariant_form(group: MatrixGroup, p: PolarizedTorus) -> bool:
     return all(e.transpose() * m * e == m for e in group.elements)
 
 
+def reflection_rank(e: IntMatrix) -> int:
+    """rank(e - 1) over Q, capped at 3: 2 marks a pseudoreflection, 0 the identity.
+
+    One fraction-free pass over the non-zero rows of e - 1: each pivot row
+    clears its leading column from the others, and the pass stops at the
+    third pivot.
+    """
+    rows = [r for r in ([x - (i == j) for j, x in enumerate(row)]
+                        for i, row in enumerate(e.entries)) if any(r)]
+    rank = 0
+    while rows:
+        rank += 1
+        if rank == 3:
+            break
+        pivot = rows.pop()
+        c = next(j for j, x in enumerate(pivot) if x)
+        lead = pivot[c]
+        rows = [r for r in ([lead * x - row[c] * y for x, y in zip(row, pivot)]
+                            if row[c] else row for row in rows) if any(r)]
+    return rank
+
+
 def pseudoreflection_generated(group: MatrixGroup) -> tuple[bool, int]:
     """(whether the pseudoreflections generate, how many there are).
 
@@ -137,17 +194,23 @@ def pseudoreflection_generated(group: MatrixGroup) -> tuple[bool, int]:
     Q-rank is twice that (over Z it is diag(A, A)), so the test is rank 2.
     The subgroup is closed greedily: a reflection joins the generators only
     when the subgroup so far misses it, until the subgroup is the group.
+    Each join extends the subgroup's element set: the subgroup times the
+    new reflection, then every new element times every generator.
     """
-    ident = IntMatrix.identity(group.torus.lattice_rank)
-    refl = [e for e in group.elements if rank_over_field(e - ident) == 2]
+    refl = [e for e in group.elements if reflection_rank(e) == 2]
     if not refl:
         return group.order == 1, 0
-    gens, sub = [], set()
+    sub, steps = {_identity_columns(group.torus.lattice_rank)}, []
     for r in refl:
-        if r in sub:
+        if tuple(r.columns()) in sub:
             continue
-        gens.append(r)
-        sub = set(_close(group.torus, tuple(gens), group.order).elements)
+        steps.append(_column_nonzeros(r))
+        fresh = {_times(h, steps[-1]) for h in sub} - sub
+        while fresh:
+            sub |= fresh
+            if len(sub) > group.order:
+                raise CapExceeded(f"group has more than {group.order} elements")
+            fresh = {_times(p, step) for p in fresh for step in steps} - sub
         if len(sub) == group.order:
             break
     return len(sub) == group.order, len(refl)

@@ -28,11 +28,10 @@ from .exact_linalg import (
     hstack,
     is_positive_definite,
     kernel_basis,
-    rank_over_field,
     snf_diagonal,
     vstack,
 )
-from .group_actions import example_b
+from .group_actions import example_b, reflection_rank
 from .polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
@@ -357,7 +356,7 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
 
     identity = IntMatrix.identity(2 * n)
     checks.append(("x-action-reflections", len(a.actions) == a.x_dim
-                   and all(rank_over_field(r - identity) in (0, 2) for r in a.actions)))
+                   and all(reflection_rank(r) in (0, 2) for r in a.actions)))
 
     index = Fraction(den ** (2 * n), abs(hdet)) if hdet else Fraction(0)
     span = math.lcm(den, gden)

@@ -9,7 +9,13 @@ import sys
 import pytest
 
 from ppavlab.checks import CHECKS
-from ppavlab.cli import main
+from ppavlab.cli import (
+    FACTOR_LIMIT,
+    GMAX_LIMIT,
+    YDIM_LIMIT,
+    _build_parser,
+    main,
+)
 
 
 def run_lines(capsys, argv):
@@ -64,6 +70,37 @@ def test_bad_factors_usage_error():
     ("--factors", "1,0"), ("--factors", "-2"), ("--gmax", "two"),
 ])
 def test_non_positive_sizes_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--check", "theta-principal", f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+EIGHT_ONES = ",".join(["1"] * 8)  # prod(g + 1) = 256, the product limit
+
+
+@pytest.mark.parametrize("flag, value, parsed", [
+    ("--gmax", str(GMAX_LIMIT), GMAX_LIMIT),
+    ("--ydim", str(YDIM_LIMIT), YDIM_LIMIT),
+    ("--factors", str(FACTOR_LIMIT), (FACTOR_LIMIT,)),
+    ("--factors", EIGHT_ONES, (1,) * 8),
+], ids=["gmax", "ydim", "factor", "factor-product"])
+def test_sizes_at_limit_parse(flag, value, parsed):
+    # parsed only: running the checks at the limit takes seconds
+    args = _build_parser().parse_args(["run", f"{flag}={value}"])
+    assert getattr(args, flag[2:]) == parsed
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--gmax", str(GMAX_LIMIT + 1)),
+    ("--ydim", str(YDIM_LIMIT + 1)),
+    ("--factors", str(FACTOR_LIMIT + 1)),
+    ("--factors", f"1,{FACTOR_LIMIT + 1}"),
+    ("--factors", EIGHT_ONES + ",1"),
+], ids=["gmax", "ydim", "factor", "second-factor", "factor-product"])
+def test_sizes_over_limit_usage_error(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--check", "theta-principal", f"{flag}={value}"])
     captured = capsys.readouterr()

@@ -241,23 +241,6 @@ def test_kernel_of_injective_map_is_empty():
     assert k.cols == 0
 
 
-def _kernel_by_snf(m):
-    f = snf(m)
-    r = sum(1 for i in range(min(m.rows, m.cols)) if f.d[i, i])
-    return hnf_columns(IntMatrix.from_columns([f.v.column(j) for j in range(r, m.cols)],
-                                              rows=m.cols))
-
-
-@settings(max_examples=300)
-@given(st.integers(1, 6).flatmap(
-           lambda n: st.lists(st.integers(-12, 12), min_size=n, max_size=n)),
-       st.integers(1, 6))
-def test_one_row_kernel_matches_snf_route(row, scale):
-    # scaled rows are not primitive; the kernel must not notice
-    m = M([[scale * x for x in row]])
-    assert kernel_basis(m) == _kernel_by_snf(m)
-
-
 def test_saturate_doubles_down():
     assert saturate(IntMatrix.from_columns([(2, 2)])).columns() == [(1, 1)]
 
@@ -268,13 +251,15 @@ def test_saturate_rejects_dependent_columns():
 
 
 @settings(max_examples=60)
-@given(matrix_strategy(3))
-def test_kernel_saturated_and_annihilates(m):
+@given(matrix_strategy(3), st.integers(2, 6))
+def test_kernel_saturated_and_annihilates(m, scale):
     k = kernel_basis(m)
     if k.cols:
         assert m * k == IntMatrix.zeros(m.rows, k.cols)
         assert saturate(k) == k
     assert k.cols == m.cols - rank_over_field(m.to_rat())
+    # scaled rows are not primitive; the kernel must not notice
+    assert kernel_basis(m.scaled(scale)) == k
 
 
 def test_saturate_idempotent():
@@ -294,7 +279,14 @@ def test_saturate_idempotent():
     lambda: IntMatrix.from_columns([(1, 2)], rows=5),
     lambda: IntMatrix.from_rows([[1, 2]], cols=3),
     lambda: IntMatrix.from_rows([[1, 2], [3]]),
-], ids=["longer-column", "shorter-column", "rows-hint", "cols-hint", "ragged-rows"])
+    lambda: RatMatrix.from_columns([(1, 2), (3, 4, 5)]),
+    lambda: RatMatrix.from_columns([(1, 2, 3), (4, 5)]),
+    lambda: RatMatrix.from_columns([(1, 2)], rows=5),
+    lambda: RatMatrix.from_rows([[1, 2]], cols=3),
+    lambda: RatMatrix.from_rows([[1, 2], [3]]),
+], ids=["longer-column", "shorter-column", "rows-hint", "cols-hint", "ragged-rows",
+        "rat-longer-column", "rat-shorter-column", "rat-rows-hint", "rat-cols-hint",
+        "rat-ragged-rows"])
 def test_constructors_reject_bad_shapes(build):
     with pytest.raises(ValueError):
         build()

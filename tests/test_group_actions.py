@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppavlab.exact_linalg import IntMatrix, rank_over_field
 from ppavlab.group_actions import (
@@ -15,6 +17,7 @@ from ppavlab.group_actions import (
     MatrixGroup,
     NotInvariant,
     _close,
+    _pairs,
     action_on_kernel,
     action_report,
     average_pullback,
@@ -29,6 +32,7 @@ from ppavlab.group_actions import (
     invariant_form,
     ns_fixed,
     pseudoreflection_generated,
+    reflection_rank,
 )
 from ppavlab.polarizations import (
     PolarizedTorus,
@@ -43,6 +47,7 @@ from ppavlab.polarizations import (
 )
 from ppavlab.tori import (
     BadOrder,
+    EISENSTEIN,
     GAUSSIAN,
     OrderElem,
     OrderMatrix,
@@ -132,6 +137,92 @@ def test_closure_of_infinite_group_fails_fast():
     with pytest.raises(CapExceeded, match="mod 3"):
         closure(gens)
     assert time.perf_counter() - start < 1.0
+
+
+def _dense_close(torus, actions, cap):
+    """Reference closure: dense IntMatrix products, the same level order and mod-3 test."""
+    seen, residues, elements = set(), set(), []
+    level = [IntMatrix.identity(torus.lattice_rank)]
+    while level:
+        for p in level:
+            residue = tuple(c % 3 for row in p.entries for c in row)
+            if residue in residues:
+                raise CapExceeded("two elements agree mod 3, so the group is infinite")
+            residues.add(residue)
+        seen.update(level)
+        elements.extend(level)
+        if len(elements) > cap:
+            raise CapExceeded(f"group has more than {cap} elements")
+        fresh = {}
+        for e in level:
+            for r in actions:
+                p = e * r
+                if p not in seen and p not in fresh:
+                    fresh[p] = [c for pair in _pairs(torus.g, p) for c in pair]
+        level = sorted(fresh, key=fresh.get)
+    return tuple(elements)
+
+
+def _outcome(close, torus, actions, cap):
+    """The element tuple, or the CapExceeded message."""
+    try:
+        result = close(torus, actions, cap)
+    except CapExceeded as exc:
+        return str(exc)
+    return result.elements if isinstance(result, MatrixGroup) else result
+
+
+UNITS = {
+    RATIONAL: ((1, 0), (-1, 0)),
+    GAUSSIAN: ((1, 0), (-1, 0), (0, 1), (0, -1)),
+    EISENSTEIN: ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
+}
+
+
+@st.composite
+def monomial_generators(draw):
+    """1-3 monomial O-matrices with unit entries (signed permutations over Z),
+    sometimes with a transvection that makes the group infinite."""
+    order = draw(st.sampled_from(list(UNITS)))
+    g = draw(st.sampled_from([3, 2, 1]))
+    gens = []
+    for _ in range(draw(st.sampled_from([2, 3, 1]))):
+        perm = draw(st.permutations(range(g)))
+        units = [draw(st.sampled_from(UNITS[order])) for _ in range(g)]
+        gens.append(OrderMatrix.from_pairs(
+            order, [[units[i] if perm[i] == j else (0, 0) for j in range(g)]
+                    for i in range(g)]))
+    if g > 1 and draw(st.booleans()):
+        gens.append(OrderMatrix.from_int_rows(
+            order, [[int(i == j or (i, j) == (0, 1)) for j in range(g)] for i in range(g)]))
+    return Torus(order, g), tuple(rational_rep(m) for m in gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_generators(), st.sampled_from([2000, 40, 7]))
+def test_close_matches_dense_reference(case, cap):
+    # the largest finite group drawn has 6^3 * 3! = 1296 elements; a cap of
+    # 2000 makes a missed mod-3 test fail on the message instead of hanging
+    torus, actions = case
+    assert _outcome(_close, torus, actions, cap) == _outcome(_dense_close, torus, actions, cap)
+
+
+@pytest.mark.parametrize("key", [("a", 2, 6), ("a", 3, 3), ("a", 3, 4), ("b", 4), ("c",)],
+                         ids=str)
+def test_close_matches_dense_reference_on_examples(key):
+    grp = _named_group(key)
+    for cap in (grp.order, grp.order - 1):
+        assert (_outcome(_close, grp.torus, grp.generators, cap)
+                == _outcome(_dense_close, grp.torus, grp.generators, cap))
+
+
+@pytest.mark.parametrize("key", [("a", 2, 3), ("b", 3), ("c",)], ids=str)
+def test_close_matches_dense_reference_on_all_elements(key):
+    # group_from_json closes the full element list: dense generators
+    grp = _named_group(key)
+    for cap in (grp.order, grp.order - 1):
+        assert (_outcome(_close, grp.torus, grp.elements, cap)
+                == _outcome(_dense_close, grp.torus, grp.elements, cap))
 
 
 # -- example orders --------------------------------------------------------------
@@ -265,6 +356,15 @@ def test_pseudoreflections_generate_proper_subgroup():
     assert pseudoreflection_generated(grp) == (False, 1)
 
 
+def test_pseudoreflection_generated_stops_on_a_non_group():
+    # a transvection is a reflection of infinite order: the subgroup it
+    # generates outgrows the two listed elements
+    t = rational_rep(OrderMatrix.from_int_rows(RATIONAL, [[1, 1], [0, 1]]))
+    hand_built = MatrixGroup(Torus(RATIONAL, 2), (t,), (IntMatrix.identity(4), t))
+    with pytest.raises(CapExceeded):
+        pseudoreflection_generated(hand_built)
+
+
 # every unit order of example_a, the registry's reflection-generation groups,
 # and groups with no reflections or with reflections that miss elements
 ORACLE_GROUPS = {
@@ -285,6 +385,39 @@ def test_pseudoreflection_generated_matches_closing_all_reflections(key):
     refl = tuple(e for e in grp.elements if rank_over_field(e - ident) == 2)
     if refl:
         generated = _close(grp.torus, refl, cap=grp.order).order == grp.order
+    else:
+        generated = grp.order == 1
+    assert pseudoreflection_generated(grp) == (generated, len(refl))
+
+
+@pytest.mark.parametrize("key", list(ORACLE_GROUPS), ids=str)
+def test_reflection_rank_matches_rank_over_field(key):
+    grp = ORACLE_GROUPS[key]()
+    ident = IntMatrix.identity(grp.torus.lattice_rank)
+    for e in grp.elements:
+        assert reflection_rank(e) == min(rank_over_field(e - ident), 3)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_reflection_rank_of_any_square_matrix(rows):
+    m = IntMatrix.from_rows(rows)
+    assert reflection_rank(m) == min(rank_over_field(m - IntMatrix.identity(m.rows)), 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_generators())
+def test_pseudoreflection_generated_matches_closing_all_reflections_random(case):
+    torus, actions = case
+    try:
+        grp = _close(torus, actions, cap=10 ** 6)
+    except CapExceeded:
+        return
+    ident = IntMatrix.identity(torus.lattice_rank)
+    refl = tuple(e for e in grp.elements if rank_over_field(e - ident) == 2)
+    if refl:
+        generated = len(_dense_close(torus, refl, grp.order)) == grp.order
     else:
         generated = grp.order == 1
     assert pseudoreflection_generated(grp) == (generated, len(refl))
