@@ -30,7 +30,6 @@ from .tori import (
 from .polarizations import (
     PolarizedTorus,
     box_product,
-    complement,
     is_principal,
     kernel_group,
     polarization_type,
@@ -45,7 +44,6 @@ from .polarizations import (
 from .group_actions import (
     MatrixGroup,
     action_on_kernel,
-    action_report,
     average_pullback,
     closure,
     example_a,
@@ -80,11 +78,11 @@ __all__ = [
     "snf", "snf_diagonal",
     "EISENSTEIN", "GAUSSIAN", "OrderElem", "OrderMatrix", "QuadOrder",
     "RATIONAL", "Torus",
-    "PolarizedTorus", "box_product", "complement", "is_principal",
+    "PolarizedTorus", "box_product", "is_principal",
     "kernel_group", "polarization_type", "restrict", "scale",
     "scan_subtorus_types", "self_intersection", "theta_g", "weil_pairing",
     "xi_g",
-    "MatrixGroup", "action_on_kernel", "action_report", "average_pullback",
+    "MatrixGroup", "action_on_kernel", "average_pullback",
     "closure", "example_a", "example_b", "example_c", "fixed_sublattice",
     "invariant_form", "ns_fixed", "pseudoreflection_generated",
     "build_standard", "decompose_glued", "elementary_divisors",

@@ -11,7 +11,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 class RankDeficient(ValueError):
@@ -94,12 +94,6 @@ class IntMatrix:
     def __getitem__(self, key):
         i, j = key
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
 
     def columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self.entries)) if self.rows else [()] * self.cols
@@ -216,23 +210,6 @@ class RatMatrix:
             cols = 0
         return cls(len(rows), cols, rows)
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "RatMatrix":
-        """Matrix with the given columns; rows, if given, must be their length."""
-        columns = list(columns)
-        if not columns:
-            return cls(rows or 0, 0, ((),) * (rows or 0))
-        if rows is None:
-            rows = len(columns[0])
-        if list(map(len, columns)) != [rows] * len(columns):
-            raise ValueError(f"columns do not all have length {rows}")
-        return cls(rows, len(columns),
-                   tuple(tuple(Fraction(c[i]) for c in columns) for i in range(rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return IntMatrix.identity(n).to_rat()
-
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -331,10 +308,6 @@ class RatMatrix:
 
 def hstack(*ms: IntMatrix) -> IntMatrix:
     return IntMatrix.from_blocks([list(ms)])
-
-
-def vstack(*ms: IntMatrix) -> IntMatrix:
-    return IntMatrix.from_blocks([[m] for m in ms])
 
 
 # -- Smith normal form -----------------------------------------------------
@@ -565,13 +538,10 @@ def pfaffian(m: IntMatrix) -> int:
 # -- rank, kernels, saturation ---------------------------------------------
 
 
-def rank_over_field(m: RatMatrix | IntMatrix) -> int:
-    # fraction-free: clear each row's denominators, eliminate with integer
-    # cross-multiplication, and shrink rows by their gcd to bound growth
-    a = []
-    for r in m.entries:
-        den = math.lcm(*(x.denominator for x in r))
-        a.append([int(x * den) for x in r])
+def rank_over_field(m: IntMatrix) -> int:
+    # fraction-free: eliminate with integer cross-multiplication, and shrink
+    # rows by their gcd to bound growth
+    a = [list(r) for r in m.entries]
     rank = 0
     for col in range(m.cols):
         piv = next((i for i in range(rank, m.rows) if a[i][col]), None)

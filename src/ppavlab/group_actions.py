@@ -22,7 +22,6 @@ from .exact_linalg import (
     IntMatrix,
     is_positive_definite,
     kernel_basis,
-    vstack,
 )
 from .polarizations import (
     FiniteSymplecticGroup,
@@ -216,15 +215,11 @@ def pseudoreflection_generated(group: MatrixGroup) -> tuple[bool, int]:
     return len(sub) == group.order, len(refl)
 
 
-def fixed_sublattice(group: MatrixGroup) -> IntMatrix:
-    """Saturated basis of the lattice vectors fixed by every element."""
-    n = group.torus.lattice_rank
-    stacked = vstack(*(m - IntMatrix.identity(n) for m in group.generators))
+def fixed_sublattice(n: int, actions: tuple[IntMatrix, ...]) -> IntMatrix:
+    """Saturated basis of the vectors of Z^n fixed by every action matrix."""
+    stacked = IntMatrix.from_rows([row for r in actions
+                                   for row in (r - IntMatrix.identity(n)).entries], cols=n)
     return kernel_basis(stacked)
-
-
-def fixed_dim(group: MatrixGroup) -> int:
-    return fixed_sublattice(group).cols // 2
 
 
 # -- invariant compatible forms ----------------------------------------------
@@ -398,35 +393,6 @@ def example_c() -> tuple[MatrixGroup, PolarizedTorus]:
     group = closure(gens)
     primitive, _ = average_pullback(group, theta_g(2, GAUSSIAN))
     return group, primitive
-
-
-# -- summary report ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ActionReport:
-    order: int
-    pseudoreflections: int
-    generated_by_pseudoreflections: bool
-    fixed_dim: int
-    ns_rank: int
-    ns_generator: IntMatrix | None
-    kernel_action_trivial: bool
-
-
-def action_report(group: MatrixGroup, p: PolarizedTorus) -> ActionReport:
-    from .polarizations import kernel_group
-    generated, count = pseudoreflection_generated(group)
-    rank, forms = ns_fixed(group)
-    return ActionReport(
-        order=group.order,
-        pseudoreflections=count,
-        generated_by_pseudoreflections=generated,
-        fixed_dim=fixed_dim(group),
-        ns_rank=rank,
-        ns_generator=forms[0] if rank == 1 else None,
-        kernel_action_trivial=action_on_kernel(group, kernel_group(p)),
-    )
 
 
 # -- serialization ---------------------------------------------------------------

@@ -213,10 +213,8 @@ def survey() -> tuple[CaseRow, ...]:
     return tuple(rows)
 
 
-def survey_to_dict(rows=None) -> dict:
-    """JSON-shaped report: {cases: [{g, g_prime, group_order, R, status, reason}]}."""
-    if rows is None:
-        rows = survey()
+def survey_to_dict() -> dict:
+    """JSON-shaped survey: {cases: [{g, g_prime, group_order, R, status, reason}]}."""
     return {"cases": [{
         "g": r.g,
         "g_prime": r.g_prime,
@@ -224,4 +222,4 @@ def survey_to_dict(rows=None) -> dict:
         "R": r.residual,
         "status": r.status,
         "reason": r.reason,
-    } for r in rows]}
+    } for r in survey()]}

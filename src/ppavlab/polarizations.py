@@ -20,11 +20,8 @@ from typing import Iterator, NamedTuple, Sequence
 from .exact_linalg import (
     IntMatrix,
     NotAlternating,
-    RankDeficient,
     hnf_columns,
-    hstack,
     is_positive_definite,
-    kernel_basis,
     pfaffian,
     saturate,
     snf,
@@ -143,12 +140,6 @@ def alternating_type(form: IntMatrix) -> tuple[int, ...]:
     return diag[0::2]
 
 
-def form_pairing(form: IntMatrix, x: Sequence, y: Sequence) -> Fraction:
-    """x^t·form·y mod 1, unchecked: the caller vouches that x, y are kernel members."""
-    return qmodz(sum(xi * sum(m * yj for m, yj in zip(row, y))
-                     for xi, row in zip(x, form.entries)))
-
-
 def theta_g(g: int, order: QuadOrder = RATIONAL) -> PolarizedTorus:
     """Product of g principally polarized elliptic factors."""
     if g < 1:
@@ -208,9 +199,6 @@ class FiniteSymplecticGroup:
                           Fraction(0)))
                 for i in range(n))
 
-    def pairing(self, x: Sequence, y: Sequence) -> Fraction:
-        return weil_pairing(self, x, y)
-
 
 def kernel_group(p: PolarizedTorus) -> FiniteSymplecticGroup:
     """Generators and orders of (form^{-1} Z^{2g}) / Z^{2g}."""
@@ -236,7 +224,7 @@ def weil_pairing(k: FiniteSymplecticGroup, x: Sequence, y: Sequence) -> Fraction
             raise NotMember("vector length must match the lattice rank")
         if not _is_kernel_member(m, v):
             raise NotMember("vector is not in the kernel of the form")
-    return form_pairing(m, xv, yv)
+    return qmodz(sum(map(operator.mul, xv, m.mul_vec(yv))))
 
 
 # -- products and rescalings -------------------------------------------------
@@ -319,7 +307,10 @@ def _o_vector_to_columns(o: QuadOrder, vec: list[OrderElem]) -> tuple[list[int],
 
 
 def _aligned_basis(torus: Torus, s: IntMatrix) -> IntMatrix:
-    """Basis of span(s) shaped (f_1..f_h, w f_1..w f_h); NotStable if impossible."""
+    """Basis of span(s) shaped (f_1..f_h, w f_1..w f_h); NotStable if impossible.
+
+    s is the canonical (column HNF) basis of the span.
+    """
     g, k = torus.g, s.cols
     if torus.order.is_cm:
         cols = [[OrderElem(s[j, c], s[g + j, c]) for j in range(g)] for c in range(k)]
@@ -330,27 +321,24 @@ def _aligned_basis(torus: Torus, s: IntMatrix) -> IntMatrix:
             plain.append(a)
             wmul.append(b)
         aligned = IntMatrix.from_columns(plain + wmul, rows=2 * g)
-    else:
-        top = s.block(0, g, 0, k)
-        bot = s.block(g, 2 * g, 0, k)
-        l1 = hnf_columns(top * kernel_basis(bot))
-        l2 = hnf_columns(bot * kernel_basis(top))
-        if l1 != l2:
-            raise NotStable("sublattice does not split as a double copy")
-        z = IntMatrix.zeros(g, l1.cols)
-        aligned = IntMatrix.from_blocks([[l1, z], [z, l1]])
-    if hnf_columns(aligned) != hnf_columns(s):
-        raise NotStable("sublattice is not stable under the complex structure")
-    return aligned
+        if hnf_columns(aligned) != s:
+            raise NotStable("sublattice is not stable under the complex structure")
+        return aligned
+    # over Z a stable span is a double copy L + L, whose canonical basis is
+    # diag(H, H) with H the canonical basis of L
+    h = s.block(0, g, 0, k // 2)
+    z = IntMatrix.zeros(g, h.cols)
+    if s != IntMatrix.from_blocks([[h, z], [z, h]]):
+        raise NotStable("sublattice does not split as a double copy")
+    return s
 
 
 def _check_saturated(s: IntMatrix) -> IntMatrix:
     canon = hnf_columns(s)
-    try:
-        sat = saturate(canon)
-    except RankDeficient:
-        raise NotSaturated("sublattice basis must have full column rank")
-    if sat != canon:
+    # hnf_columns drops dependent columns, so a short canon means rank < cols
+    if canon.cols != s.cols or s.cols == 0:
+        raise NotSaturated("sublattice basis must be non-empty, of full column rank")
+    if saturate(canon) != canon:
         raise NotSaturated("sublattice is not saturated in the ambient lattice")
     return canon
 
@@ -373,17 +361,6 @@ def restrict_with_basis(p: PolarizedTorus, s: IntMatrix) -> Restriction:
 def restrict(p: PolarizedTorus, s: IntMatrix) -> PolarizedTorus:
     """Polarization restricted to a saturated stable sublattice."""
     return restrict_with_basis(p, s).polarized
-
-
-def complement(p: PolarizedTorus, s: IntMatrix) -> IntMatrix:
-    """Saturated stable basis of everything form-orthogonal to span(s)."""
-    if s.rows != p.torus.lattice_rank:
-        raise IncompatibleForm("sublattice rows must match the lattice rank")
-    c = kernel_basis(s.transpose() * p.form)
-    j = p.torus.complex_structure()
-    if hnf_columns(hstack(c, j * c)) != c:
-        raise NotStable("complement is stable only for stable input")
-    return c
 
 
 # -- sublattice scan ---------------------------------------------------------

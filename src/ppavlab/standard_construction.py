@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -29,9 +30,8 @@ from .exact_linalg import (
     is_positive_definite,
     kernel_basis,
     snf_diagonal,
-    vstack,
 )
-from .group_actions import example_b, reflection_rank
+from .group_actions import example_b, fixed_sublattice, reflection_rank
 from .polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
@@ -365,8 +365,7 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
                    and hnf_columns(h.scaled(span // den)) == hnf_columns(
                        hstack(identity.scaled(span), _graph_columns(a.graph, n, span)))))
 
-    stacked = vstack(*(rho - identity for rho in a.actions))
-    fdim = kernel_basis(stacked).cols // 2
+    fdim = fixed_sublattice(2 * n, a.actions).cols // 2
     first = next((name for name, ok in checks if not ok), None)
     return GlueReport(tuple(checks), first, fdim,
                       int(index) if index.denominator == 1 else 0)
@@ -390,9 +389,7 @@ def decompose_glued(a: GluedPPAV) -> GlueDecomposition:
     report = verify_glued(a)
     if report.first_failure is not None:
         raise InvalidGlue(report.first_failure)
-    n2 = 2 * a.dim
-    y_basis = kernel_basis(vstack(*(rho - IntMatrix.identity(n2)
-                                    for rho in a.actions)))
+    y_basis = fixed_sublattice(2 * a.dim, a.actions)
     x_basis = kernel_basis(y_basis.transpose() * a.form)
     y_type = alternating_type(y_basis.transpose() * a.form * y_basis)
     x_type = alternating_type(x_basis.transpose() * a.form * x_basis)
@@ -409,8 +406,19 @@ def _int_grid(m: IntMatrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in m.entries]
 
 
+def _parse_int(x) -> int:
+    """A JSON int or the decimal string the writer emits; bools and floats raise."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        return int(x)
+    raise ValueError(f"expected an integer or a decimal-integer string, got {x!r}")
+
+
 def _parse_grid(grid) -> IntMatrix:
-    return IntMatrix.from_rows([[int(x) for x in row] for row in grid],
+    if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
+        raise ValueError("a matrix must be a list of rows")
+    return IntMatrix.from_rows([[_parse_int(x) for x in row] for row in grid],
                                cols=len(grid[0]) if grid else 0)
 
 
@@ -432,16 +440,20 @@ def glued_to_json(a: GluedPPAV) -> str:
 def glued_from_json(text: str) -> GluedPPAV:
     """Load a glued variety and re-verify it; raises InvalidGlue on a failed check."""
     data = json.loads(text)
-    den = int(data["overlattice_den"])
-    graph_den = int(data["graph_den"])
+    factors, y_dim = data["factors"], data["y_dim"]
+    if (not isinstance(factors, list) or not factors
+            or any(type(g) is not int or g < 1 for g in factors + [y_dim])):
+        raise ValueError("factors must be a non-empty list of integers >= 1, y_dim an integer >= 1")
+    den = _parse_int(data["overlattice_den"])
+    graph_den = _parse_int(data["graph_den"])
     if den < 1 or graph_den < 1:
         raise ValueError("overlattice_den and graph_den must be positive")
     num = _parse_grid(data["overlattice_num"])
-    graph = tuple(tuple(Fraction(int(c), graph_den) for c in gamma)
-                  for gamma in data["graph_num"])
+    graph = tuple(tuple(Fraction(c, graph_den) for c in gamma)
+                  for gamma in _parse_grid(data["graph_num"]).entries)
     glued = GluedPPAV(
-        factors=tuple(int(g) for g in data["factors"]),
-        y_dim=int(data["y_dim"]),
+        factors=tuple(factors),
+        y_dim=y_dim,
         overlattice=num.to_rat().scaled(Fraction(1, den)),
         form=_parse_grid(data["form"]),
         actions=tuple(_parse_grid(m) for m in data["actions"]),

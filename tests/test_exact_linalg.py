@@ -257,7 +257,7 @@ def test_kernel_saturated_and_annihilates(m, scale):
     if k.cols:
         assert m * k == IntMatrix.zeros(m.rows, k.cols)
         assert saturate(k) == k
-    assert k.cols == m.cols - rank_over_field(m.to_rat())
+    assert k.cols == m.cols - rank_over_field(m)
     # scaled rows are not primitive; the kernel must not notice
     assert kernel_basis(m.scaled(scale)) == k
 
@@ -267,7 +267,7 @@ def test_saturate_idempotent():
     s = saturate(l)
     assert saturate(s) == s
     # same rational span
-    assert rank_over_field(RatMatrix.from_columns(l.columns() + s.columns())) == 2
+    assert rank_over_field(IntMatrix.from_columns(l.columns() + s.columns())) == 2
 
 
 # -- construction and shape --------------------------------------------------
@@ -279,14 +279,10 @@ def test_saturate_idempotent():
     lambda: IntMatrix.from_columns([(1, 2)], rows=5),
     lambda: IntMatrix.from_rows([[1, 2]], cols=3),
     lambda: IntMatrix.from_rows([[1, 2], [3]]),
-    lambda: RatMatrix.from_columns([(1, 2), (3, 4, 5)]),
-    lambda: RatMatrix.from_columns([(1, 2, 3), (4, 5)]),
-    lambda: RatMatrix.from_columns([(1, 2)], rows=5),
     lambda: RatMatrix.from_rows([[1, 2]], cols=3),
     lambda: RatMatrix.from_rows([[1, 2], [3]]),
 ], ids=["longer-column", "shorter-column", "rows-hint", "cols-hint", "ragged-rows",
-        "rat-longer-column", "rat-shorter-column", "rat-rows-hint", "rat-cols-hint",
-        "rat-ragged-rows"])
+        "rat-cols-hint", "rat-ragged-rows"])
 def test_constructors_reject_bad_shapes(build):
     with pytest.raises(ValueError):
         build()
@@ -306,8 +302,8 @@ def test_empty_shapes_survive_transpose_and_products():
 
 
 def test_rank_over_field():
-    assert rank_over_field(M([[1, 2], [2, 4]]).to_rat()) == 1
-    assert rank_over_field(RatMatrix.identity(3)) == 3
+    assert rank_over_field(M([[1, 2], [2, 4]])) == 1
+    assert rank_over_field(IntMatrix.identity(3)) == 3
 
 
 def test_det_bareiss_vs_rational():
@@ -320,7 +316,7 @@ def test_det_bareiss_vs_rational():
 
 def test_inverse_roundtrip():
     m = M([[2, 1], [1, 1]]).to_rat()
-    assert m * m.inverse() == RatMatrix.identity(2)
+    assert m * m.inverse() == IntMatrix.identity(2).to_rat()
     with pytest.raises(RankDeficient):
         M([[1, 1], [1, 1]]).to_rat().inverse()
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ppavlab.exact_linalg import IntMatrix, rank_over_field
 from ppavlab.group_actions import (
-    ActionReport,
     CapExceeded,
     DimensionMismatch,
     MatrixGroup,
@@ -19,13 +18,11 @@ from ppavlab.group_actions import (
     _close,
     _pairs,
     action_on_kernel,
-    action_report,
     average_pullback,
     closure,
     example_a,
     example_b,
     example_c,
-    fixed_dim,
     fixed_sublattice,
     group_from_json,
     group_to_json,
@@ -426,15 +423,21 @@ def test_pseudoreflection_generated_matches_closing_all_reflections_random(case)
 # -- fixed sublattices ---------------------------------------------------------------
 
 
-def test_fixed_dim_examples():
-    assert fixed_dim(example_b(2)[0]) == 0
-    assert fixed_dim(example_c()[0]) == 0
-    assert fixed_dim(trivial_group()) == 2
-    assert fixed_dim(swap_group()) == 1
+def _fixed(grp):
+    return fixed_sublattice(grp.torus.lattice_rank, grp.generators)
+
+
+def test_fixed_sublattice_examples():
+    assert _fixed(example_b(2)[0]).cols == 0
+    assert _fixed(example_c()[0]).cols == 0
+    assert _fixed(trivial_group()) == IntMatrix.identity(4)
+    assert _fixed(swap_group()).cols == 2
+    # no actions fix everything
+    assert fixed_sublattice(4, ()) == IntMatrix.identity(4)
 
 
 def test_fixed_sublattice_of_swap_is_diagonal():
-    basis = fixed_sublattice(swap_group())
+    basis = _fixed(swap_group())
     assert basis.cols == 2
     for k in range(basis.cols):
         col = [basis[i, k] for i in range(basis.rows)]
@@ -550,20 +553,7 @@ def test_kernel_action_requires_invariance():
         action_on_kernel(grp, kernel_group(xi_g(2)))
 
 
-# -- reports and serialization ---------------------------------------------------------
-
-
-def test_action_report_example_b():
-    grp, pol = example_b(2)
-    rep = action_report(grp, pol)
-    assert rep == ActionReport(
-        order=6,
-        pseudoreflections=3,
-        generated_by_pseudoreflections=True,
-        fixed_dim=0,
-        ns_rank=1,
-        ns_generator=xi_g(2).form,
-        kernel_action_trivial=True)
+# -- serialization -------------------------------------------------------------------
 
 
 def test_group_json_roundtrip():

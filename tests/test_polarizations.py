@@ -35,7 +35,6 @@ from ppavlab.polarizations import (
     _plane_basis,
     _primitive_vectors,
     box_product,
-    complement,
     is_principal,
     kernel_group,
     polarization_from_json,
@@ -265,13 +264,16 @@ def test_restrict_axis_of_theta_is_principal():
     assert polarization_type(sub) == (1,)
 
 
+# the form-orthogonal complement of span(s) is the kernel of s^t·M
+
+
 def test_complement_of_axis_in_theta():
-    c = complement(theta_g(2), doubled([[1, 0]], 2))
+    c = kernel_basis(doubled([[1, 0]], 2).transpose() * theta_g(2).form)
     assert hnf_columns(c) == doubled([[0, 1]], 2)
 
 
 def test_complement_of_diagonal_in_xi2():
-    c = complement(xi_g(2), doubled([[1, 1]], 2))
+    c = kernel_basis(doubled([[1, 1]], 2).transpose() * xi_g(2).form)
     assert c == doubled([[1, -1]], 2)
     assert polarization_type(restrict(xi_g(2), c)) == (2,)
 
@@ -280,7 +282,7 @@ def test_restrict_complement_index_identity():
     p = xi_g(2)
     s = doubled([[1, 1]], 2)
     r1 = restrict_with_basis(p, s)
-    c = complement(p, s)
+    c = kernel_basis(s.transpose() * p.form)
     r2 = restrict_with_basis(p, c)
     u = hstack(r1.embedding, r2.embedding)
     # orthogonal splitting: index^2 * det(form) = det(restr) * det(compl restr)
@@ -294,6 +296,68 @@ def test_restrict_rejects_unsaturated_and_unstable():
     graph = IntMatrix.from_columns([[1, 0, 0, 1], [0, -1, 1, 0]], rows=4)
     with pytest.raises(NotStable):
         restrict(theta_g(2), graph)
+
+
+@pytest.mark.parametrize("s", [
+    IntMatrix.from_columns([(1, 1, 0, 0), (2, 2, 0, 0), (0, 0, 1, 1)], rows=4),
+    IntMatrix.zeros(4, 0),
+    IntMatrix.zeros(4, 2),
+], ids=["dependent-columns", "no-columns", "zero-columns"])
+def test_restrict_rejects_rank_deficient_and_empty_bases(s):
+    # each would restrict to a torus of the wrong size, g = 1 or g = 0
+    with pytest.raises(NotSaturated, match="full column rank"):
+        restrict(xi_g(2), s)
+
+
+def _aligned_by_kernels(g, s):
+    """The double copy found as L1 = top·ker(bot) and L2 = bot·ker(top)."""
+    k = s.cols
+    top, bot = s.block(0, g, 0, k), s.block(g, 2 * g, 0, k)
+    l1 = hnf_columns(top * kernel_basis(bot))
+    if l1 != hnf_columns(bot * kernel_basis(top)):
+        raise NotStable("sublattice does not split as a double copy")
+    z = IntMatrix.zeros(g, l1.cols)
+    aligned = IntMatrix.from_blocks([[l1, z], [z, l1]])
+    if hnf_columns(aligned) != hnf_columns(s):
+        raise NotStable("sublattice is not stable under the complex structure")
+    return aligned
+
+
+@st.composite
+def _double_copies_and_spans(draw):
+    """(g, columns): a double copy L + L mixed by column operations, or any span."""
+    g = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        h = draw(st.integers(1, g))
+        cols = [list(c) for c in doubled(
+            draw(st.lists(st.lists(entry, min_size=g, max_size=g),
+                          min_size=h, max_size=h)), g).columns()]
+        for i, j, q in draw(st.lists(st.tuples(st.integers(0, 2 * h - 1),
+                                               st.integers(0, 2 * h - 1), entry),
+                                     max_size=6)):
+            if i != j:
+                cols[j] = [a + q * b for a, b in zip(cols[j], cols[i])]
+    else:
+        cols = draw(st.lists(st.lists(entry, min_size=2 * g, max_size=2 * g),
+                             min_size=1, max_size=2 * g - 1))
+    return g, IntMatrix.from_columns(cols, rows=2 * g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_double_copies_and_spans())
+def test_double_copy_read_off_hnf_matches_kernel_route(case):
+    g, s = case
+    sat = saturate(hnf_columns(s))
+    assume(sat.cols > 0)
+    outcomes = []
+    for route in (lambda: restrict_with_basis(theta_g(g), sat).embedding,
+                  lambda: _aligned_by_kernels(g, sat)):
+        try:
+            outcomes.append(route())
+        except NotStable:
+            outcomes.append(NotStable)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_restrict_gaussian_graph_sublattice():
@@ -327,9 +391,9 @@ def test_restrict_seeded_positivity_and_splitting():
         if rank_over_field(base) < k:
             continue
         sat = saturate(base)
-        s = doubled([list(sat.column(j)) for j in range(sat.cols)], g)
+        s = doubled(sat.columns(), g)
         r1 = restrict_with_basis(p, s)
-        c = complement(p, s)
+        c = kernel_basis(s.transpose() * p.form)
         r2 = restrict_with_basis(p, c)
         u = hstack(r1.embedding, r2.embedding)
         assert (u.det() ** 2) * p.form.det() == (
@@ -464,7 +528,7 @@ def test_scan_height_one_contains_diagonal():
     # every rank-1 type is the value of the block form on the basis vector
     b = xi_g(2).form.block(0, 2, 2, 4)
     for r in results:
-        v = IntMatrix.from_columns([list(r.basis.column(0))], rows=2)
+        v = IntMatrix.from_columns([r.basis.columns()[0]], rows=2)
         assert r.type == ((v.transpose() * b * v)[0, 0],)
 
 

@@ -10,14 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from ppavlab.exact_linalg import IntMatrix, RatMatrix, pfaffian
+from ppavlab.exact_linalg import IntMatrix, pfaffian
 from ppavlab.group_actions import _close, pseudoreflection_generated
 from ppavlab.polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
     alternating_type,
     box_product,
-    form_pairing,
     kernel_group,
     polarization_type,
     scale,
@@ -188,8 +187,8 @@ def _symplectic_basis_by_fractions(k):
     for j, (xj, yj) in enumerate(pairs):
         for l, (xl, yl) in enumerate(pairs):
             want = Fraction(1, orders[j]) if j == l else Fraction(0)
-            if (form_pairing(m, xj, yl) != want or form_pairing(m, xj, xl)
-                    or form_pairing(m, yj, yl)):
+            if (weil_pairing(k, xj, yl) != want or weil_pairing(k, xj, xl)
+                    or weil_pairing(k, yj, yl)):
                 raise DegeneratePairing("reduced pairs are not a symplectic basis")
     return SymplecticBasis(pairs, orders)
 
@@ -351,7 +350,7 @@ def _corrupted(glued):
     yield "overlattice-half", dataclasses.replace(
         glued, overlattice=glued.overlattice.scaled(Fraction(1, 2)))
     yield "overlattice-identity", dataclasses.replace(
-        glued, overlattice=RatMatrix.identity(n2))
+        glued, overlattice=IntMatrix.identity(n2).to_rat())
     yield "graph-triple", dataclasses.replace(
         glued, graph=tuple(tuple(3 * c for c in gamma) for gamma in glued.graph))
     yield "overlattice-zero", dataclasses.replace(
@@ -504,6 +503,27 @@ def test_glued_json_rejects_empty_actions():
     data["actions"] = []
     with pytest.raises(InvalidGlue, match="x-action-reflections"):
         glued_from_json(json.dumps(data))
+
+
+def _with_form_entry(data, value):
+    form = [list(row) for row in data["form"]]
+    form[0][0] = value
+    return {**data, "form": form}
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda d: {**d, "y_dim": 1.7},
+    lambda d: {**d, "y_dim": True},
+    lambda d: {**d, "factors": ["1"]},
+    lambda d: _with_form_entry(d, 0.9),
+    lambda d: {**d, "factors": []},
+], ids=["float-y-dim", "bool-y-dim", "string-factor", "float-form-entry", "no-factors"])
+def test_glued_json_rejects_malformed_fields(tamper):
+    # the first four used to be truncated by int() and load as a valid glue;
+    # no factors raised IndexError
+    data = json.loads(glued_to_json(build_standard([1], 1)))
+    with pytest.raises(ValueError):
+        glued_from_json(json.dumps(tamper(data)))
 
 
 def test_glued_json_uses_decimal_strings():
