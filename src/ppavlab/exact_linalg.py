@@ -472,25 +472,24 @@ def hnf_columns(m: IntMatrix) -> IntMatrix:
 # -- Pfaffian --------------------------------------------------------------
 
 
-def _pf_expand(a, idx: tuple[int, ...]) -> int:
-    if not idx:
-        return 1
-    i0 = idx[0]
-    total = 0
-    sign = 1
-    for pos in range(1, len(idx)):
-        x = a[i0][idx[pos]]
-        if x:
-            total += sign * x * _pf_expand(a, idx[1:pos] + idx[pos + 1:])
-        sign = -sign
-    return total
+def pfaffian(m: IntMatrix) -> int:
+    """Pfaffian of an even-size antisymmetric integer matrix.
 
-
-def _pf_eliminate(m: IntMatrix) -> int:
+    One fraction-free skew elimination, the skew analogue of Bareiss: step k
+    pivots on (k, k+1), swapping row and column k+1 with the first non-zero
+    entry of row k (a sign flip), and updates each trailing entry to
+    (p a_ij + a_ik a_(k+1)j - a_i(k+1) a_kj) / prev, with p the pivot and
+    prev the one before.  After step t each trailing entry is the Pfaffian
+    of rows and columns 0..2t+1 plus i, j, so every division is exact and
+    the last pivot is the Pfaffian.  pfaffian(m)**2 == m.det().
+    """
+    if m.rows != m.cols or m.rows % 2:
+        raise NotAlternating("need a square matrix of even size")
+    if m != -m.transpose():
+        raise NotAlternating("matrix is not antisymmetric")
     n = m.rows
-    a = [[Fraction(x) for x in row] for row in m.entries]
-    sign = 1
-    result = Fraction(1)
+    a = [list(r) for r in m.entries]
+    sign, prev = 1, 1
     for k in range(0, n, 2):
         p = next((j for j in range(k + 1, n) if a[k][j]), None)
         if p is None:
@@ -500,39 +499,14 @@ def _pf_eliminate(m: IntMatrix) -> int:
             for row in a:
                 row[k + 1], row[p] = row[p], row[k + 1]
             sign = -sign
-        piv = a[k][k + 1]
-        result *= piv
+        piv, row_k, row_l = a[k][k + 1], a[k], a[k + 1]
         for i in range(k + 2, n):
-            c = a[k][i] / piv
-            if c:
-                a[i] = [x - c * y for x, y in zip(a[i], a[k + 1])]
-                for row in a:
-                    row[i] -= c * row[k + 1]
-        for i in range(k + 2, n):
-            c = a[k + 1][i] / piv  # clear the second pivot row via row/col k
-            if c:
-                a[i] = [x + c * y for x, y in zip(a[i], a[k])]
-                for row in a:
-                    row[i] += c * row[k]
-    result *= sign
-    if result.denominator != 1:
-        raise ArithmeticError("pfaffian elimination left a denominator")
-    return int(result)
-
-
-def pfaffian(m: IntMatrix) -> int:
-    """Pfaffian of an even-size antisymmetric integer matrix.
-
-    Recursive expansion along the first row up to size 8; skew-symmetric
-    rational elimination above that.  pfaffian(m)**2 == m.det().
-    """
-    if m.rows != m.cols or m.rows % 2:
-        raise NotAlternating("need a square matrix of even size")
-    if m != -m.transpose():
-        raise NotAlternating("matrix is not antisymmetric")
-    if m.rows <= 8:
-        return _pf_expand(m.entries, tuple(range(m.rows)))
-    return _pf_eliminate(m)
+            row_i = a[i]
+            c, d = row_i[k], row_i[k + 1]
+            for j in range(k + 2, n):
+                row_i[j] = (piv * row_i[j] + c * row_l[j] - d * row_k[j]) // prev
+        prev = piv
+    return sign * prev
 
 
 # -- rank, kernels, saturation ---------------------------------------------

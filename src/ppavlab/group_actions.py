@@ -26,6 +26,7 @@ from .exact_linalg import (
 from .polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
+    _json_fields,
     associated_symmetric,
     split_form,
     theta_g,
@@ -245,53 +246,33 @@ def _alternating_basis(n: int) -> list[IntMatrix]:
     return out
 
 
-def _upper_entries(m: IntMatrix, strict: bool) -> list[int]:
-    lo = 1 if strict else 0
-    return [m[i, j] for i in range(m.rows) for j in range(i + lo, m.cols)]
-
-
 def ns_fixed(group: MatrixGroup) -> tuple[int, tuple[IntMatrix, ...]]:
     """Integral basis of the group-invariant compatible forms.
 
-    Over the rational integers the compatible forms are the symmetric blocks
-    B; over a CM order they are the alternating forms commuting with the
-    complex structure.  Either way the invariance equations are linear and
-    the integer solution lattice is returned; a rank-one generator is sign
-    normalized toward positivity when possible.
+    Over the rational integers the compatible forms are split_form(B) for
+    symmetric B; over a CM order they are the alternating forms M with
+    J^t M J = N(w) M.  A form is invariant when rho^t M rho = M for every
+    generator.  Each equation is alternating, so it is read off its strict
+    upper triangle, and the integer solution lattice is returned; a
+    rank-one generator is sign normalized toward positivity when possible.
     """
     torus = group.torus
+    n = torus.lattice_rank
+    # M is invariant when t^t M t = c M for each equation (t, c)
+    equations = [(rho, 1) for rho in group.generators]
     if torus.order.is_cm:
-        n = torus.lattice_rank
         basis = _alternating_basis(n)
-        j = torus.complex_structure()
-        nw = torus.order.norm_w
-        constraints = [lambda m: j.transpose() * m * j - m.scaled(nw)]
-        for rho in group.generators:
-            constraints.append(lambda m, r=rho: r.transpose() * m * r - m)
-        rows_per = lambda m: _upper_entries(m, strict=True)
-        rebuild = lambda coeffs: _linear_combination(basis, coeffs)
+        equations.append((torus.complex_structure(), torus.order.norm_w))
     else:
-        g = torus.g
-        basis = _symmetric_basis(g)
-        # over Z the action is diag(A, A); B is invariant when A^t B A = B
-        constraints = [lambda m, r=rho.block(0, g, 0, g): r.transpose() * m * r - m
-                       for rho in group.generators]
-        rows_per = lambda m: _upper_entries(m, strict=False)
-        rebuild = lambda coeffs: split_form(_linear_combination(basis, coeffs))
-
-    columns = []
-    for e in basis:
-        col = []
-        for c in constraints:
-            col.extend(rows_per(c(e)))
-        columns.append(col)
-    nrows = len(columns[0]) if columns else 0
-    if nrows == 0:
-        sols = IntMatrix.identity(len(basis))
-    else:
-        sols = kernel_basis(IntMatrix.from_columns(columns, rows=nrows))
-    forms = [rebuild([sols[i, k] for i in range(sols.rows)])
-             for k in range(sols.cols)]
+        basis = [split_form(b) for b in _symmetric_basis(torus.g)]
+    rows = {}  # each distinct linear equation on the coefficients, in order
+    for t, c in equations:
+        tt = t.transpose()
+        images = [tt * b * t - b.scaled(c) for b in basis]
+        rows.update(dict.fromkeys(tuple(e[i, k] for e in images)
+                                  for i in range(n) for k in range(i + 1, n)))
+    sols = kernel_basis(IntMatrix.from_rows(list(rows), cols=len(basis)))
+    forms = [_linear_combination(basis, col) for col in sols.columns()]
     if len(forms) == 1:
         forms[0] = _positivity_normalized(torus, forms[0])
     return len(forms), tuple(forms)
@@ -407,12 +388,13 @@ def group_to_json(group: MatrixGroup) -> str:
 
 
 def group_from_json(text: str) -> MatrixGroup:
-    data = json.loads(text)
-    order = order_by_kind(data["order_kind"])
-    g = data["g"]
+    kind, g, flat_elements = _json_fields(text, "order_kind", "g", "elements")
+    order = order_by_kind(kind)
     if type(g) is not int or g < 1:
         raise ValueError("g must be an integer >= 1")
-    for flat in data["elements"]:
+    if not isinstance(flat_elements, list):
+        raise ValueError("elements must be a list")
+    for flat in flat_elements:
         if not isinstance(flat, list) or len(flat) != g * g:
             raise ValueError(f"each element needs exactly {g * g} O-entries")
         if not all(isinstance(x, list) and len(x) == 2 and all(type(c) is int for c in x)
@@ -422,7 +404,7 @@ def group_from_json(text: str) -> MatrixGroup:
     elements = tuple(
         rational_rep(OrderMatrix.from_pairs(
             order, [flat[i * g:(i + 1) * g] for i in range(g)]))
-        for flat in data["elements"])
+        for flat in flat_elements)
     if len(set(elements)) != len(elements):
         raise ValueError("element list repeats an element")
     # _close checks unit determinants, and it holds the identity and every

@@ -74,12 +74,6 @@ class PrincipalRestrictionFound(AssertionError):
     """A scanned sublattice restriction came out principal."""
 
 
-def qmodz(x: Fraction | int) -> Fraction:
-    """Canonical representative of a rational number mod 1, in [0, 1)."""
-    x = Fraction(x)
-    return x - (x.numerator // x.denominator)
-
-
 @dataclass(frozen=True)
 class PolarizedTorus:
     """Torus with a positive compatible alternating form on its lattice."""
@@ -195,8 +189,7 @@ class FiniteSymplecticGroup:
         n = self.ambient.form.rows
         for coeffs in itertools.product(*(range(o) for o in self.orders)):
             yield tuple(
-                qmodz(sum((c * gen[i] for c, gen in zip(coeffs, self.generators)),
-                          Fraction(0)))
+                sum((c * gen[i] for c, gen in zip(coeffs, self.generators)), Fraction(0)) % 1
                 for i in range(n))
 
 
@@ -210,7 +203,7 @@ def kernel_group(p: PolarizedTorus) -> FiniteSymplecticGroup:
         di = d[i, i]
         if di > 1:
             # column i of V over d_i: a kernel element of exact order d_i
-            gens.append(tuple(qmodz(Fraction(v[r, i], di)) for r in range(v.rows)))
+            gens.append(tuple(Fraction(v[r, i] % di, di) for r in range(v.rows)))
             orders.append(di)
     return FiniteSymplecticGroup(p, tuple(gens), tuple(orders))
 
@@ -224,7 +217,7 @@ def weil_pairing(k: FiniteSymplecticGroup, x: Sequence, y: Sequence) -> Fraction
             raise NotMember("vector length must match the lattice rank")
         if not _is_kernel_member(m, v):
             raise NotMember("vector is not in the kernel of the form")
-    return qmodz(sum(map(operator.mul, xv, m.mul_vec(yv))))
+    return sum(map(operator.mul, xv, m.mul_vec(yv))) % 1
 
 
 # -- products and rescalings -------------------------------------------------
@@ -236,25 +229,30 @@ def scale(p: PolarizedTorus, m: int) -> PolarizedTorus:
     return PolarizedTorus(p.torus, p.form.scaled(m))
 
 
-def box_product(p: PolarizedTorus, q: PolarizedTorus) -> PolarizedTorus:
-    """External product: direct sum of forms on the product torus.
+def block_sum(ms: Sequence[IntMatrix]) -> IntMatrix:
+    """Direct sum of 2g_i x 2g_i lattice matrices in the product basis order.
 
-    The product lattice basis interleaves so that all plain coordinates come
-    before all w-multiples, keeping the block convention.
+    The product basis lists every factor's plain coordinates before every
+    factor's second halves (the w-multiples), keeping the block convention.
     """
-    if p.torus.order != q.torus.order:
+    # product index -> (factor, index within the factor)
+    lookup = [(f, half * (m.rows // 2) + i)
+              for half in (0, 1) for f, m in enumerate(ms) for i in range(m.rows // 2)]
+    return IntMatrix.from_rows([[ms[f][i, j] if f == h else 0 for h, j in lookup]
+                                for f, i in lookup], cols=len(lookup))
+
+
+def box_product(*factors: PolarizedTorus) -> PolarizedTorus:
+    """External product: direct sum of the forms on the product torus."""
+    if not factors:
+        raise ValueError("need at least one factor")
+    if len(factors) == 1:
+        return factors[0]
+    order = factors[0].torus.order
+    if any(p.torus.order != order for p in factors):
         raise OrderMismatch("factors must share the order kind")
-    g1, g2 = p.g, q.g
-    g = g1 + g2
-    # target index -> (form, source index) in the naive direct sum
-    lookup = ([("p", j) for j in range(g1)] + [("q", j) for j in range(g2)]
-              + [("p", g1 + j) for j in range(g1)] + [("q", g2 + j) for j in range(g2)])
-    forms = {"p": p.form, "q": q.form}
-    rows = []
-    for tag_i, si in lookup:
-        rows.append([forms[tag_i][si, sj] if tag_i == tag_j else 0
-                     for tag_j, sj in lookup])
-    return PolarizedTorus(Torus(p.torus.order, g), IntMatrix.from_rows(rows, cols=2 * g))
+    return PolarizedTorus(Torus(order, sum(p.g for p in factors)),
+                          block_sum([p.form for p in factors]))
 
 
 def self_intersection(p: PolarizedTorus) -> int:
@@ -561,6 +559,17 @@ def scan_subtorus_types(n: int, height: int) -> tuple[SubtorusRestriction, ...]:
 # -- serialization -----------------------------------------------------------
 
 
+def _json_fields(text: str, *names: str) -> list:
+    """The named fields of a JSON object; ValueError names what is missing."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise ValueError(f"missing field(s): {', '.join(missing)}")
+    return [data[name] for name in names]
+
+
 def polarization_to_json(p: PolarizedTorus) -> str:
     return json.dumps({
         "order": p.torus.order.kind,
@@ -570,13 +579,11 @@ def polarization_to_json(p: PolarizedTorus) -> str:
 
 
 def polarization_from_json(text: str) -> PolarizedTorus:
-    data = json.loads(text)
-    g = data["g"]
+    kind, g, rows = _json_fields(text, "order", "g", "form")
     if type(g) is not int or g < 1:
         raise ValueError("g must be an integer >= 1")
-    rows = data["form"]
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(type(x) is int for x in row) for row in rows):
         raise ValueError("form must be a list of rows of integers")
     form = IntMatrix.from_rows(rows)
-    return PolarizedTorus(Torus(order_by_kind(data["order"]), g), form)
+    return PolarizedTorus(Torus(order_by_kind(kind), g), form)

@@ -35,7 +35,9 @@ from .group_actions import example_b, fixed_sublattice, reflection_rank
 from .polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
+    _json_fields,
     alternating_type,
+    block_sum,
     box_product,
     kernel_group,
     split_form,
@@ -176,32 +178,19 @@ class GluedPPAV:
         return self.x_dim + self.y_dim
 
 
-def _x_polarization(factors) -> PolarizedTorus:
-    pol = xi_g(factors[0])
-    for g in factors[1:]:
-        pol = box_product(pol, xi_g(g))
-    return pol
-
-
-def _y_polarization(y_dim: int, divisors) -> PolarizedTorus:
+def _sides(factors, y_dim: int, divisors):
+    """(X, Y, X x Y): X the product of the xi_g factors, Y diagonal with the divisors."""
+    x_pol = box_product(*map(xi_g, factors))
     diag = [1] * (y_dim - len(divisors)) + list(divisors)
-    return PolarizedTorus(Torus(RATIONAL, y_dim), split_form(IntMatrix.diagonal(diag)))
+    y_pol = PolarizedTorus(Torus(RATIONAL, y_dim), split_form(IntMatrix.diagonal(diag)))
+    return x_pol, y_pol, box_product(x_pol, y_pol)
 
 
-def _factor_generators(factors, total: int) -> list[IntMatrix]:
-    """Permutation generators of each factor, embedded side by side in diag(E, E)."""
-    gens = []
-    offset = 0
-    for g in factors:
-        for b in example_b(g)[0].generators:
-            rows = [[int(i == j) for j in range(2 * total)] for i in range(2 * total)]
-            for half in (0, total):
-                for r in range(g):
-                    for c in range(g):
-                        rows[half + offset + r][half + offset + c] = b[r, c]
-            gens.append(IntMatrix.from_rows(rows))
-        offset += g
-    return gens
+def _factor_generators(factors, y_dim: int) -> list[IntMatrix]:
+    """Permutation generators of each factor, acting as the identity elsewhere."""
+    eye = [IntMatrix.identity(2 * g) for g in (*factors, y_dim)]
+    return [block_sum(eye[:f] + [b] + eye[f + 1:])
+            for f, g in enumerate(factors) for b in example_b(g)[0].generators]
 
 
 def _graph_lift(t, u, gx: int, gy: int) -> tuple[Fraction, ...]:
@@ -235,11 +224,9 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     if y_dim < len(divisors):
         raise TypeMismatch(
             f"y_dim {y_dim} cannot carry {len(divisors)} nontrivial divisors")
-    x_pol = _x_polarization(factors)
-    y_pol = _y_polarization(y_dim, divisors)
+    x_pol, y_pol, prod = _sides(factors, y_dim, divisors)
     gx, gy = x_pol.g, y_pol.g
     n = gx + gy
-    prod = box_product(x_pol, y_pol)
 
     bx = symplectic_basis(kernel_group(x_pol))
     by = symplectic_basis(kernel_group(y_pol))
@@ -272,7 +259,7 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     # the overlattice contains Z^2n, so its inverse basis is integral
     q = p.inverse().to_int()
     actions = []
-    for gen in _factor_generators(factors, n):
+    for gen in _factor_generators(factors, y_dim):
         lifted = _divided(q * gen * h, den)
         if lifted is None:
             raise IntegralityFailure("action does not preserve the overlattice")
@@ -308,9 +295,7 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
     is cached: decompose_glued re-uses the one its caller already made.
     """
     divisors = elementary_divisors([g + 1 for g in a.factors])
-    x_pol = _x_polarization(a.factors)
-    y_pol = _y_polarization(a.y_dim, divisors)
-    prod = box_product(x_pol, y_pol)
+    _, _, prod = _sides(a.factors, a.y_dim, divisors)
     n = a.dim
     form = a.form
     den = a.overlattice.common_denominator()
@@ -439,24 +424,26 @@ def glued_to_json(a: GluedPPAV) -> str:
 
 def glued_from_json(text: str) -> GluedPPAV:
     """Load a glued variety and re-verify it; raises InvalidGlue on a failed check."""
-    data = json.loads(text)
-    factors, y_dim = data["factors"], data["y_dim"]
+    factors, y_dim, num, den, form, actions, graph_num, graph_den = _json_fields(
+        text, "factors", "y_dim", "overlattice_num", "overlattice_den", "form", "actions",
+        "graph_num", "graph_den")
     if (not isinstance(factors, list) or not factors
             or any(type(g) is not int or g < 1 for g in factors + [y_dim])):
         raise ValueError("factors must be a non-empty list of integers >= 1, y_dim an integer >= 1")
-    den = _parse_int(data["overlattice_den"])
-    graph_den = _parse_int(data["graph_den"])
+    den, graph_den = _parse_int(den), _parse_int(graph_den)
     if den < 1 or graph_den < 1:
         raise ValueError("overlattice_den and graph_den must be positive")
-    num = _parse_grid(data["overlattice_num"])
+    if not isinstance(actions, list):
+        raise ValueError("actions must be a list")
+    num = _parse_grid(num)
     graph = tuple(tuple(Fraction(c, graph_den) for c in gamma)
-                  for gamma in _parse_grid(data["graph_num"]).entries)
+                  for gamma in _parse_grid(graph_num).entries)
     glued = GluedPPAV(
         factors=tuple(factors),
         y_dim=y_dim,
         overlattice=num.to_rat().scaled(Fraction(1, den)),
-        form=_parse_grid(data["form"]),
-        actions=tuple(_parse_grid(m) for m in data["actions"]),
+        form=_parse_grid(form),
+        actions=tuple(_parse_grid(m) for m in actions),
         graph=graph,
     )
     report = verify_glued(glued)

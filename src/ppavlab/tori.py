@@ -51,7 +51,7 @@ _BY_KIND = {o.kind: o for o in (RATIONAL, GAUSSIAN, EISENSTEIN)}
 
 
 def order_by_kind(kind: str) -> QuadOrder:
-    if kind not in _BY_KIND:
+    if not isinstance(kind, str) or kind not in _BY_KIND:
         raise OrderMismatch(f"unknown order kind {kind!r}")
     return _BY_KIND[kind]
 
@@ -190,10 +190,6 @@ class OrderMatrix:
         return cls(order, tuple(tuple(OrderElem(int(x), 0) for x in r) for r in rows))
 
     @classmethod
-    def identity(cls, order: QuadOrder, g: int) -> "OrderMatrix":
-        return cls(order, tuple(tuple(ONE if i == j else ZERO for j in range(g)) for i in range(g)))
-
-    @classmethod
     def scalar(cls, order: QuadOrder, g: int, z: OrderElem) -> "OrderMatrix":
         return cls(order, tuple(tuple(z if i == j else ZERO for j in range(g)) for i in range(g)))
 
@@ -231,11 +227,6 @@ class OrderMatrix:
                 prod = omul(self.order, prod, self.entries[i][j])
             total = oadd(total, prod if inv % 2 == 0 else oneg(prod))
         return total
-
-
-def conj(m: OrderMatrix) -> OrderMatrix:
-    """Entrywise image under the nontrivial order automorphism."""
-    return OrderMatrix(m.order, tuple(tuple(oconj(m.order, x) for x in r) for r in m.entries))
 
 
 # perfbench/child.py reads rational_rep.cache_info before every pass

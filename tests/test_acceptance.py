@@ -149,10 +149,7 @@ def test_standard_construction(capsys):
             expected_index = math.prod(g + 1 for g in factors) ** 2
             assert report.overlattice_index == expected_index
             dec = decompose_glued(glued)
-            x_pol = None
-            for g in factors:
-                x_pol = xi_g(g) if x_pol is None else box_product(x_pol, xi_g(g))
-            assert dec.x_type == polarization_type(x_pol)
+            assert dec.x_type == polarization_type(box_product(*map(xi_g, factors)))
             divisors = elementary_divisors([g + 1 for g in factors])
             assert dec.y_type == (1,) * (y_dim - len(divisors)) + divisors
 

@@ -220,6 +220,39 @@ def test_pfaffian_large_uses_elimination():
         assert p ** 2 == m.det()
 
 
+def skew_from_upper(n, upper):
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), x in zip(((i, j) for i in range(n) for j in range(i + 1, n)), upper):
+        rows[i][j], rows[j][i] = x, -x
+    return IntMatrix.from_rows(rows, cols=n)
+
+
+# three zeros in four draws, so pivots vanish and the column swap runs
+sparse_ints = st.one_of(st.just(0), st.just(0), st.just(0), small_ints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 2, 4, 6, 8]), st.lists(sparse_ints, min_size=28, max_size=28))
+def test_pfaffian_sparse_matches_matching_oracle(n, upper):
+    m = skew_from_upper(n, upper)
+    assert pfaffian(m) == pfaffian_oracle(m)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_pfaffian_permuted_large(n):
+    # Pf(P^t M P) = det(P) Pf(M): checks the sign where the oracle is too slow
+    rng = random.Random(n)
+    for zeros in (0.0, 0.5, 0.8):
+        for _ in range(5):
+            m = skew_from_upper(n, [0 if rng.random() < zeros else rng.randint(-4, 4)
+                                    for _ in range(n * (n - 1) // 2)])
+            perm = rng.sample(range(n), n)
+            moved = IntMatrix.from_rows([[m[perm[i], perm[j]] for j in range(n)]
+                                         for i in range(n)], cols=n)
+            assert pfaffian(moved) == perm_sign(perm) * pfaffian(m)
+            assert pfaffian(m) ** 2 == m.det()
+
+
 def test_pfaffian_block_diagonal_multiplies():
     rng = random.Random(11)
     a = random_antisymmetric(rng, 4)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppavlab.exact_linalg import IntMatrix, rank_over_field
+from ppavlab.exact_linalg import IntMatrix, kernel_basis, rank_over_field
 from ppavlab.group_actions import (
     CapExceeded,
     DimensionMismatch,
@@ -35,7 +35,6 @@ from ppavlab.polarizations import (
     PolarizedTorus,
     kernel_group,
     polarization_type,
-    qmodz,
     scale,
     split_form,
     theta_g,
@@ -46,6 +45,7 @@ from ppavlab.tori import (
     BadOrder,
     EISENSTEIN,
     GAUSSIAN,
+    ONE,
     OrderElem,
     OrderMatrix,
     RATIONAL,
@@ -72,7 +72,7 @@ def neg_group(g=2):
 
 
 def trivial_group(order=RATIONAL, g=2):
-    return closure([OrderMatrix.identity(order, g)])
+    return closure([OrderMatrix.scalar(order, g, ONE)])
 
 
 def factorial(n):
@@ -115,8 +115,8 @@ def test_closure_rejects_bad_generators():
     with pytest.raises(ValueError):
         closure([OrderMatrix.from_int_rows(RATIONAL, [[2, 0], [0, 1]])])
     with pytest.raises(DimensionMismatch):
-        closure([OrderMatrix.identity(RATIONAL, 2),
-                 OrderMatrix.identity(RATIONAL, 3)])
+        closure([OrderMatrix.scalar(RATIONAL, 2, ONE),
+                 OrderMatrix.scalar(RATIONAL, 3, ONE)])
 
 
 def test_closure_cap():
@@ -476,6 +476,44 @@ def test_ns_fixed_trivial_groups():
         assert j.transpose() * f * j == f
 
 
+def _ns_fixed_by_blocks(group):
+    """The Z-block route: B symmetric with A^t B A = B on each generator's
+    g x g block A, equations read off the upper triangle with the diagonal."""
+    g = group.torus.g
+    basis = []
+    for i in range(g):
+        for j in range(i, g):
+            basis.append(IntMatrix.from_rows(
+                [[int((r, c) in {(i, j), (j, i)}) for c in range(g)] for r in range(g)]))
+    rows = []
+    for rho in group.generators:
+        a = rho.block(0, g, 0, g)
+        images = [a.transpose() * b * a - b for b in basis]
+        rows.extend([e[i, j] for e in images] for i in range(g) for j in range(i, g))
+    sols = kernel_basis(IntMatrix.from_rows(rows, cols=len(basis)))
+    forms = []
+    for col in sols.columns():
+        block = IntMatrix.zeros(g, g)
+        for b, c in zip(basis, col):
+            block = block + b.scaled(c)
+        forms.append(split_form(block))
+    return forms
+
+
+@pytest.mark.parametrize("group", [
+    *(example_a(g, 2)[0] for g in (1, 2, 3)), *(example_b(g)[0] for g in (1, 2, 3, 4)),
+    neg_group(1), neg_group(2), trivial_group()],
+    ids=["a1", "a2", "a3", "b1", "b2", "b3", "b4", "neg1", "neg2", "trivial"])
+def test_ns_fixed_matches_z_block_route(group):
+    rank, forms = ns_fixed(group)
+    want = _ns_fixed_by_blocks(group)
+    assert rank == len(want)
+    if rank == 1:  # ns_fixed normalizes a rank-one generator's sign
+        assert forms[0] in (want[0], -want[0])
+    else:
+        assert list(forms) == want
+
+
 def test_ns_fixed_forms_are_invariant():
     for grp, _ in (example_a(2, 3), example_b(3), example_c()):
         _, forms = ns_fixed(grp)
@@ -539,7 +577,7 @@ def test_kernel_action_example_c():
     assert k.contains((0, h, 0, h))
     assert weil_pairing(k, (h, 0, h, 0), (0, h, 0, h)) in (Fraction(1, 2),)
     swept = all(
-        qmodz(sum(Fraction(rho[i, j]) * x[j] for j in range(4)) - x[i]) == 0
+        (sum(Fraction(rho[i, j]) * x[j] for j in range(4)) - x[i]) % 1 == 0
         for rho in grp.elements
         for x in k.elements()
         for i in range(4))

@@ -40,7 +40,6 @@ from ppavlab.polarizations import (
     polarization_from_json,
     polarization_to_json,
     polarization_type,
-    qmodz,
     restrict,
     restrict_with_basis,
     scale,
@@ -94,12 +93,6 @@ def test_theta_and_xi_valid_over_every_order():
         for g in (1, 2, 3):
             theta_g(g, order)
             xi_g(g, order)
-
-
-def test_qmodz():
-    assert qmodz(Fraction(-1, 3)) == Fraction(2, 3)
-    assert qmodz(Fraction(5, 2)) == Fraction(1, 2)
-    assert qmodz(3) == 0
 
 
 # -- type ----------------------------------------------------------------------
@@ -213,6 +206,37 @@ def test_box_product_order_mismatch():
     from ppavlab.tori import OrderMismatch
     with pytest.raises(OrderMismatch):
         box_product(theta_g(1), theta_g(1, GAUSSIAN))
+
+
+def _box_pair(p, q):
+    """The product form of two factors, written out entry by entry."""
+    g1, g2 = p.g, q.g
+    where = ([(0, j) for j in range(g1)] + [(1, j) for j in range(g2)]
+             + [(0, g1 + j) for j in range(g1)] + [(1, g2 + j) for j in range(g2)])
+    forms = (p.form, q.form)
+    rows = [[forms[a][i, j] if a == b else 0 for b, j in where] for a, i in where]
+    return PolarizedTorus(Torus(p.torus.order, g1 + g2), IntMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("order", [RATIONAL, GAUSSIAN, EISENSTEIN], ids=lambda o: o.kind)
+def test_box_product_of_many_equals_pairwise_chain(order):
+    rng = random.Random(order.kind)
+    for count in (1, 2, 3, 4):
+        for _ in range(5):
+            ps = [scale(rng.choice((theta_g, xi_g))(rng.randint(1, 2), order), rng.randint(1, 3))
+                  for _ in range(count)]
+            chain = ps[0]
+            for q in ps[1:]:
+                chain = _box_pair(chain, q)
+            assert box_product(*ps) == chain
+
+
+def test_box_product_of_mixed_orders_raises():
+    from ppavlab.tori import OrderMismatch
+    with pytest.raises(OrderMismatch):
+        box_product(theta_g(1), xi_g(2), theta_g(1, GAUSSIAN))
+    with pytest.raises(ValueError):
+        box_product()
 
 
 def test_box_product_seeded_type_merge():

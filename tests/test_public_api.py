@@ -1,11 +1,13 @@
-"""Every name `ppavlab` exports has a caller inside the library.
+"""Every name `ppavlab` exports, and every function, class and method of
+the library, has a caller inside the library.
 
-An exported name that only its own tests call is dead API: it is either
-wired into a check or deleted.  The few names kept for another reason are
-listed with that reason.
+A name that only its own tests call is dead API: it is either wired into a
+check or deleted.  The few names kept for another reason are listed with
+that reason.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import ppavlab
@@ -37,3 +39,58 @@ def test_every_export_has_a_library_caller():
             used.update(name for name, owner in _references(ast.parse(path.read_text()))
                         if name != owner)
     assert set(ppavlab.__all__) - used == set(KEPT_WITHOUT_CALLER)
+
+
+MEMBERS_KEPT_WITHOUT_REFERENCE = {
+    "polarization_to_json": "the serialized format's boundary",
+    "polarization_from_json": "the serialized format's boundary",
+    "group_to_json": "the serialized format's boundary",
+    "group_from_json": "the serialized format's boundary",
+    "glued_to_json": "the serialized format's boundary",
+    "glued_from_json": "the serialized format's boundary",
+    "weil_pairing": "the checked reference pairing the tests compare against",
+    "FiniteSymplecticGroup.elements": "the element enumeration the tests compare against",
+    "CoverDatum": "ROADMAP item 7 decides it",
+    "CoverDatum.consistent": "ROADMAP item 7 decides it",
+    "ramification_realizable": "ROADMAP item 7 decides it",
+}
+
+
+def _members(tree):
+    """(qualified name, name, first line, last line) of each top-level
+    function or class and each non-dunder method."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name, top.name, top.lineno, top.end_lineno
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and not (
+                        node.name.startswith("__") and node.name.endswith("__")):
+                    yield f"{top.name}.{node.name}", node.name, node.lineno, node.end_lineno
+
+
+def test_every_member_is_referenced_in_the_library():
+    """Every module-level function or class and every non-dunder method of
+    `src/ppavlab/*.py` (but `__init__.py`) is read by name somewhere outside
+    its own definition.
+
+    The check is name-based: a reference is any loaded name or attribute
+    with that name, so a member whose name another class also uses (say a
+    method `elements`) escapes it.
+    """
+    members, references = [], defaultdict(set)  # name -> {(file, line)}
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        members.extend((path.name, *m) for m in _members(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                references[node.id].add((path.name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references[node.attr].add((path.name, node.lineno))
+    unreferenced = {
+        qualified for file, qualified, name, first, last in members
+        if all(where == file and first <= line <= last for where, line in references[name])}
+    assert unreferenced <= set(MEMBERS_KEPT_WITHOUT_REFERENCE), sorted(unreferenced)
+    assert set(MEMBERS_KEPT_WITHOUT_REFERENCE) <= {m[1] for m in members}

@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 
 from ppavlab.exact_linalg import IntMatrix, pfaffian
-from ppavlab.group_actions import _close, pseudoreflection_generated
+from ppavlab.group_actions import _close, group_from_json, pseudoreflection_generated
 from ppavlab.polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
     alternating_type,
     box_product,
     kernel_group,
+    polarization_from_json,
     polarization_type,
     scale,
     split_form,
@@ -33,8 +34,7 @@ from ppavlab.standard_construction import (
     SymplecticBasis,
     TypeMismatch,
     _factor_generators,
-    _x_polarization,
-    _y_polarization,
+    _sides,
     build_standard,
     decompose_glued,
     elementary_divisors,
@@ -43,16 +43,9 @@ from ppavlab.standard_construction import (
     symplectic_basis,
     verify_glued,
 )
-from ppavlab.tori import RATIONAL, Torus
+from ppavlab.tori import OrderMismatch, RATIONAL, Torus
 
 GRID = (((1,), 1), ((2,), 1), ((1, 1), 2), ((2, 3), 1))
-
-
-def x_side(factors):
-    pol = xi_g(factors[0])
-    for g in factors[1:]:
-        pol = box_product(pol, xi_g(g))
-    return pol
 
 
 # -- elementary divisors -----------------------------------------------------
@@ -208,8 +201,9 @@ def _oracle_kernels():
     spec.loader.exec_module(workloads)
     for factors, y_dim in GRID + workloads.GLUE_CASES:
         divisors = elementary_divisors([g + 1 for g in factors])
-        yield f"x{factors}", kernel_group(_x_polarization(factors))
-        yield f"y{factors}-{y_dim}", kernel_group(_y_polarization(y_dim, divisors))
+        x_pol, y_pol, _ = _sides(factors, y_dim, divisors)
+        yield f"x{factors}", kernel_group(x_pol)
+        yield f"y{factors}-{y_dim}", kernel_group(y_pol)
     for g in range(1, 6):
         yield f"xi{g}", kernel_group(xi_g(g))
     for a, b in ((1, 1), (1, 2), (2, 2), (3, 1), (2, 4), (1, 5)):
@@ -273,7 +267,7 @@ def test_x_action_reflections_matches_closed_product_group():
         report = verify_glued(build_standard(factors, y_dim))
         x_dim = sum(factors)
         product = _close(Torus(RATIONAL, x_dim),
-                         tuple(_factor_generators(factors, x_dim)), cap=10 ** 6)
+                         tuple(_factor_generators(factors, 0)), cap=10 ** 6)  # X alone
         assert (dict(report.checks)["x-action-reflections"]
                 == pseudoreflection_generated(product)[0])
 
@@ -439,7 +433,7 @@ def test_decompose_roundtrips_types():
     for factors, y_dim in GRID:
         glued = build_standard(factors, y_dim)
         dec = decompose_glued(glued)
-        assert dec.x_type == polarization_type(x_side(factors))
+        assert dec.x_type == polarization_type(box_product(*map(xi_g, factors)))
         divisors = elementary_divisors([g + 1 for g in factors])
         assert dec.y_type == (1,) * (y_dim - len(divisors)) + divisors
         assert dec.y_basis.cols == 2 * y_dim
@@ -450,7 +444,7 @@ def test_decompose_quotient_is_graph_sized():
     for factors, y_dim in GRID:
         glued = build_standard(factors, y_dim)
         dec = decompose_glued(glued)
-        kx = kernel_group(x_side(factors)).order
+        kx = kernel_group(box_product(*map(xi_g, factors))).order
         total = 1
         for d in dec.y_type:
             total *= d ** 2
@@ -524,6 +518,37 @@ def test_glued_json_rejects_malformed_fields(tamper):
     data = json.loads(glued_to_json(build_standard([1], 1)))
     with pytest.raises(ValueError):
         glued_from_json(json.dumps(tamper(data)))
+
+
+def _glue_json(**fields):
+    return json.dumps({**json.loads(glued_to_json(build_standard([1], 1))), **fields})
+
+
+LOADERS = {"polarization": polarization_from_json, "group": group_from_json,
+           "glue": glued_from_json}
+
+
+@pytest.mark.parametrize("loader, text, error", [
+    ("polarization", "[]", ValueError),
+    ("polarization", "null", ValueError),
+    ("polarization", '{"g": 1}', ValueError),
+    ("polarization", '{"order": [1], "g": 1, "form": [[0, 1], [-1, 0]]}', OrderMismatch),
+    ("group", "[]", ValueError),
+    ("group", "null", ValueError),
+    ("group", '{"g": 1}', ValueError),
+    ("group", '{"order_kind": "Z", "g": 1, "elements": 5}', ValueError),
+    ("group", '{"order_kind": [1], "g": 1, "elements": [[[1, 0]]]}', OrderMismatch),
+    ("glue", "[]", ValueError),
+    ("glue", "null", ValueError),
+    ("glue", '{"factors": [1]}', ValueError),
+    ("glue", _glue_json(actions=5), ValueError),
+], ids=["pol-list", "pol-null", "pol-missing-fields", "pol-list-kind",
+        "group-list", "group-null", "group-missing-fields", "group-int-elements",
+        "group-list-kind", "glue-list", "glue-null", "glue-missing-fields", "glue-int-actions"])
+def test_json_loaders_raise_value_error(loader, text, error):
+    # each used to raise TypeError or KeyError
+    with pytest.raises(error):
+        LOADERS[loader](text)
 
 
 def test_glued_json_uses_decimal_strings():

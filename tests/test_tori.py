@@ -17,7 +17,6 @@ from ppavlab.tori import (
     Torus,
     W,
     ZERO,
-    conj,
     oconj,
     omul,
     onorm,
@@ -122,7 +121,7 @@ def test_order_matrix_det_and_invertibility():
 def random_unimodular_word(o, g, rng):
     # a product of unit diagonals, permutations and elementary shears
     units = [OrderElem(-1, 0)] + ([W, OrderElem(0, -1)] if o.is_cm else [])
-    m = OrderMatrix.identity(o, g)
+    m = OrderMatrix.scalar(o, g, ONE)
     for _ in range(rng.randint(1, 4)):
         rows = [[ONE if i == j else ZERO for j in range(g)] for i in range(g)]
         kind = rng.randrange(3)
@@ -197,7 +196,7 @@ def test_rational_rep_is_a_ring_homomorphism():
 
 
 def test_conjugation_base_change():
-    # conj acts on the Z-basis through C = [[I, uI], [0, -I]], C^2 = 1
+    # entrywise conjugation acts on the Z-basis through C = [[I, uI], [0, -I]], C^2 = 1
     rng = random.Random(17)
     for o in CM_ORDERS:
         for g in (1, 2, 3):
@@ -207,7 +206,8 @@ def test_conjugation_base_change():
             assert c * c == IntMatrix.identity(2 * g)
             for _ in range(30):
                 m = random_order_matrix(o, g, rng)
-                assert c * rational_rep(m) * c == rational_rep(conj(m))
+                conj = OrderMatrix(o, tuple(tuple(oconj(o, x) for x in r) for r in m.entries))
+                assert c * rational_rep(m) * c == rational_rep(conj)
 
 
 # -- rank over the fraction field ---------------------------------------------
@@ -219,7 +219,7 @@ def doubled_rank_minus_id(m):
 
 
 def test_analytic_rank_examples():
-    assert doubled_rank_minus_id(OrderMatrix.identity(GAUSSIAN, 3)) == 0
+    assert doubled_rank_minus_id(OrderMatrix.scalar(GAUSSIAN, 3, ONE)) == 0
     # diag(i, 1) moves a single coordinate line
     refl = OrderMatrix.from_pairs(GAUSSIAN, [[(0, 1), (0, 0)], [(0, 0), (1, 0)]])
     assert doubled_rank_minus_id(refl) == 2
