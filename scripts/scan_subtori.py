@@ -17,9 +17,9 @@ from ppavlab.polarizations import (
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("n", type=int, help="ambient rank (2..4)")
-    parser.add_argument("--height", type=int, default=3,
-                        help="largest absolute entry in spanning vectors")
+    parser.add_argument("n", type=int, choices=range(2, 5), help="ambient rank (2..4)")
+    parser.add_argument("--height", type=int, default=3, choices=range(1, 6),
+                        help="largest absolute entry in spanning vectors (1..5)")
     args = parser.parse_args()
 
     try:

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over Z and Q.
 
 Smith and Hermite normal forms, Pfaffians, integer kernels and saturations,
-all with arbitrary-precision arithmetic.  No floats anywhere; rationals are
-``fractions.Fraction``.
+all with arbitrary-precision arithmetic.  No floats anywhere; a rational
+matrix is an integer numerator over one denominator, and every elimination
+runs in integers.
 """
 
 from __future__ import annotations
@@ -157,10 +158,6 @@ class IntMatrix:
                 g = math.gcd(g, x)
         return g
 
-    def to_rat(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols,
-                         tuple(tuple(Fraction(x) for x in r) for r in self.entries))
-
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
@@ -188,122 +185,123 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Dense matrix over Q (entries are Fractions in lowest terms)."""
+    """Dense matrix over Q: an integer numerator over one denominator.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    Kept in lowest terms (den >= 1, gcd(content(num), den) = 1, den = 1 for
+    a zero matrix), so equal matrices compare and hash equal.  Fractions
+    appear only at the boundary: from_rows, entries, scaled, mul_vec and
+    det's value.
+    """
+
+    num: IntMatrix
+    den: int = 1
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry grid does not match declared shape")
+        if self.den < 1:
+            raise ValueError(f"denominator must be >= 1, got {self.den}")
+        g = math.gcd(self.num.entry_gcd(), self.den)
+        if g > 1:
+            object.__setattr__(self, "num", IntMatrix(
+                self.num.rows, self.num.cols,
+                tuple(tuple(x // g for x in r) for r in self.num.entries)))
+            object.__setattr__(self, "den", self.den // g)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "RatMatrix":
         """Matrix with the given rows; cols, if given, must be their length."""
-        rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        if rows:
-            if cols is not None and cols != len(rows[0]):
-                raise ValueError(f"cols={cols} disagrees with rows of length {len(rows[0])}")
-            cols = len(rows[0])
-        elif cols is None:
-            cols = 0
-        return cls(len(rows), cols, rows)
+        rows = [[Fraction(x) for x in r] for r in rows]
+        den = math.lcm(*(x.denominator for r in rows for x in r))
+        return cls(IntMatrix.from_rows([[x.numerator * (den // x.denominator) for x in r]
+                                        for r in rows], cols=cols), den)
+
+    @property
+    def rows(self) -> int:
+        return self.num.rows
+
+    @property
+    def cols(self) -> int:
+        return self.num.cols
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.num.entries)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RatMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.entries, other.entries)))
+        den = math.lcm(self.den, other.den)
+        return RatMatrix(self.num.scaled(den // self.den) + other.num.scaled(den // other.den),
+                         den)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, tuple(tuple(-x for x in r) for r in self.entries))
+        return self + other.scaled(-1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scaled(Fraction(other))
+            return self.scaled(other)
         if isinstance(other, RatMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in product")
-            bt = other.transpose().entries
-            return RatMatrix(self.rows, other.cols,
-                             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                                   for row in self.entries))
+            return RatMatrix(self.num * other.num, self.den * other.den)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scaled(Fraction(other))
+            return self.scaled(other)
         return NotImplemented
 
     def scaled(self, k) -> "RatMatrix":
         k = Fraction(k)
-        return RatMatrix(self.rows, self.cols, tuple(tuple(k * x for x in r) for r in self.entries))
+        return RatMatrix(self.num.scaled(k.numerator), self.den * k.denominator)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+        return RatMatrix(self.num.transpose(), self.den)
 
     def mul_vec(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(Fraction(x, self.den) for x in self.num.mul_vec(v))
 
     def common_denominator(self) -> int:
-        return math.lcm(*(x.denominator for r in self.entries for x in r))
+        return self.den
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self.entries for x in r)
+        return self.den == 1
 
     def to_int(self) -> IntMatrix:
-        if not self.is_integral():
+        if self.den != 1:
             raise ValueError("matrix has non-integer entries")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(int(x) for x in r) for r in self.entries))
+        return self.num
 
     def det(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("determinant needs a square matrix")
-        a = [list(r) for r in self.entries]
-        n = self.rows
-        result = Fraction(1)
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                result = -result
-            result *= a[k][k]
-            inv = 1 / a[k][k]
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    c = a[i][k] * inv
-                    a[i] = [x - c * y for x, y in zip(a[i], a[k])]
-        return result
+        return Fraction(self.num.det(), self.den ** self.rows)
 
     def inverse(self) -> "RatMatrix":
-        if self.rows != self.cols:
-            raise RankDeficient("inverse needs a square matrix")
+        """One fraction-free Gauss-Jordan pass on [num | I].
+
+        Step k swaps in the first non-zero pivot at or below row k and sets
+        every other row i to (p a_ij - a_ik a_kj) / prev, with p the pivot
+        and prev the one before; every division is exact (Bareiss).  The left
+        block ends as d I with d = +-det(num), the right block as adj =
+        d num^-1, so the inverse is den sign(d) adj / |d|.  Columns left of
+        the pivot are never read again, so they are not updated.
+        """
         n = self.rows
-        a = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.entries)]
+        if n != self.cols:
+            raise RankDeficient("inverse needs a square matrix")
+        a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.num.entries)]
+        prev = 1
         for k in range(n):
             piv = next((i for i in range(k, n) if a[i][k]), None)
             if piv is None:
                 raise RankDeficient("matrix is singular")
             a[k], a[piv] = a[piv], a[k]
-            inv = 1 / a[k][k]
-            a[k] = [x * inv for x in a[k]]
+            row_k = a[k]
+            p = row_k[k]
             for i in range(n):
-                if i != k and a[i][k]:
-                    c = a[i][k]
-                    a[i] = [x - c * y for x, y in zip(a[i], a[k])]
-        return RatMatrix.from_rows([r[n:] for r in a])
+                if i != k:
+                    row_i = a[i]
+                    c = row_i[k]
+                    for j in range(k + 1, 2 * n):
+                        row_i[j] = (p * row_i[j] - c * row_k[j]) // prev
+            prev = p
+        scale = self.den if prev > 0 else -self.den
+        return RatMatrix(IntMatrix.from_rows([[scale * x for x in r[n:]] for r in a], cols=n),
+                         abs(prev))
 
 
 def hstack(*ms: IntMatrix) -> IntMatrix:

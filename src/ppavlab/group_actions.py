@@ -356,6 +356,8 @@ def example_a(g: int, m: int) -> tuple[MatrixGroup, PolarizedTorus]:
 @lru_cache(maxsize=None)
 def example_b(g: int) -> tuple[MatrixGroup, PolarizedTorus]:
     """All permutations of g+1 zero-sum coordinates, written in the first g."""
+    if g < 1:
+        raise ValueError("g must be >= 1")
     gens = _adjacent_transpositions(RATIONAL, g)
     last = [[int(i == j) for j in range(g)] for i in range(g - 1)]
     last.append([-1] * g)

@@ -525,9 +525,12 @@ def scan_subtorus_types(n: int, height: int) -> tuple[SubtorusRestriction, ...]:
     Sublattices are the saturations of spans of primitive vectors with
     entries in [-height, height], tensored with the order; each distinct
     span's saturated basis is read off its Plücker vector once.  Raises
-    BudgetExceeded beyond n <= 4, height <= 5 or 200,000 subsets, and
-    PrincipalRestrictionFound if any restricted type is all ones.
+    ValueError below n = 1 or height = 1, BudgetExceeded beyond n <= 4,
+    height <= 5 or 200,000 subsets, and PrincipalRestrictionFound if any
+    restricted type is all ones.
     """
+    if n < 1 or height < 1:
+        raise ValueError(f"n and height must be >= 1, got n={n}, height={height}")
     if n > 4 or height > 5:
         raise BudgetExceeded("supported budget is n <= 4, height <= 5")
     if n < 2:

@@ -198,28 +198,14 @@ def _graph_lift(t, u, gx: int, gy: int) -> tuple[Fraction, ...]:
     return tuple(t[:gx]) + tuple(u[:gy]) + tuple(t[gx:]) + tuple(u[gy:])
 
 
-def _denominator(graph) -> int:
-    return math.lcm(*(c.denominator for gamma in graph for c in gamma))
-
-
-def _graph_columns(graph, n: int, den: int) -> IntMatrix:
-    """den·graph as integer columns; den is a multiple of every denominator."""
-    return IntMatrix.from_columns([[int(den * c) for c in gamma] for gamma in graph],
-                                  rows=2 * n)
-
-
-def _divided(m: IntMatrix, k: int) -> IntMatrix | None:
-    """m / k when k divides every entry, else None."""
-    if any(x % k for row in m.entries for x in row):
-        return None
-    return IntMatrix(m.rows, m.cols, tuple(tuple(x // k for x in row) for row in m.entries))
-
-
 def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     """Glue the permutation factors to a matching Y along their kernels."""
-    factors = tuple(int(g) for g in factor_genera)
-    if not factors or any(g < 1 for g in factors):
-        raise ValueError("factor genera must be a nonempty list of counts >= 1")
+    factors = tuple(factor_genera)
+    if not factors or any(type(g) is not int or g < 1 for g in factors):
+        raise ValueError(f"factor_genera must be a non-empty list of integers >= 1,"
+                         f" got {list(factors)!r}")
+    if type(y_dim) is not int:
+        raise ValueError(f"y_dim must be an integer, got {y_dim!r}")
     divisors = elementary_divisors([g + 1 for g in factors])
     if y_dim < len(divisors):
         raise TypeMismatch(
@@ -241,13 +227,14 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     graph = tuple(_graph_lift(t, u, gx, gy) for t, u in images)
 
     # the overlattice is h/den with h the column HNF of den·[I | graph]
-    den = _denominator(graph)
-    h = hnf_columns(hstack(IntMatrix.identity(2 * n).scaled(den),
-                           _graph_columns(graph, n, den)))
-    p = h.to_rat().scaled(Fraction(1, den))
-    m_a = _divided(h.transpose() * prod.form * h, den * den)
-    if m_a is None:
+    cols = RatMatrix.from_rows(graph, cols=2 * n).transpose()
+    den = cols.den
+    h = hnf_columns(hstack(IntMatrix.identity(2 * n).scaled(den), cols.num))
+    p = RatMatrix(h, den)
+    pulled = RatMatrix(h.transpose() * prod.form * h, den * den)
+    if not pulled.is_integral():
         raise IntegralityFailure("pulled-back form is not integral")
+    m_a = pulled.num
 
     index = Fraction(den ** (2 * n), abs(h.det()))
     if index != math.prod(divisors) ** 2:
@@ -260,10 +247,10 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     q = p.inverse().to_int()
     actions = []
     for gen in _factor_generators(factors, y_dim):
-        lifted = _divided(q * gen * h, den)
-        if lifted is None:
+        lifted = RatMatrix(q * gen * h, den)
+        if not lifted.is_integral():
             raise IntegralityFailure("action does not preserve the overlattice")
-        actions.append(lifted)
+        actions.append(lifted.num)
     return GluedPPAV(factors, y_dim, p, m_a, tuple(actions), graph)
 
 
@@ -298,17 +285,15 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
     _, _, prod = _sides(a.factors, a.y_dim, divisors)
     n = a.dim
     form = a.form
-    den = a.overlattice.common_denominator()
-    h = a.overlattice.scaled(den).to_int()
+    h, den = a.overlattice.num, a.overlattice.den
     hdet = h.det()
     # a singular overlattice fails every check that needs p^-1
     j = None
     if hdet:
         p_inv = a.overlattice.inverse()
-        qden = p_inv.common_denominator()
-        q = p_inv.scaled(qden).to_int()
-        # j = k·p^-1·J·p with k = qden·den > 0, a multiple of the lifted structure
-        k = qden * den
+        q = p_inv.num
+        # j = k·p^-1·J·p with k = p_inv.den·den > 0, a multiple of the lifted structure
+        k = p_inv.den * den
         j = q * Torus(RATIONAL, n).complex_structure() * h
 
     checks = []
@@ -332,8 +317,8 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
 
     # r moves each graph vector by a product-lattice vector: with the graph
     # as integer columns over gden, (h·r·q - k)·cols vanishes mod k·gden
-    gden = _denominator(a.graph)
-    cols = _graph_columns(a.graph, n, gden)
+    graph = RatMatrix.from_rows(a.graph, cols=2 * n).transpose()
+    gden, cols = graph.den, graph.num
     checks.append(("graph-action-trivial", j is not None and all(
         x % (k * gden) == 0
         for r in a.actions
@@ -348,7 +333,7 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
     checks.append(("overlattice-index",
                    index == math.prod(divisors) ** 2
                    and hnf_columns(h.scaled(span // den)) == hnf_columns(
-                       hstack(identity.scaled(span), _graph_columns(a.graph, n, span)))))
+                       hstack(identity.scaled(span), cols.scaled(span // gden)))))
 
     fdim = fixed_sublattice(2 * n, a.actions).cols // 2
     first = next((name for name, ok in checks if not ok), None)
@@ -408,17 +393,16 @@ def _parse_grid(grid) -> IntMatrix:
 
 
 def glued_to_json(a: GluedPPAV) -> str:
-    den = a.overlattice.common_denominator()
-    graph_den = _denominator(a.graph)
+    graph = RatMatrix.from_rows(a.graph)
     return json.dumps({
         "factors": list(a.factors),
         "y_dim": a.y_dim,
-        "overlattice_num": _int_grid(a.overlattice.scaled(den).to_int()),
-        "overlattice_den": str(den),
+        "overlattice_num": _int_grid(a.overlattice.num),
+        "overlattice_den": str(a.overlattice.den),
         "form": _int_grid(a.form),
         "actions": [_int_grid(m) for m in a.actions],
-        "graph_num": [[str(c * graph_den) for c in gamma] for gamma in a.graph],
-        "graph_den": str(graph_den),
+        "graph_num": _int_grid(graph.num),
+        "graph_den": str(graph.den),
     })
 
 
@@ -441,7 +425,7 @@ def glued_from_json(text: str) -> GluedPPAV:
     glued = GluedPPAV(
         factors=tuple(factors),
         y_dim=y_dim,
-        overlattice=num.to_rat().scaled(Fraction(1, den)),
+        overlattice=RatMatrix(num, den),
         form=_parse_grid(form),
         actions=tuple(_parse_grid(m) for m in actions),
         graph=graph,

@@ -124,6 +124,23 @@ def test_desk_script_rejects_non_positive_gmax(value):
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["3", "--height", "-1"], ["3", "--height", "0"], ["3", "--height", "6"],
+    ["1"], ["0"], ["5"],
+], ids=["height-negative", "height-zero", "height-six", "n-one", "n-zero", "n-five"])
+def test_scan_script_rejects_sizes_out_of_range(argv):
+    # n is 2..4 and --height 1..5; outside them the script used to print an
+    # empty "no principal restricted type" table, or a budget refusal
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, str(root / "scripts" / "scan_subtori.py"), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert "invalid choice" in done.stderr
+    assert done.stdout == ""
+
+
 def test_missing_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

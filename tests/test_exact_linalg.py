@@ -339,19 +339,131 @@ def test_rank_over_field():
     assert rank_over_field(IntMatrix.identity(3)) == 3
 
 
+def fraction_det(rows):
+    """Determinant by Fraction Gaussian elimination with row swaps."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    n, result = len(a), Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            result = -result
+        result *= a[k][k]
+        for i in range(k + 1, n):
+            c = a[i][k] / a[k][k]
+            a[i] = [x - c * y for x, y in zip(a[i], a[k])]
+    return result
+
+
+def fraction_inverse(rows):
+    """Inverse by Fraction Gauss-Jordan; RankDeficient when singular."""
+    n = len(rows)
+    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise RankDeficient("matrix is singular")
+        a[k], a[piv] = a[piv], a[k]
+        inv = 1 / a[k][k]
+        a[k] = [x * inv for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                c = a[i][k]
+                a[i] = [x - c * y for x, y in zip(a[i], a[k])]
+    return tuple(tuple(r[n:]) for r in a)
+
+
 def test_det_bareiss_vs_rational():
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(1, 5)
-        m = M([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
-        assert Fraction(m.det()) == m.to_rat().det()
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        den = rng.randint(1, 9)
+        assert Fraction(M(rows).det()) == fraction_det(rows)
+        assert RatMatrix(M(rows), den).det() == fraction_det(
+            [[Fraction(x, den) for x in r] for r in rows])
 
 
 def test_inverse_roundtrip():
-    m = M([[2, 1], [1, 1]]).to_rat()
-    assert m * m.inverse() == IntMatrix.identity(2).to_rat()
+    m = RatMatrix(M([[2, 1], [1, 1]]))
+    assert m * m.inverse() == RatMatrix(IntMatrix.identity(2))
     with pytest.raises(RankDeficient):
-        M([[1, 1], [1, 1]]).to_rat().inverse()
+        RatMatrix(M([[1, 1], [1, 1]])).inverse()
+
+
+@st.composite
+def sparse_rat_matrix(draw):
+    """(rows, den): up to 7x7, three entries in four zero, so pivots swap."""
+    n = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return rows, draw(st.integers(1, 9))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_rat_matrix())
+def test_rat_inverse_matches_fraction_gauss_jordan(probe):
+    rows, den = probe
+    m = RatMatrix(M(rows), den)
+    try:
+        want = fraction_inverse([[Fraction(x, den) for x in r] for r in rows])
+    except RankDeficient:
+        with pytest.raises(RankDeficient):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert inv.entries == want
+    assert inv == RatMatrix.from_rows(want, cols=len(rows))
+    assert m * inv == RatMatrix(IntMatrix.identity(len(rows)))
+
+
+def test_rat_inverse_rejects_non_square():
+    with pytest.raises(RankDeficient):
+        RatMatrix(IntMatrix.zeros(2, 3)).inverse()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rat_matrix())
+def test_rat_matrix_is_kept_in_lowest_terms(probe):
+    rows, den = probe
+    m = RatMatrix(M(rows), den)
+    assert m.den == math.lcm(*(x.denominator for r in m.entries for x in r))
+    assert math.gcd(m.num.entry_gcd(), m.den) == 1
+    assert m.entries == tuple(tuple(Fraction(x, den) for x in r) for r in rows)
+    # the same value written over a larger denominator is the same matrix
+    bigger = RatMatrix(M(rows).scaled(6), 6 * den)
+    assert bigger == m and hash(bigger) == hash(m)
+    assert RatMatrix.from_rows(m.entries, cols=len(rows)) == m
+
+
+def test_rat_matrix_zero_and_denominator_bounds():
+    zero = RatMatrix(IntMatrix.zeros(2, 3), 12)
+    assert zero.den == 1 and zero == RatMatrix(IntMatrix.zeros(2, 3))
+    assert RatMatrix(M([[1, 2]]), 3).scaled(0).den == 1
+    for den in (0, -1, -6):
+        with pytest.raises(ValueError, match="denominator"):
+            RatMatrix(M([[1]]), den)
+
+
+def test_rat_matrix_boundary_arithmetic():
+    a = RatMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(-2, 3)]])
+    b = RatMatrix.from_rows([[Fraction(1, 3), 0], [1, 1]])
+    assert (a.num, a.den) == (M([[3, 6], [0, -4]]), 6)
+    assert (a + b).entries == ((Fraction(5, 6), 1), (1, Fraction(1, 3)))
+    assert (a - b).entries == ((Fraction(1, 6), 1), (-1, Fraction(-5, 3)))
+    assert (a * b).entries == ((Fraction(7, 6), 1), (Fraction(-2, 3), Fraction(-2, 3)))
+    assert 2 * a == a * 2 == a.scaled(2) == a + a
+    assert a.scaled(Fraction(3, 2)).entries == ((Fraction(3, 4), Fraction(3, 2)), (0, -1))
+    assert a.transpose().entries == ((Fraction(1, 2), 0), (1, Fraction(-2, 3)))
+    assert a.mul_vec((2, Fraction(3, 2))) == (Fraction(5, 2), -1)
+    assert a.det() == Fraction(-1, 3)
+    assert not a.is_integral() and a.common_denominator() == 6
+    with pytest.raises(ValueError):
+        a.to_int()
+    assert a.scaled(6).to_int() == M([[3, 6], [0, -4]])
 
 
 def test_positive_definite():

@@ -246,6 +246,13 @@ def test_example_b_orders():
         assert pol.form == xi_g(g).form
 
 
+@pytest.mark.parametrize("g", [0, -1])
+def test_example_b_rejects_non_positive_genus(g):
+    # used to fail deep inside with "matrix must be square"
+    with pytest.raises(ValueError, match="g must be >= 1"):
+        example_b(g)
+
+
 def test_example_c_order():
     grp, pol = example_c()
     assert grp.order == 16

@@ -434,6 +434,17 @@ def test_scan_rejects_large_budget():
         scan_subtorus_types(2, 6)
 
 
+@pytest.mark.parametrize("n, height", [(3, 0), (3, -2), (0, 2), (-1, 1)])
+def test_scan_rejects_vacuous_bounds(n, height):
+    # these used to return () and so pass as a scan that found nothing
+    with pytest.raises(ValueError, match="must be >= 1"):
+        scan_subtorus_types(n, height)
+
+
+def test_scan_of_rank_one_has_no_proper_sublattice():
+    assert scan_subtorus_types(1, 3) == ()
+
+
 def test_scan_budget_counts_subsets():
     # (4, 2) has 272 primitive vectors and 3,354,168 subsets of size < 4;
     # the guard counts them without enumerating any

@@ -1,6 +1,7 @@
 """Kernel gluing: symplectic bases, the glued overlattice, and decomposition."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ppavlab.exact_linalg import IntMatrix, pfaffian
+from ppavlab.exact_linalg import IntMatrix, RatMatrix, pfaffian
 from ppavlab.group_actions import _close, group_from_json, pseudoreflection_generated
 from ppavlab.polarizations import (
     FiniteSymplecticGroup,
@@ -193,13 +194,18 @@ def _outcome(reduce, k):
         return ("DegeneratePairing", str(exc))
 
 
-def _oracle_kernels():
-    """Kernels of the glue sides, the named forms, and two that do not reduce."""
+def _glue_cases():
+    """The benchmark's GLUE_CASES, read from perfbench/workloads.py."""
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     spec = importlib.util.spec_from_file_location("workloads", perfbench / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    for factors, y_dim in GRID + workloads.GLUE_CASES:
+    return workloads.GLUE_CASES
+
+
+def _oracle_kernels():
+    """Kernels of the glue sides, the named forms, and two that do not reduce."""
+    for factors, y_dim in GRID + _glue_cases():
         divisors = elementary_divisors([g + 1 for g in factors])
         x_pol, y_pol, _ = _sides(factors, y_dim, divisors)
         yield f"x{factors}", kernel_group(x_pol)
@@ -284,11 +290,29 @@ def test_build_rejects_empty_factors():
         build_standard([], 1)
 
 
+@pytest.mark.parametrize("factors, y_dim, named", [
+    ([1.9], 1, "factor_genera"),
+    ([2.0], 1, "factor_genera"),
+    (["2"], 1, "factor_genera"),
+    ([True], 1, "factor_genera"),
+    ([1, None], 2, "factor_genera"),
+    ([1], 1.0, "y_dim"),
+    ([1], "1", "y_dim"),
+    ([1], True, "y_dim"),
+], ids=["float-factor", "integral-float-factor", "string-factor", "bool-factor",
+        "none-factor", "float-y-dim", "string-y-dim", "bool-y-dim"])
+def test_build_rejects_non_integer_sizes(factors, y_dim, named):
+    # int() used to truncate the factors ([1.9] built (1,), ["2"] built (2,));
+    # a float or string y_dim raised TypeError, and True built with y_dim 1
+    with pytest.raises(ValueError, match=named):
+        build_standard(factors, y_dim)
+
+
 def test_build_principal_form_frozen_small():
     glued = build_standard([1], 1)
     assert glued.form.rows == 4
     assert abs(pfaffian(glued.form)) == 1
-    assert glued.overlattice.common_denominator() == 2
+    assert glued.overlattice.den == 2
 
 
 # -- verification of corrupted inputs ----------------------------------------------
@@ -344,7 +368,7 @@ def _corrupted(glued):
     yield "overlattice-half", dataclasses.replace(
         glued, overlattice=glued.overlattice.scaled(Fraction(1, 2)))
     yield "overlattice-identity", dataclasses.replace(
-        glued, overlattice=IntMatrix.identity(n2).to_rat())
+        glued, overlattice=RatMatrix(IntMatrix.identity(n2)))
     yield "graph-triple", dataclasses.replace(
         glued, graph=tuple(tuple(3 * c for c in gamma) for gamma in glued.graph))
     yield "overlattice-zero", dataclasses.replace(
@@ -461,6 +485,24 @@ def test_decompose_examples_frozen():
 
 
 # -- serialization -----------------------------------------------------------------
+
+
+# sha256 of glued_to_json for the benchmark glues, recorded when the
+# overlattice was still a grid of Fractions; the benchmark digests do not
+# cover the JSON text
+GLUE_JSON_SHA256 = {
+    ((3, 3), 2): "4eba3ab755fde597ed5a8a81aef220b7ab7ba9b7f1e60c021eeb0466c17a1af9",
+    ((2, 2, 2), 3): "ce0da8887ca2649fb270399aa68afa7bd686c9174ac960ee8a2dc0128b316b72",
+    ((1, 1, 1, 1), 4): "a6c3727b78dc8a5b16a6989b9e6e91fbbac502b4b1e8c63fffd13c9168796464",
+    ((2, 3), 1): "498735060639f5235cf674602444e7106f388d6df7871aecca6bff753d842dc5",
+}
+
+
+def test_glued_json_text_is_pinned():
+    assert set(GLUE_JSON_SHA256) == set(_glue_cases())
+    for (factors, y_dim), want in GLUE_JSON_SHA256.items():
+        text = glued_to_json(build_standard(factors, y_dim))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (factors, y_dim)
 
 
 def test_glued_json_roundtrip():
