@@ -386,21 +386,6 @@ def _primitive_vectors(n: int, height: int) -> list[tuple[int, ...]]:
 _SCAN_SUBSET_BUDGET = 200_000
 
 
-def _minors(vs: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """The k x k minors of the columns vs (k <= 3), rows in lexicographic order."""
-    if len(vs) == 1:
-        return vs[0]
-    rows = range(len(vs[0]))
-    if len(vs) == 2:
-        a, b = vs
-        return tuple(a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(rows, 2))
-    a, b, c = vs
-    return tuple(a[i] * (b[j] * c[l] - b[l] * c[j])
-                 - a[j] * (b[i] * c[l] - b[l] * c[i])
-                 + a[l] * (b[i] * c[j] - b[j] * c[i])
-                 for i, j, l in itertools.combinations(rows, 3))
-
-
 def _hyperplane_basis(c: Sequence[int]) -> IntMatrix:
     """HNF basis (as columns) of the kernel {x in Z^n : c.x = 0} of a primitive row c.
 
@@ -488,34 +473,61 @@ def _distinct_spans(n: int, prims: list[tuple[int, ...]]) -> list[IntMatrix]:
     """Saturated basis of each distinct Q-span of fewer than n of the vectors.
 
     Two k-subsets span the same Q-space exactly when their k x k minors (the
-    Plücker vector) agree up to a scalar.  The primitive Plücker vector fixes
+    Plücker vector) agree up to a scalar.  The primitive Plücker vector,
+    with its first non-zero minor positive, is the span's key, and fixes
     the saturated span, so each span's canonical basis is read off it once.
+    prims are distinct primitive vectors with positive leading entries, so
+    no two span the same line: every vector is its own rank-1 span and
+    every pair has a non-zero key.  The budget caps n at 4, so each rank
+    has its own loop.
     """
-    sublattices = []
-    for k in range(1, n):
-        # keys are compared within one k: for n = 3 the 1- and 2-minors are
-        # both 3-vectors
-        keys = set()
-        for combo in itertools.combinations(prims, k):
-            minors = _minors(combo)
-            g = math.gcd(*minors)
-            if g == 0:
-                continue  # rank-deficient: the same span arises from a smaller subset
-            if next(x for x in minors if x) < 0:
-                g = -g
-            key = tuple(x // g for x in minors)
-            if key in keys:
-                continue
-            keys.add(key)
-            if k == 1:
-                # a primitive vector with leading entry positive is its own HNF
-                sat = IntMatrix.from_columns(combo, rows=n)
-            elif k == n - 1:
-                # signed maximal minors: the normal vector of the hyperplane
-                sat = _hyperplane_basis([(-1) ** r * key[n - 1 - r] for r in range(n)])
-            else:  # k == 2 < n - 1
-                sat = _plane_basis(n, key)
-            sublattices.append(sat)
+    # a primitive vector with leading entry positive is its own HNF
+    sublattices = [IntMatrix.from_columns((v,), rows=n) for v in prims]
+    gcd = math.gcd
+    hyperplanes = set()
+    if n == 3:
+        for i, (a0, a1, a2) in enumerate(prims):
+            for b0, b1, b2 in prims[i + 1:]:
+                p01, p02, p12 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a1 * b2 - a2 * b1
+                g = gcd(p01, p02, p12)
+                if (p01 or p02 or p12) < 0:
+                    g = -g
+                key = (p01 // g, p02 // g, p12 // g)
+                if key not in hyperplanes:
+                    hyperplanes.add(key)
+                    # the normal is the cross product a x b
+                    sublattices.append(_hyperplane_basis((key[2], -key[1], key[0])))
+    elif n == 4:
+        planes = set()
+        for i, (a0, a1, a2, a3) in enumerate(prims):
+            for j in range(i + 1, len(prims)):
+                b0, b1, b2, b3 = prims[j]
+                p01, p02, p03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+                p12, p13, p23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+                g = gcd(p01, p02, p03, p12, p13, p23)
+                if (p01 or p02 or p03 or p12 or p13 or p23) < 0:
+                    g = -g
+                key = (p01 // g, p02 // g, p03 // g, p12 // g, p13 // g, p23 // g)
+                if key not in planes:
+                    planes.add(key)
+                    sublattices.append(_plane_basis(4, key))
+                # the 3 x 3 minors of (a, b, c) by Laplace expansion along c:
+                # M_ijl = c_i p_jl - c_j p_il + c_l p_ij
+                for c0, c1, c2, c3 in prims[j + 1:]:
+                    m012 = c0 * p12 - c1 * p02 + c2 * p01
+                    m013 = c0 * p13 - c1 * p03 + c3 * p01
+                    m023 = c0 * p23 - c2 * p03 + c3 * p02
+                    m123 = c1 * p23 - c2 * p13 + c3 * p12
+                    h = gcd(m012, m013, m023, m123)
+                    if h == 0:
+                        continue  # c lies in the span of a and b
+                    if (m012 or m013 or m023 or m123) < 0:
+                        h = -h
+                    key = (m012 // h, m013 // h, m023 // h, m123 // h)
+                    if key not in hyperplanes:
+                        hyperplanes.add(key)
+                        # signed maximal minors: the normal of the hyperplane
+                        sublattices.append(_hyperplane_basis((key[3], -key[2], key[1], -key[0])))
     return sublattices
 
 
@@ -547,10 +559,9 @@ def scan_subtorus_types(n: int, height: int) -> tuple[SubtorusRestriction, ...]:
     for sat in _distinct_spans(n, prims):
         cols = sat.columns()
         u = [sum(c) for c in cols]
-        block = IntMatrix.from_rows(
-            [[sum(map(operator.mul, x, y)) + ux * uy for y, uy in zip(cols, u)]
-             for x, ux in zip(cols, u)])
-        results.append(SubtorusRestriction(sat, snf_diagonal(block)))
+        block = tuple(tuple(sum(map(operator.mul, x, y)) + ux * uy for y, uy in zip(cols, u))
+                      for x, ux in zip(cols, u))
+        results.append(SubtorusRestriction(sat, snf_diagonal(IntMatrix(sat.cols, sat.cols, block))))
     results.sort(key=lambda r: (r.basis.cols, r.basis.entries))
     for r in results:
         if all(d == 1 for d in r.type):

@@ -13,7 +13,6 @@ the fixed sublattice and its complement.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import operator
@@ -72,6 +71,40 @@ class SymplecticBasis(NamedTuple):
     orders: tuple[int, ...]
 
 
+def _element_numerators(k: FiniteSymplecticGroup, e: int) -> list[tuple[int, ...]]:
+    """Numerators over e of the non-zero elements, in the order of k.elements().
+
+    An odometer over the coefficient tuples in itertools.product order:
+    each step raises the last digit that is below its order and resets
+    the digits after it, so it adds that digit's generator and, for each
+    reset digit j, the wrapped multiple -(orders[j] - 1) * gen_j, all
+    mod e, as one precomputed vector.
+    """
+    gens = [[int(c * e) for c in gen] for gen in k.generators]
+    dim = k.ambient.form.rows
+    delta = [0] * dim  # the wraps of the digits after the current one
+    deltas = []
+    for gen, o in zip(reversed(gens), reversed(k.orders)):
+        deltas.append(tuple((d + x) % e for d, x in zip(delta, gen)))
+        delta = [(d - (o - 1) * x) % e for d, x in zip(delta, gen)]
+    deltas.reverse()
+    last = [o - 1 for o in k.orders]
+    digits = [0] * len(last)
+    v = (0,) * dim
+    pool = []
+    while True:
+        i = len(digits) - 1
+        while i >= 0 and digits[i] == last[i]:
+            digits[i] = 0
+            i -= 1
+        if i < 0:
+            return pool
+        digits[i] += 1
+        v = tuple((x + d) % e for x, d in zip(v, deltas[i]))
+        if any(v):
+            pool.append(v)
+
+
 def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
     """Greedy hyperbolic reduction of a finite kernel group.
 
@@ -85,8 +118,6 @@ def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
     """
     m = k.ambient.form
     e = math.lcm(*k.orders)
-    gens = IntMatrix.from_columns([[int(c * e) for c in gen] for gen in k.generators],
-                                  rows=m.rows)
     mt = m.transpose()
 
     def order(v) -> int:
@@ -99,9 +130,7 @@ def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
         # cv is the covector v^t·form of the left argument
         return (dot(cv, w) // e) % e
 
-    # every element in the order of FiniteSymplecticGroup.elements()
-    pool = [v for v in (tuple(x % e for x in gens.mul_vec(c))
-                        for c in itertools.product(*map(range, k.orders))) if any(v)]
+    pool = _element_numerators(k, e)
     collected = []
     while pool:
         x = max(pool, key=order)

@@ -31,6 +31,7 @@ from ppavlab.polarizations import (
     BudgetExceeded,
     PolarizedTorus,
     SubtorusRestriction,
+    _distinct_spans,
     _hyperplane_basis,
     _plane_basis,
     _primitive_vectors,
@@ -476,9 +477,77 @@ def _scan_by_saturating_every_subset(n, height):
     return tuple(results)
 
 
-@pytest.mark.parametrize("n, height", [(2, 3), (3, 1), (3, 2), (4, 1)])
+@pytest.mark.parametrize("n, height", [(2, 3), (3, 1), (3, 2), (3, 3), (4, 1)])
 def test_scan_matches_saturating_every_subset(n, height):
     assert scan_subtorus_types(n, height) == _scan_by_saturating_every_subset(n, height)
+
+
+def _minors(vs):
+    """The k x k minors of the columns vs (k <= 3), rows in lexicographic order."""
+    if len(vs) == 1:
+        return vs[0]
+    rows = range(len(vs[0]))
+    if len(vs) == 2:
+        a, b = vs
+        return tuple(a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(rows, 2))
+    a, b, c = vs
+    return tuple(a[i] * (b[j] * c[l] - b[l] * c[j])
+                 - a[j] * (b[i] * c[l] - b[l] * c[i])
+                 + a[l] * (b[i] * c[j] - b[j] * c[i])
+                 for i, j, l in itertools.combinations(rows, 3))
+
+
+def _spans_by_keying_every_subset(n, prims):
+    """Reference spans: key every k-subset on its primitive Plücker vector."""
+    spans = []
+    for k in range(1, n):
+        keys = set()
+        for combo in itertools.combinations(prims, k):
+            minors = _minors(combo)
+            g = math.gcd(*minors)
+            if g == 0:
+                continue
+            if next(x for x in minors if x) < 0:
+                g = -g
+            key = tuple(x // g for x in minors)
+            if key in keys:
+                continue
+            keys.add(key)
+            if k == 1:
+                spans.append(IntMatrix.from_columns(combo, rows=n))
+            elif k == n - 1:
+                spans.append(_hyperplane_basis([(-1) ** r * key[n - 1 - r] for r in range(n)]))
+            else:
+                spans.append(_plane_basis(n, key))
+    return spans
+
+
+def _sorted_spans(spans):
+    return sorted(spans, key=lambda s: (s.cols, s.entries))
+
+
+@pytest.mark.parametrize("n, height", [(3, 3), (3, 4), (4, 1)])
+def test_distinct_spans_match_keying_every_subset(n, height):
+    prims = _primitive_vectors(n, height)
+    assert (_sorted_spans(_distinct_spans(n, prims))
+            == _sorted_spans(_spans_by_keying_every_subset(n, prims)))
+
+
+@st.composite
+def _primitive_sublists(draw):
+    n = draw(st.sampled_from([3, 4]))
+    prims = _primitive_vectors(n, 2)
+    picks = draw(st.lists(st.integers(0, len(prims) - 1), unique=True, max_size=24))
+    return n, [prims[i] for i in sorted(picks)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_primitive_sublists())
+def test_distinct_spans_of_sublists_match_keying_every_subset(case):
+    # height-2 vectors give rank-deficient triples and non-primitive minors
+    n, prims = case
+    assert (_sorted_spans(_distinct_spans(n, prims))
+            == _sorted_spans(_spans_by_keying_every_subset(n, prims)))
 
 
 _sparse_entry = st.one_of(st.just(0), st.integers(-30, 30))

@@ -34,6 +34,7 @@ from ppavlab.standard_construction import (
     InvalidGlue,
     SymplecticBasis,
     TypeMismatch,
+    _element_numerators,
     _factor_generators,
     _sides,
     build_standard,
@@ -235,6 +236,25 @@ def test_symplectic_basis_matches_fraction_pairing():
     assert {name: o for name, o in outcomes.items() if not isinstance(o, SymplecticBasis)} == {
         "isotropic": ("DegeneratePairing", "no partner of order 3 in the pairing"),
         "4theta1-half": ("DegeneratePairing", "no partner of order 2 in the pairing")}
+
+
+def _pool_kernels():
+    """Kernels of both sides of each benchmark glue, and of a few xi_g."""
+    for factors, y_dim in _glue_cases():
+        divisors = elementary_divisors([g + 1 for g in factors])
+        x_pol, y_pol, _ = _sides(factors, y_dim, divisors)
+        yield kernel_group(x_pol)
+        yield kernel_group(y_pol)
+    for g in (1, 2, 3, 5):
+        yield kernel_group(xi_g(g))
+
+
+def test_element_numerators_follow_elements_order():
+    for k in _pool_kernels():
+        e = math.lcm(*k.orders)
+        want = [v for v in (tuple(int(x * e) for x in el) for el in k.elements()) if any(v)]
+        assert _element_numerators(k, e) == want, k.orders
+        assert len(want) == k.order - 1
 
 
 # -- building ------------------------------------------------------------------
