@@ -79,11 +79,13 @@ class CheckResult:
 
 
 def _check_xi_kernel_type(opts: RunOptions):
+    """xi_g has type (1, ..., 1, g + 1) and a kernel of order (g + 1)^2 on the diagonal."""
     types = {}
     ok = True
     for g in range(1, opts.gmax + 1):
-        t = polarization_type(xi_g(g))
-        k = kernel_group(xi_g(g))
+        p = xi_g(g)
+        t = polarization_type(p)
+        k = kernel_group(p)
         types[g] = list(t)
         ok = ok and t == (1,) * (g - 1) + (g + 1,)
         ok = ok and k.order == (g + 1) ** 2
@@ -95,12 +97,14 @@ def _check_xi_kernel_type(opts: RunOptions):
 
 
 def _check_theta_principal(opts: RunOptions):
-    ok = all(is_principal(theta_g(g)) and kernel_group(theta_g(g)).order == 1
-             for g in range(1, opts.gmax + 1))
+    """theta_g is principal, with a trivial kernel group."""
+    ok = all(is_principal(p) and kernel_group(p).order == 1
+             for p in map(theta_g, range(1, opts.gmax + 1)))
     return ok, {"gmax": opts.gmax}
 
 
 def _check_example_a_orders(opts: RunOptions):
+    """Example A's group for (g, m) has order m^g * g!."""
     orders = {}
     ok = True
     for g in (1, 2, 3):
@@ -112,12 +116,14 @@ def _check_example_a_orders(opts: RunOptions):
 
 
 def _check_example_b_orders(opts: RunOptions):
+    """Example B's group for g is S_{g+1}, of order (g + 1)!."""
     orders = {g: example_b(g)[0].order for g in (1, 2, 3, 4)}
     ok = all(orders[g] == math.factorial(g + 1) for g in orders)
     return ok, {"orders": orders}
 
 
 def _check_example_c_order(opts: RunOptions):
+    """Example C's group has order 16."""
     got = example_c()[0].order
     return got == 16, {"order": got}
 
@@ -127,6 +133,7 @@ def _neg_group():
 
 
 def _check_reflection_generation(opts: RunOptions):
+    """The example groups are generated by pseudoreflections; <-1> on E^2 is not."""
     results = {}
     ok = True
     for label, grp in (("a-2-2", example_a(2, 2)[0]),
@@ -145,6 +152,7 @@ def _check_reflection_generation(opts: RunOptions):
 
 
 def _check_invariance_ns(opts: RunOptions):
+    """Each example group preserves its form, which spans the rank-1 invariant NS part."""
     ok = True
     ranks = {}
     for label, (grp, pol) in (("a-2-2", example_a(2, 2)),
@@ -160,6 +168,7 @@ def _check_invariance_ns(opts: RunOptions):
 
 
 def _check_kernel_action(opts: RunOptions):
+    """Which example groups fix every element of their polarization's kernel group."""
     grp_a2, pol_a2 = example_a(2, 2)
     a22 = action_on_kernel(grp_a2, kernel_group(scale(pol_a2, 2)))
     grp_a3, pol_a3 = example_a(2, 3)
@@ -174,6 +183,7 @@ def _check_kernel_action(opts: RunOptions):
 
 
 def _check_average_pullback_c(opts: RunOptions):
+    """Averaging theta_2 over example C's group gives its form, of type (1, 2)."""
     grp, pol = example_c()
     prim, mult = average_pullback(grp, theta_g(2, GAUSSIAN))
     k = kernel_group(prim)
@@ -193,6 +203,7 @@ def _random_pd_form(g: int, rng: random.Random) -> PolarizedTorus:
 
 
 def _check_box_kernel_product(opts: RunOptions):
+    """Box products multiply kernel orders and merge the factors' types, on random forms."""
     rng = random.Random(opts.seed)
     checked = 0
     for _ in range(50):
@@ -211,6 +222,7 @@ def _check_box_kernel_product(opts: RunOptions):
 
 
 def _check_standard_build(opts: RunOptions):
+    """The standard glues build, verify and decompose into their X and Y sides."""
     if opts.factors is not None:
         divisors = elementary_divisors([g + 1 for g in opts.factors])
         grid = ((tuple(opts.factors),
@@ -236,6 +248,7 @@ def _check_standard_build(opts: RunOptions):
 
 
 def _check_subtorus_not_principal(opts: RunOptions):
+    """No scanned stable subtorus of (E^n, xi_n) is principally polarized."""
     counts = {}
     try:
         for n in (2, 3):
@@ -248,6 +261,7 @@ def _check_subtorus_not_principal(opts: RunOptions):
 
 
 def _check_jacobian_cases(opts: RunOptions):
+    """The Riemann-Hurwitz and genus-bound eliminations of the Jacobian survey."""
     bound = pseudoreflection_genus_bound()
     report = case31_contradictions()
     klein = next(e for e in report.eliminations if e.group_order == 4)
@@ -263,6 +277,7 @@ def _check_jacobian_cases(opts: RunOptions):
 
 
 def _check_self_intersection(opts: RunOptions):
+    """The self-intersections of theta_g and xi_g equal g! times the product of the type."""
     degrees = {}
     ok = True
     for g in range(1, 6):

@@ -14,19 +14,18 @@ import json
 import math
 import sys
 
-from .checks import RunOptions, UnknownCheck, run_checks
+from .checks import CHECKS, RunOptions, UnknownCheck, run_checks
+from .standard_construction import FACTOR_PRODUCT_LIMIT
 
 
 # Upper limits on the size flags, set by timing the checks they feed on a
 # 2-core host: --gmax 40 takes xi-kernel-type and theta-principal about 6 s
 # together; a factor of 6 closes example_b(6), 5,040 elements in 0.6 s (7
-# would close 40,320 in 6 s and 200 MB); the X kernel has prod(g + 1)^2
-# elements, and 256 (eight factors of 1) builds in 5 s; --ydim 32 builds
-# factors 6,6 in 7 s.
+# would close 40,320 in 6 s and 200 MB); --ydim 32 builds factors 6,6 in
+# 7 s.  build_standard holds the limit on prod(g + 1).
 GMAX_LIMIT = 40
 YDIM_LIMIT = 32
 FACTOR_LIMIT = 6
-FACTOR_PRODUCT_LIMIT = 256
 
 
 def _positive_int(text: str, limit: int) -> int:
@@ -83,16 +82,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--json", dest="json_path", default=None,
                        help="also write the JSON lines to this file")
     run_p.add_argument("--list", action="store_true", dest="list_checks",
-                       help="list registered check ids and exit")
+                       help="list registered check ids with their summaries and exit")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.list_checks:
-        from .checks import CHECKS
-        for check_id in CHECKS:
-            print(check_id)
+        for check_id, check in CHECKS.items():
+            print(f"{check_id}\t{(check.__doc__ or '').strip()}")
         return 0
     options = RunOptions(gmax=args.gmax, factors=args.factors,
                          ydim=args.ydim, seed=args.seed)

@@ -312,44 +312,22 @@ def hstack(*ms: IntMatrix) -> IntMatrix:
 
 
 class SNF(NamedTuple):
-    u: IntMatrix
     d: IntMatrix
     v: IntMatrix
 
 
 def snf(m: IntMatrix) -> SNF:
-    """Smith normal form with transforms: u * m * v == d.
+    """Smith normal form with its column transform: u * m * v == d.
 
-    u and v are unimodular (|det| = 1); d is diagonal with nonnegative
-    entries forming a divisibility chain.  The pivot rule (smallest nonzero
-    absolute value, ties broken row-major) is fixed, so repeated runs produce
-    identical transforms.
+    v is unimodular (|det| = 1), and so is the row transform u, which is
+    not built; d is diagonal with nonnegative entries forming a
+    divisibility chain.  The pivot rule (smallest nonzero absolute value,
+    ties broken row-major) is fixed, so repeated runs produce identical
+    transforms.
     """
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):  # row_dst += q*row_src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
     k = 0
     while k < min(nr, nc):
         best = None
@@ -360,30 +338,34 @@ def snf(m: IntMatrix) -> SNF:
                     best = (abs(x), i, j)
         if best is None:
             break
-        if best[1] != k:
-            swap_rows(k, best[1])
-        if best[2] != k:
-            swap_cols(k, best[2])
+        _, bi, bj = best
+        a[k], a[bi] = a[bi], a[k]
+        if bj != k:
+            for row in a + v:  # column operations act on a and v alike
+                row[k], row[bj] = row[bj], row[k]
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
-        piv = a[k][k]
+        row_k = a[k]
+        piv = row_k[k]
         for i in range(k + 1, nr):
             if a[i][k]:
-                add_row(k, i, -(a[i][k] // piv))
+                q = a[i][k] // piv
+                a[i] = [x - q * y for x, y in zip(a[i], row_k)]
         for j in range(k + 1, nc):
-            if a[k][j]:
-                add_col(k, j, -(a[k][j] // piv))
-        if any(a[i][k] for i in range(k + 1, nr)) or any(a[k][j] for j in range(k + 1, nc)):
+            if row_k[j]:
+                q = row_k[j] // piv
+                for row in a + v:
+                    row[j] -= q * row[k]
+        if any(a[i][k] for i in range(k + 1, nr)) or any(row_k[k + 1:]):
             continue  # leftovers are smaller than the pivot; rescan
-        bad = next(((i, j) for i in range(k + 1, nr) for j in range(k + 1, nc)
+        bad = next((i for i in range(k + 1, nr) for j in range(k + 1, nc)
                     if a[i][j] % piv), None)
         if bad is not None:
-            add_row(bad[0], k, 1)  # drag a non-divisible entry into the pivot row
+            # drag a non-divisible entry into the pivot row
+            a[k] = [x + y for x, y in zip(row_k, a[bad])]
             continue
         k += 1
-    return SNF(IntMatrix.from_rows(u, cols=nr), IntMatrix.from_rows(a, cols=nc),
-               IntMatrix.from_rows(v, cols=nc))
+    return SNF(IntMatrix.from_rows(a, cols=nc), IntMatrix.from_rows(v, cols=nc))
 
 
 def snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
@@ -534,20 +516,28 @@ def rank_over_field(m: IntMatrix) -> int:
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Canonical basis (as columns) of the saturated lattice {x in Z^n : m x = 0}."""
-    f = snf(m)
-    r = sum(1 for i in range(min(m.rows, m.cols)) if f.d[i, i])
-    if r == m.cols:
-        return IntMatrix.zeros(m.cols, 0)
-    return hnf_columns(IntMatrix.from_columns(f.v.columns()[r:], rows=m.cols))
+    """Canonical basis (as columns) of the saturated lattice {x in Z^n : m x = 0}.
+
+    One row HNF of the rows [column j of m | e_j], which span the lattice of
+    all (m x, x): the echelon rows whose first m.rows entries vanish span
+    its meet with 0 + Z^n, and their tails are the kernel's own HNF.
+    """
+    done = _row_hnf([col + tuple(int(i == j) for i in range(m.cols))
+                     for j, col in enumerate(m.columns())], m.rows + m.cols)
+    return IntMatrix.from_columns([r[m.rows:] for r in done if not any(r[:m.rows])],
+                                  rows=m.cols)
 
 
 def saturate(l: IntMatrix) -> IntMatrix:
-    """Saturation of the column span: (Q-span of columns) intersected with Z^n."""
-    if rank_over_field(l) != l.cols:
+    """Saturation of the column span: (Q-span of columns) intersected with Z^n.
+
+    The kernel of the kernel of l^t has rank rank(l), so a result with fewer
+    columns than l means l's columns are dependent.
+    """
+    sat = kernel_basis(kernel_basis(l.transpose()).transpose())
+    if sat.cols != l.cols:
         raise RankDeficient("columns are linearly dependent")
-    ortho = kernel_basis(l.transpose())
-    return kernel_basis(ortho.transpose())
+    return sat
 
 
 def is_positive_definite(m: IntMatrix) -> bool:

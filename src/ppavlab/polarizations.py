@@ -9,6 +9,7 @@ over such sublattices all run in exact arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -18,6 +19,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .exact_linalg import (
+    SNF,
     IntMatrix,
     NotAlternating,
     hnf_columns,
@@ -98,6 +100,11 @@ class PolarizedTorus:
     def g(self) -> int:
         return self.torus.g
 
+    @functools.cached_property
+    def _smith(self) -> SNF:
+        # the one reduction of the form; its type and kernel group read it
+        return snf(self.form)
+
 
 # -- alternating forms --------------------------------------------------------
 
@@ -151,7 +158,8 @@ def xi_g(g: int, order: QuadOrder = RATIONAL) -> PolarizedTorus:
 
 def polarization_type(p: PolarizedTorus) -> tuple[int, ...]:
     """Elementary divisors (d_1 | ... | d_g) of the form, halved pairing."""
-    return alternating_type(p.form)
+    d = p._smith.d  # alternating and nondegenerate, so (d_1, d_1, d_2, d_2, ...)
+    return tuple(d[i, i] for i in range(0, d.rows, 2))
 
 
 def is_principal(p: PolarizedTorus) -> bool:
@@ -195,9 +203,7 @@ class FiniteSymplecticGroup:
 
 def kernel_group(p: PolarizedTorus) -> FiniteSymplecticGroup:
     """Generators and orders of (form^{-1} Z^{2g}) / Z^{2g}."""
-    u, d, v = snf(p.form)
-    if any(d[i, i] == 0 for i in range(d.rows)):
-        raise Degenerate("degenerate form has infinite kernel")
+    d, v = p._smith
     gens, orders = [], []
     for i in range(d.rows):
         di = d[i, i]
@@ -296,14 +302,6 @@ def _o_column_echelon(o: QuadOrder, cols: list[list[OrderElem]]) -> list[list[Or
     return basis
 
 
-def _o_vector_to_columns(o: QuadOrder, vec: list[OrderElem]) -> tuple[list[int], list[int]]:
-    g = len(vec)
-    plain = [vec[j].a for j in range(g)] + [vec[j].b for j in range(g)]
-    wvec = [omul(o, W, x) for x in vec]
-    wcol = [wvec[j].a for j in range(g)] + [wvec[j].b for j in range(g)]
-    return plain, wcol
-
-
 def _aligned_basis(torus: Torus, s: IntMatrix) -> IntMatrix:
     """Basis of span(s) shaped (f_1..f_h, w f_1..w f_h); NotStable if impossible.
 
@@ -313,12 +311,10 @@ def _aligned_basis(torus: Torus, s: IntMatrix) -> IntMatrix:
     if torus.order.is_cm:
         cols = [[OrderElem(s[j, c], s[g + j, c]) for j in range(g)] for c in range(k)]
         obasis = _o_column_echelon(torus.order, cols)
-        plain, wmul = [], []
-        for vec in obasis:
-            a, b = _o_vector_to_columns(torus.order, vec)
-            plain.append(a)
-            wmul.append(b)
-        aligned = IntMatrix.from_columns(plain + wmul, rows=2 * g)
+        # each O-vector f, then each w f, in the plain coordinates (a parts, b parts)
+        wbasis = [[omul(torus.order, W, x) for x in vec] for vec in obasis]
+        aligned = IntMatrix.from_columns([[x.a for x in vec] + [x.b for x in vec]
+                                          for vec in obasis + wbasis], rows=2 * g)
         if hnf_columns(aligned) != s:
             raise NotStable("sublattice is not stable under the complex structure")
         return aligned
@@ -370,17 +366,9 @@ class SubtorusRestriction(NamedTuple):
 
 
 def _primitive_vectors(n: int, height: int) -> list[tuple[int, ...]]:
-    out = []
-    for v in itertools.product(range(-height, height + 1), repeat=n):
-        if all(x == 0 for x in v):
-            continue
-        first = next(x for x in v if x != 0)
-        if first < 0:
-            continue
-        if math.gcd(*v) != 1:
-            continue
-        out.append(v)
-    return out
+    """Primitive vectors of height <= height with a positive leading entry."""
+    return [v for v in itertools.product(range(-height, height + 1), repeat=n)
+            if math.gcd(*v) == 1 and next(x for x in v if x) > 0]
 
 
 _SCAN_SUBSET_BUDGET = 200_000

@@ -166,7 +166,9 @@ def test_list_prints_registry(capsys):
     code = main(["run", "--list"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.splitlines() == list(CHECKS)
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert [row[0] for row in rows] == list(CHECKS)
+    assert all(len(row) == 2 and row[1].strip() for row in rows)
 
 
 def test_json_file_matches_stdout(tmp_path, capsys):

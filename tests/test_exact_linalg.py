@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -76,6 +77,35 @@ def matrix_strategy(max_dim=4):
                                min_size=r, max_size=r).map(M)))
 
 
+@st.composite
+def shaped_matrix(draw):
+    """0 to 4 rows and 0 to 5 columns, in one of four shapes.
+
+    "full-column-rank" stacks a triangular block with a non-zero diagonal
+    over random rows, in shuffled order; "wide" has more columns than rows;
+    "scaled-rows" multiplies one row by 2..6, so it is not primitive.
+    """
+    shape = draw(st.sampled_from(("any", "full-column-rank", "wide", "scaled-rows")))
+    if shape == "full-column-rank":
+        c = draw(st.integers(0, 3))
+        r = draw(st.integers(c, 4))
+    elif shape == "wide":
+        r = draw(st.integers(0, 3))
+        c = draw(st.integers(r + 1, 5))
+    else:
+        r, c = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(small_ints, min_size=c, max_size=c), min_size=r, max_size=r))
+    if shape == "full-column-rank":
+        for i in range(c):
+            rows[i][:i] = [0] * i
+            rows[i][i] = draw(small_ints.filter(bool))
+        rows = draw(st.permutations(rows))
+    if shape == "scaled-rows" and rows:
+        i, k = draw(st.integers(0, r - 1)), draw(st.integers(2, 6))
+        rows[i] = [k * x for x in rows[i]]
+    return IntMatrix.from_rows(rows, cols=c)
+
+
 # -- Smith normal form -------------------------------------------------------
 
 
@@ -86,10 +116,39 @@ def test_snf_gcd_lcm_oracle():
     assert (d[0, 0], d[1, 1]) == (math.gcd(a, b), a * b // math.gcd(a, b))
 
 
+def assert_smith_certificate(m):
+    """snf(m) is a Smith form of m, checked on what callers read: d and v.
+
+    d is a nonnegative diagonal divisor chain, v is unimodular, and column j
+    of m v is d_j times an integer column q_j (zero when d_j = 0).  The q_j
+    with d_j != 0 have maximal minors of gcd 1, so they span a saturated
+    lattice of full rank and extend to a unimodular w; u = w^-1 then gives
+    u m v = d.
+    """
+    d, v = snf(m)
+    assert (d.rows, d.cols, v.rows, v.cols) == (m.rows, m.cols, m.cols, m.cols)
+    assert all(d[i, j] == 0 for i in range(d.rows) for j in range(d.cols) if i != j)
+    diag = [d[i, i] for i in range(min(m.rows, m.cols))] + [0] * max(m.cols - m.rows, 0)
+    assert all(x >= 0 for x in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    assert abs(v.det()) == 1
+    quotients = []
+    for dj, col in zip(diag, (m * v).columns()):
+        if dj:
+            assert all(x % dj == 0 for x in col)
+            quotients.append([x // dj for x in col])
+        else:
+            assert not any(col)
+    minors = [IntMatrix.from_rows([[q[i] for q in quotients] for i in rows]).det()
+              for rows in itertools.combinations(range(m.rows), len(quotients))]
+    assert math.gcd(*minors) == 1
+
+
 def test_snf_alternating_example():
-    f = snf(M([[0, 3], [-3, 0]]))
-    assert (f.d[0, 0], f.d[1, 1]) == (3, 3)
-    assert f.u * M([[0, 3], [-3, 0]]) * f.v == f.d
+    m = M([[0, 3], [-3, 0]])
+    f = snf(m)
+    assert f.d == IntMatrix.diagonal([3, 3])
+    assert_smith_certificate(m)
 
 
 def test_snf_zero_and_identity():
@@ -102,22 +161,10 @@ def test_snf_deterministic():
     assert snf(m) == snf(m)
 
 
-@settings(max_examples=120)
-@given(matrix_strategy())
+@settings(max_examples=200)
+@given(st.one_of(matrix_strategy(), shaped_matrix()))
 def test_snf_properties(m):
-    u, d, v = snf(m)
-    assert u * m * v == d
-    assert abs(u.det()) == 1 and abs(v.det()) == 1
-    diag = [d[i, i] for i in range(min(m.rows, m.cols))]
-    assert all(x >= 0 for x in diag)
-    for i in range(len(diag) - 1):
-        if diag[i + 1]:
-            assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-        # off-diagonal must vanish
-    for i in range(d.rows):
-        for j in range(d.cols):
-            if i != j:
-                assert d[i, j] == 0
+    assert_smith_certificate(m)
 
 
 @st.composite
@@ -293,6 +340,44 @@ def test_kernel_saturated_and_annihilates(m, scale):
     assert k.cols == m.cols - rank_over_field(m)
     # scaled rows are not primitive; the kernel must not notice
     assert kernel_basis(m.scaled(scale)) == k
+
+
+def kernel_basis_via_smith(m):
+    """The SNF-then-HNF kernel route that kernel_basis replaced.
+
+    The columns of v past the rank of m span its kernel; their column HNF is
+    the canonical basis.
+    """
+    d, v = snf(m)
+    r = sum(1 for i in range(min(m.rows, m.cols)) if d[i, i])
+    if r == m.cols:
+        return IntMatrix.zeros(m.cols, 0)
+    return hnf_columns(IntMatrix.from_columns(v.columns()[r:], rows=m.cols))
+
+
+def saturate_via_rank(l):
+    """The rank-then-two-kernels saturation route that saturate replaced."""
+    if rank_over_field(l) != l.cols:
+        raise RankDeficient("columns are linearly dependent")
+    return kernel_basis_via_smith(kernel_basis_via_smith(l.transpose()).transpose())
+
+
+@settings(max_examples=400, deadline=None)
+@given(shaped_matrix())
+def test_kernel_basis_matches_smith_route(m):
+    assert kernel_basis(m) == kernel_basis_via_smith(m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(shaped_matrix(), shaped_matrix().map(IntMatrix.transpose)))
+def test_saturate_matches_rank_route(l):
+    try:
+        expected = saturate_via_rank(l)
+    except RankDeficient as exc:
+        with pytest.raises(RankDeficient, match=str(exc)):
+            saturate(l)
+    else:
+        assert saturate(l) == expected
 
 
 def test_saturate_idempotent():

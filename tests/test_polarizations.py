@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ppavlab import polarizations
+
 from ppavlab.exact_linalg import (
     IntMatrix,
     NotAlternating,
@@ -35,6 +37,7 @@ from ppavlab.polarizations import (
     _hyperplane_basis,
     _plane_basis,
     _primitive_vectors,
+    alternating_type,
     box_product,
     is_principal,
     kernel_group,
@@ -51,7 +54,7 @@ from ppavlab.polarizations import (
     weil_pairing,
     xi_g,
 )
-from ppavlab.tori import GAUSSIAN, EISENSTEIN, RATIONAL, Torus
+from ppavlab.tori import GAUSSIAN, EISENSTEIN, RATIONAL, OrderMatrix, Torus, rational_rep
 
 
 def random_pd_block(g, rng, span=2):
@@ -107,6 +110,57 @@ def test_polarization_type_examples():
     diag = PolarizedTorus(Torus(RATIONAL, 2), split_form(IntMatrix.diagonal([1, 2])))
     assert polarization_type(diag) == (1, 2)
     assert not is_principal(diag)
+
+
+def test_one_smith_reduction_per_torus(monkeypatch):
+    reduced = []
+    real_snf = polarizations.snf
+    monkeypatch.setattr(polarizations, "snf", lambda m: reduced.append(m) or real_snf(m))
+    p = xi_g(3)
+    assert polarization_type(p) == (1, 1, 4)
+    assert not is_principal(p)
+    assert kernel_group(p).order == 16
+    assert reduced == [p.form]
+    # the box product is reduced from its own form, not merged from p's
+    box = box_product(p, theta_g(1))
+    assert polarization_type(box) == (1, 1, 1, 4) and kernel_group(box).order == 16
+    assert reduced == [p.form, box.form]
+
+
+@st.composite
+def valid_polarization(draw):
+    """A polarized torus over Z, Z[i] or Z[omega], often of a non-trivial type.
+
+    Each factor is split_form(C^t C + I) for a random C over Z, or theta_g or
+    xi_g pulled back by a random O-linear map A (the form A^t M A stays
+    compatible and positive when det A != 0); one or two factors are boxed.
+    """
+    order = draw(st.sampled_from((RATIONAL, GAUSSIAN, EISENSTEIN)))
+    factors = []
+    for _ in range(draw(st.integers(1, 2))):
+        g = draw(st.integers(1, 3))
+        entries = st.integers(-3, 3)
+        if not order.is_cm and draw(st.booleans()):
+            c = IntMatrix.from_rows(draw(st.lists(st.lists(entries, min_size=g, max_size=g),
+                                                  min_size=g, max_size=g)), cols=g)
+            factors.append(PolarizedTorus(Torus(RATIONAL, g),
+                                          split_form(c.transpose() * c + IntMatrix.identity(g))))
+            continue
+        base = draw(st.sampled_from((theta_g, xi_g)))(g, order)
+        w_part = entries if order.is_cm else st.just(0)
+        pairs = draw(st.lists(st.lists(st.tuples(entries, w_part), min_size=g, max_size=g),
+                              min_size=g, max_size=g))
+        a = rational_rep(OrderMatrix.from_pairs(order, pairs))
+        assume(a.det() != 0)
+        factors.append(PolarizedTorus(base.torus, a.transpose() * base.form * a))
+    return box_product(*factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_polarization())
+def test_polarization_type_matches_alternating_type(p):
+    # alternating_type keeps the snf_diagonal route, so it is an independent oracle
+    assert polarization_type(p) == alternating_type(p.form)
 
 
 # -- kernel groups -------------------------------------------------------------

@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from ppavlab.polarizations import (
     xi_g,
 )
 from ppavlab.standard_construction import (
+    FACTOR_PRODUCT_LIMIT,
     DegeneratePairing,
     GluedPPAV,
     IntegralityFailure,
@@ -308,6 +310,15 @@ def test_build_rejects_small_y():
 def test_build_rejects_empty_factors():
     with pytest.raises(ValueError):
         build_standard([], 1)
+
+
+def test_build_rejects_factor_product_over_limit_fast():
+    # nine factors of 1 have prod(g + 1) = 512; the kernel pool alone would
+    # run for minutes, so the limit is checked before any work
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"FACTOR_PRODUCT_LIMIT = {FACTOR_PRODUCT_LIMIT}"):
+        build_standard((1,) * 9, 9)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("factors, y_dim, named", [

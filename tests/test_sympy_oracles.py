@@ -18,6 +18,7 @@ from ppavlab.exact_linalg import (  # noqa: E402
     IntMatrix,
     hnf_columns,
     is_positive_definite,
+    kernel_basis,
     rank_over_field,
     snf_diagonal,
 )
@@ -77,6 +78,20 @@ def test_hnf_columns_spans_sympy_hermite_lattice(m):
     # same canonical basis from sympy's generators, and sympy sees one lattice
     assert ours == hnf_columns(sympy_hnf(m))
     assert sympy_hnf(ours) == sympy_hnf(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_strategy())
+def test_kernel_basis_spans_sympy_nullspace_and_is_saturated(m):
+    k = kernel_basis(m)
+    null = sympy.Matrix(m.entries).nullspace()
+    assert k.cols == len(null)
+    if null:
+        ours = sympy.Matrix(k.entries)
+        # one Q-space: k.cols independent columns inside a span of dimension k.cols
+        assert ours.row_join(sympy.Matrix.hstack(*null)).rank() == k.cols
+        # saturated: every invariant factor of the basis is 1
+        assert [int(x) for x in invariant_factors(ours, domain=sympy.ZZ)] == [1] * k.cols
 
 
 # -- rank of m - 1 over the fraction field of the order ------------------------
