@@ -12,6 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from typing import NamedTuple, Sequence
 
 
@@ -118,15 +119,35 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(tuple(-x for x in r) for r in self.entries))
 
     def __mul__(self, other):
+        """Matrix product, built row by row from the non-zeros of each left row.
+
+        A row with at most half its entries non-zero is the sum of x times
+        row j of other over its entries x = self[i, j] (row j itself when
+        x = 1).  A denser row keeps the dot product with each column of
+        other, which costs less than a sum over nearly every row of other.
+        """
         if isinstance(other, int):
             return self.scaled(other)
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            cols = other.columns()
-            return IntMatrix(self.rows, other.cols,
-                             tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
-                                   for row in self.entries))
+            n, brows = self.cols, other.entries
+            zero = (0,) * other.cols
+            cols = None
+            out = []
+            for row in self.entries:
+                if 2 * (n - row.count(0)) <= n:
+                    acc = None
+                    for j in compress(range(n), row):
+                        x = row[j]
+                        term = brows[j] if x == 1 else map(operator.mul, repeat(x), brows[j])
+                        acc = term if acc is None else list(map(operator.add, acc, term))
+                    out.append(zero if acc is None else tuple(acc))
+                else:
+                    if cols is None:
+                        cols = other.columns()
+                    out.append(tuple(sum(map(operator.mul, row, col)) for col in cols))
+            return IntMatrix(self.rows, other.cols, tuple(out))
         return NotImplemented
 
     def __rmul__(self, other):

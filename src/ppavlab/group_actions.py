@@ -20,6 +20,7 @@ from functools import lru_cache
 
 from .exact_linalg import (
     IntMatrix,
+    _row_hnf,
     is_positive_definite,
     kernel_basis,
 )
@@ -217,10 +218,13 @@ def pseudoreflection_generated(group: MatrixGroup) -> tuple[bool, int]:
 
 
 def fixed_sublattice(n: int, actions: tuple[IntMatrix, ...]) -> IntMatrix:
-    """Saturated basis of the vectors of Z^n fixed by every action matrix."""
-    stacked = IntMatrix.from_rows([row for r in actions
-                                   for row in (r - IntMatrix.identity(n)).entries], cols=n)
-    return kernel_basis(stacked)
+    """Saturated basis of the vectors of Z^n fixed by every action matrix.
+
+    The stacked (r - 1) is first cut to its row HNF, at most n rows with
+    the same row space and so the same kernel.
+    """
+    stacked = [row for r in actions for row in (r - IntMatrix.identity(n)).entries]
+    return kernel_basis(IntMatrix.from_rows(_row_hnf(stacked, n), cols=n))
 
 
 # -- invariant compatible forms ----------------------------------------------

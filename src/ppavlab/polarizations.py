@@ -91,9 +91,11 @@ class PolarizedTorus:
             raise NotAlternating("polarization form must be antisymmetric")
         if not self.torus.compatible_form(self.form):
             raise IncompatibleForm("form is not compatible with the complex structure")
-        if self.form.det() == 0:
-            raise Degenerate("polarization form must be nondegenerate")
+        # 2MJ - uM = M(2J - u) is singular whenever M is, so a positive one
+        # proves M nondegenerate; det only tells the two failures apart
         if not is_positive_definite(associated_symmetric(self.torus, self.form)):
+            if self.form.det() == 0:
+                raise Degenerate("polarization form must be nondegenerate")
             raise NotPositive("associated symmetric matrix must be positive definite")
 
     @property

@@ -351,13 +351,16 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
                    j is not None and all(r * j == j * r for r in a.actions)))
 
     # r moves each graph vector by a product-lattice vector: with the graph
-    # as integer columns over gden, (h·r·q - k)·cols vanishes mod k·gden
+    # as integer columns over gden, h·r·(q·cols) - k·cols vanishes mod k·gden;
+    # q·cols is taken once, so each action costs two narrow products
     graph = RatMatrix.from_rows(a.graph, cols=2 * n).transpose()
     gden, cols = graph.den, graph.num
+    if j is not None:
+        qcols, kcols = q * cols, cols.scaled(k)
     checks.append(("graph-action-trivial", j is not None and all(
         x % (k * gden) == 0
         for r in a.actions
-        for row in (h * r * q * cols - cols.scaled(k)).entries for x in row)))
+        for row in (h * (r * qcols) - kcols).entries for x in row)))
 
     identity = IntMatrix.identity(2 * n)
     checks.append(("x-action-reflections", len(a.actions) == a.x_dim

@@ -416,6 +416,61 @@ def test_empty_shapes_survive_transpose_and_products():
     assert m == M([[1, 3, 5], [2, 4, 6]]) and m.transpose().columns() == [(1, 3, 5), (2, 4, 6)]
 
 
+# -- products ------------------------------------------------------------------
+
+
+def product_by_column_dots(a, b):
+    """Every entry as the dot product of a row of a with a column of b."""
+    cols = b.columns()
+    return IntMatrix(a.rows, b.cols, tuple(tuple(sum(x * y for x, y in zip(row, col))
+                                                 for col in cols) for row in a.entries))
+
+
+@st.composite
+def product_operands(draw):
+    """a (r x n) and b (n x c), 0 to 6 of each, every row of a of one kind.
+
+    A row is all zeros, a single 1, or k non-zeros for k from 1 to n, so
+    rows fall on both sides of the half-non-zero cutoff and on it; values
+    include 1, negatives and, now and then, integers past 64 bits.
+    """
+    r, n, c = (draw(st.integers(0, 6)) for _ in range(3))
+    nonzero = st.one_of(st.just(1), st.integers(-9, 9).filter(bool),
+                        st.integers(-2 ** 70, 2 ** 70).filter(bool))
+    rows = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(("zero", "unit", "k-nonzero")))
+        row = [0] * n
+        if n and kind == "unit":
+            row[draw(st.integers(0, n - 1))] = 1
+        elif n and kind == "k-nonzero":
+            for j in draw(st.permutations(range(n)))[:draw(st.integers(1, n))]:
+                row[j] = draw(nonzero)
+        rows.append(row)
+    b = draw(st.lists(st.lists(st.one_of(st.just(0), nonzero), min_size=c, max_size=c),
+                      min_size=n, max_size=n))
+    return IntMatrix.from_rows(rows, cols=n), IntMatrix.from_rows(b, cols=c)
+
+
+@settings(max_examples=400, deadline=None)
+@given(product_operands())
+def test_product_matches_column_dots(operands):
+    a, b = operands
+    assert a * b == product_by_column_dots(a, b)
+
+
+def test_product_rows_on_each_side_of_the_cutoff():
+    b = M([[1, 2, 3], [4, 5, 6], [7, 8, 9], [-1, 0, 2]])
+    a = M([[0, 0, 0, 0], [0, 1, 0, 0], [0, -2, 0, 3], [5, -2, 0, 3], [1, 1, 1, 1]])
+    assert a * b == M([[0, 0, 0], [4, 5, 6], [-11, -10, -6], [-6, 0, 9], [11, 15, 20]])
+    assert a * b == product_by_column_dots(a, b)
+    assert IntMatrix.zeros(0, 4) * b == IntMatrix.zeros(0, 3)
+    assert a * IntMatrix.zeros(4, 0) == IntMatrix.zeros(5, 0)
+    assert IntMatrix.zeros(3, 0) * IntMatrix.zeros(0, 2) == IntMatrix.zeros(3, 2)
+    with pytest.raises(ValueError):
+        b * a
+
+
 # -- misc --------------------------------------------------------------------
 
 

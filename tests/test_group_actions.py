@@ -451,6 +451,39 @@ def test_fixed_sublattice_of_swap_is_diagonal():
         assert col in ([1, 1, 0, 0], [0, 0, 1, 1])
 
 
+def fixed_sublattice_unreduced(n, actions):
+    """The kernel of the whole stacked (r - 1), with no row reduction first."""
+    return kernel_basis(IntMatrix.from_rows(
+        [row for r in actions for row in (r - IntMatrix.identity(n)).entries], cols=n))
+
+
+@st.composite
+def action_stacks(draw):
+    """Up to four n x n matrices r whose r - 1 lie in one low-rank row space.
+
+    Each r - 1 has rows that are integer combinations of the same few base
+    rows, so the stack is tall and of low rank and the fixed lattice is
+    often non-trivial; the r need not be invertible.
+    """
+    n = draw(st.integers(1, 6))
+    base = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                         min_size=0, max_size=n))
+    coeff = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    actions = []
+    for _ in range(draw(st.integers(0, 4))):
+        rows = [[sum(c * b[j] for c, b in zip(draw(coeff), base)) + (i == j)
+                 for j in range(n)] for i in range(n)]
+        actions.append(IntMatrix.from_rows(rows, cols=n))
+    return n, tuple(actions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(action_stacks())
+def test_fixed_sublattice_matches_unreduced_stack(case):
+    n, actions = case
+    assert fixed_sublattice(n, actions) == fixed_sublattice_unreduced(n, actions)
+
+
 # -- invariant compatible forms ---------------------------------------------------------
 
 

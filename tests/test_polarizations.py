@@ -18,6 +18,7 @@ from ppavlab.exact_linalg import (
     RankDeficient,
     hnf_columns,
     hstack,
+    is_positive_definite,
     kernel_basis,
     saturate,
     snf,
@@ -38,6 +39,7 @@ from ppavlab.polarizations import (
     _plane_basis,
     _primitive_vectors,
     alternating_type,
+    associated_symmetric,
     box_product,
     is_principal,
     kernel_group,
@@ -90,6 +92,64 @@ def test_constructor_rejections():
         PolarizedTorus(Torus(RATIONAL, 1), IntMatrix.from_rows([[0, -1], [1, 0]]))
     with pytest.raises(NotPositive):
         PolarizedTorus(Torus(GAUSSIAN, 1), IntMatrix.from_rows([[0, -1], [1, 0]]))
+
+
+def rejection_det_first(torus, form):
+    """The exception class the constructor's checks give with det taken first."""
+    n = torus.lattice_rank
+    if form.rows != n or form.cols != n:
+        return IncompatibleForm
+    if not form.is_antisymmetric():
+        return NotAlternating
+    if not torus.compatible_form(form):
+        return IncompatibleForm
+    if form.det() == 0:
+        return Degenerate
+    if not is_positive_definite(associated_symmetric(torus, form)):
+        return NotPositive
+    return None
+
+
+@st.composite
+def candidate_forms(draw):
+    """(torus, form) over Z, Z[i] or Z[omega], valid or not.
+
+    split_form(B) with B = C^t C made singular by a zero row of C, or
+    C^t C - k (often indefinite), or C^t C + 1 (positive); or theta_g or
+    xi_g pulled back by an O-matrix A that may be singular, sometimes
+    negated.  split_form(B) is compatible over every order when B is
+    symmetric.
+    """
+    order = draw(st.sampled_from((RATIONAL, GAUSSIAN, EISENSTEIN)))
+    g = draw(st.integers(1, 3))
+    entries = st.integers(-3, 3)
+    kind = draw(st.sampled_from(("singular", "shifted", "positive", "pulled-back")))
+    if kind == "pulled-back":
+        base = draw(st.sampled_from((theta_g, xi_g)))(g, order)
+        w_part = entries if order.is_cm else st.just(0)
+        pairs = draw(st.lists(st.lists(st.tuples(entries, w_part), min_size=g, max_size=g),
+                              min_size=g, max_size=g))
+        a = rational_rep(OrderMatrix.from_pairs(order, pairs))
+        form = a.transpose() * base.form * a
+        return base.torus, -form if draw(st.booleans()) else form
+    rows = draw(st.lists(st.lists(entries, min_size=g, max_size=g), min_size=g, max_size=g))
+    if kind == "singular":
+        rows[draw(st.integers(0, g - 1))] = [0] * g
+    c = IntMatrix.from_rows(rows, cols=g)
+    shift = {"singular": 0, "shifted": -draw(st.integers(1, 9)), "positive": 1}[kind]
+    return Torus(order, g), split_form(c.transpose() * c + IntMatrix.identity(g).scaled(shift))
+
+
+@settings(max_examples=400, deadline=None)
+@given(candidate_forms())
+def test_constructor_rejection_matches_det_first_order(case):
+    torus, form = case
+    try:
+        PolarizedTorus(torus, form)
+        got = None
+    except (IncompatibleForm, NotAlternating, Degenerate, NotPositive) as exc:
+        got = type(exc)
+    assert got is rejection_det_first(torus, form)
 
 
 def test_theta_and_xi_valid_over_every_order():

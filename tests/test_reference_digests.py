@@ -5,8 +5,9 @@
 benchmark, and of every sublattice and type `scan_subtorus_types` returns
 on each scan bound.  These tests recompute them with the benchmark's own
 canonical form, so a change to any glue or scan output fails here, not
-only in a benchmark run.  They import `perfbench/workloads.py` without
-running the benchmark.
+only in a benchmark run.  The registry lines of a full `ppav-lab run` are
+held to the recorded lines the same way.  They import
+`perfbench/workloads.py` without running the benchmark.
 """
 
 import importlib
@@ -46,3 +47,13 @@ def test_scan_outputs_match_reference_digests(workloads):
         got[label] = workloads.digest(workloads.scan_output(scan_subtorus_types(n, height)))
         want[label] = REFERENCE["scan"][label]["digest"]
     assert got == want
+
+
+def test_registry_lines_match_reference_digests(workloads):
+    seed = 1
+    got, extras = workloads.run_pass("registry", [seed])
+    want = {line["check_id"]: workloads.digest(workloads.expected_registry_line(line, seed))
+            for line in REFERENCE["registry"]["lines"]}
+    assert got == want
+    # kernel-action is the one check that fails, by the recorded expectation
+    assert extras["exit_code"] == 1

@@ -12,8 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from ppavlab.exact_linalg import IntMatrix, RatMatrix, pfaffian
-from ppavlab.group_actions import _close, group_from_json, pseudoreflection_generated
+from ppavlab.exact_linalg import IntMatrix, RatMatrix, kernel_basis, pfaffian
+from ppavlab.group_actions import (
+    _close,
+    fixed_sublattice,
+    group_from_json,
+    pseudoreflection_generated,
+)
 from ppavlab.polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
@@ -50,6 +55,9 @@ from ppavlab.standard_construction import (
 from ppavlab.tori import OrderMismatch, RATIONAL, Torus
 
 GRID = (((1,), 1), ((2,), 1), ((1, 1), 2), ((2, 3), 1))
+CHECK_NAMES = ("form-integral", "form-alternating", "form-unimodular", "form-positive",
+               "complex-structure", "action-preserves-form", "action-commutes-structure",
+               "graph-action-trivial", "x-action-reflections", "overlattice-index")
 
 
 # -- elementary divisors -----------------------------------------------------
@@ -279,11 +287,7 @@ def test_build_grid_invariants():
 
 def test_build_check_names_ordered():
     report = verify_glued(build_standard([1], 1))
-    assert [name for name, _ in report.checks] == [
-        "form-integral", "form-alternating", "form-unimodular",
-        "form-positive", "complex-structure", "action-preserves-form",
-        "action-commutes-structure", "graph-action-trivial",
-        "x-action-reflections", "overlattice-index"]
+    assert tuple(name for name, _ in report.checks) == CHECK_NAMES
 
 
 def test_x_action_reflections_matches_closed_product_group():
@@ -469,6 +473,80 @@ def test_corrupted_glue_verdicts_pinned():
             bits = "".join(str(int(ok)) for _, ok in report.checks)
             seen[factors, name] = (bits, report.first_failure)
     assert seen == PINNED_VERDICTS
+
+
+# verdicts of each benchmark glue as built and under each corruption, in
+# report order (1 = passed), with the first failure
+GLUE_CASE_VERDICTS = {
+    ((3, 3), 'built'): ('1111111111', None),
+    ((3, 3), 'form-pair'): ('0110001111', 'form-integral'),
+    ((3, 3), 'form-entry'): ('0000001111', 'form-integral'),
+    ((3, 3), 'form-double'): ('0101111111', 'form-integral'),
+    ((3, 3), 'action-shear'): ('1111100101', 'action-preserves-form'),
+    ((3, 3), 'action-square'): ('1111111111', None),
+    ((3, 3), 'action-product'): ('1111111101', 'x-action-reflections'),
+    ((3, 3), 'overlattice-half'): ('0111111110', 'form-integral'),
+    ((3, 3), 'overlattice-identity'): ('0110010010', 'form-integral'),
+    ((3, 3), 'graph-triple'): ('1111111111', None),
+    ((3, 3), 'overlattice-zero'): ('0110010010', 'form-integral'),
+    ((3, 3), 'actions-empty'): ('1111111101', 'x-action-reflections'),
+    ((2, 2, 2), 'built'): ('1111111111', None),
+    ((2, 2, 2), 'form-pair'): ('0110001111', 'form-integral'),
+    ((2, 2, 2), 'form-entry'): ('0000001111', 'form-integral'),
+    ((2, 2, 2), 'form-double'): ('0101111111', 'form-integral'),
+    ((2, 2, 2), 'action-shear'): ('1111100101', 'action-preserves-form'),
+    ((2, 2, 2), 'action-square'): ('1111111111', None),
+    ((2, 2, 2), 'action-product'): ('1111111101', 'x-action-reflections'),
+    ((2, 2, 2), 'overlattice-half'): ('0111111110', 'form-integral'),
+    ((2, 2, 2), 'overlattice-identity'): ('0110010010', 'form-integral'),
+    ((2, 2, 2), 'graph-triple'): ('1111111110', 'overlattice-index'),
+    ((2, 2, 2), 'overlattice-zero'): ('0110010010', 'form-integral'),
+    ((2, 2, 2), 'actions-empty'): ('1111111101', 'x-action-reflections'),
+    ((1, 1, 1, 1), 'built'): ('1111111111', None),
+    ((1, 1, 1, 1), 'form-pair'): ('0110001111', 'form-integral'),
+    ((1, 1, 1, 1), 'form-entry'): ('0000001111', 'form-integral'),
+    ((1, 1, 1, 1), 'form-double'): ('0101111111', 'form-integral'),
+    ((1, 1, 1, 1), 'action-shear'): ('1111100001', 'action-preserves-form'),
+    ((1, 1, 1, 1), 'action-square'): ('1111111111', None),
+    ((1, 1, 1, 1), 'action-product'): ('1111111101', 'x-action-reflections'),
+    ((1, 1, 1, 1), 'overlattice-half'): ('0111111110', 'form-integral'),
+    ((1, 1, 1, 1), 'overlattice-identity'): ('0111110010', 'form-integral'),
+    ((1, 1, 1, 1), 'graph-triple'): ('1111111111', None),
+    ((1, 1, 1, 1), 'overlattice-zero'): ('0110010010', 'form-integral'),
+    ((1, 1, 1, 1), 'actions-empty'): ('1111111101', 'x-action-reflections'),
+    ((2, 3), 'built'): ('1111111111', None),
+    ((2, 3), 'form-pair'): ('0110001111', 'form-integral'),
+    ((2, 3), 'form-entry'): ('0000001111', 'form-integral'),
+    ((2, 3), 'form-double'): ('0101111111', 'form-integral'),
+    ((2, 3), 'action-shear'): ('1111100101', 'action-preserves-form'),
+    ((2, 3), 'action-square'): ('1111111111', None),
+    ((2, 3), 'action-product'): ('1111111101', 'x-action-reflections'),
+    ((2, 3), 'overlattice-half'): ('0111111110', 'form-integral'),
+    ((2, 3), 'overlattice-identity'): ('0110010010', 'form-integral'),
+    ((2, 3), 'graph-triple'): ('1111111110', 'overlattice-index'),
+    ((2, 3), 'overlattice-zero'): ('0110010010', 'form-integral'),
+    ((2, 3), 'actions-empty'): ('1111111101', 'x-action-reflections'),
+}
+
+
+def test_glue_case_checks_pinned():
+    seen = {}
+    for factors, y_dim in _glue_cases():
+        glued = build_standard(factors, y_dim)
+        for name, probe in [("built", glued), *_corrupted(glued)]:
+            report = verify_glued(probe)
+            seen[factors, name] = (report.checks, report.first_failure)
+    assert seen == {key: (tuple(zip(CHECK_NAMES, (b == "1" for b in bits))), first)
+                    for key, (bits, first) in GLUE_CASE_VERDICTS.items()}
+
+
+def test_fixed_sublattice_of_glue_actions_matches_unreduced_stack():
+    for factors, y_dim in _glue_cases():
+        glued = build_standard(factors, y_dim)
+        n = 2 * glued.dim
+        stacked = IntMatrix.from_rows(
+            [row for r in glued.actions for row in (r - IntMatrix.identity(n)).entries], cols=n)
+        assert fixed_sublattice(n, glued.actions) == kernel_basis(stacked)
 
 
 def test_unimodular_by_det_agrees_with_pfaffian():

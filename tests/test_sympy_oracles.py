@@ -45,6 +45,28 @@ def test_snf_diagonal_matches_sympy_invariant_factors(m):
 
 
 @st.composite
+def sparse_product_operands(draw, max_dim=6):
+    """a (r x n) and b (n x c) with zero rows, unit rows and sparse or dense rows."""
+    r, n, c = (draw(st.integers(0, max_dim)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.just(0), st.just(1), small_ints)
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(small_ints, min_size=c, max_size=c), min_size=n, max_size=n))
+    return IntMatrix.from_rows(a, cols=n), IntMatrix.from_rows(b, cols=c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_product_operands())
+def test_product_matches_sympy(operands):
+    a, b = operands
+    expected = (sympy.Matrix(a.rows, a.cols, [x for row in a.entries for x in row])
+                * sympy.Matrix(b.rows, b.cols, [x for row in b.entries for x in row]))
+    got = a * b
+    assert (got.rows, got.cols) == expected.shape
+    assert got.entries == tuple(tuple(int(x) for x in expected.row(i))
+                                for i in range(expected.rows))
+
+
+@st.composite
 def symmetric_matrix(draw, max_dim=6):
     """A symmetric matrix, or half the time a Gram matrix B^t B (often definite)."""
     n = draw(st.integers(1, max_dim))
