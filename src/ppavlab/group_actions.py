@@ -165,6 +165,11 @@ def invariant_form(group: MatrixGroup, p: PolarizedTorus) -> bool:
     return all(e.transpose() * m * e == m for e in group.elements)
 
 
+def _minus_identity_rows(e: IntMatrix):
+    """The rows of e - 1, written directly from e's entries."""
+    return ([x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(e.entries))
+
+
 def reflection_rank(e: IntMatrix) -> int:
     """rank(e - 1) over Q, capped at 3: 2 marks a pseudoreflection, 0 the identity.
 
@@ -172,8 +177,7 @@ def reflection_rank(e: IntMatrix) -> int:
     clears its leading column from the others, and the pass stops at the
     third pivot.
     """
-    rows = [r for r in ([x - (i == j) for j, x in enumerate(row)]
-                        for i, row in enumerate(e.entries)) if any(r)]
+    rows = [r for r in _minus_identity_rows(e) if any(r)]
     rank = 0
     while rows:
         rank += 1
@@ -223,7 +227,7 @@ def fixed_sublattice(n: int, actions: tuple[IntMatrix, ...]) -> IntMatrix:
     The stacked (r - 1) is first cut to its row HNF, at most n rows with
     the same row space and so the same kernel.
     """
-    stacked = [row for r in actions for row in (r - IntMatrix.identity(n)).entries]
+    stacked = [row for r in actions for row in _minus_identity_rows(r)]
     return kernel_basis(IntMatrix.from_rows(_row_hnf(stacked, n), cols=n))
 
 

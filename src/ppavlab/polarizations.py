@@ -89,7 +89,7 @@ class PolarizedTorus:
             raise IncompatibleForm(f"form must be {n}x{n}")
         if not self.form.is_antisymmetric():
             raise NotAlternating("polarization form must be antisymmetric")
-        if not self.torus.compatible_form(self.form):
+        if not _compatible(self.torus, self.form):
             raise IncompatibleForm("form is not compatible with the complex structure")
         # 2MJ - uM = M(2J - u) is singular whenever M is, so a positive one
         # proves M nondegenerate; det only tells the two failures apart
@@ -117,15 +117,27 @@ def split_form(b: IntMatrix) -> IntMatrix:
     return IntMatrix.from_blocks([[z, b], [-b, z]])
 
 
+def _compatible(torus: Torus, form: IntMatrix) -> bool:
+    """Whether a 2g x 2g alternating form comes from a Hermitian one.
+
+    Over Z: split_form(B), B symmetric.  Over a CM order: J^t M J == N(w) M.
+    """
+    if torus.order.is_cm:
+        j = torus.complex_structure()
+        return j.transpose() * form * j == form.scaled(torus.order.norm_w)
+    b = form.block(0, torus.g, torus.g, 2 * torus.g)
+    return b.is_symmetric() and form == split_form(b)
+
+
 def associated_symmetric(torus: Torus, form: IntMatrix) -> IntMatrix:
     """2*M*J - u*M: twice the symmetric matrix of the Hermitian form.
 
     Doubled to stay integral for half-integer traces; the form is positive
-    exactly when this matrix is positive definite.
+    exactly when this matrix is positive definite.  u is 0 over Z and Z[i].
     """
-    j = torus.complex_structure()
+    doubled = form * torus.complex_structure() * 2
     u = torus.order.u if torus.order.is_cm else 0
-    return form * j * 2 - form.scaled(u)
+    return doubled - form.scaled(u) if u else doubled
 
 
 def alternating_type(form: IntMatrix) -> tuple[int, ...]:

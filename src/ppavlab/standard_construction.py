@@ -210,11 +210,11 @@ class GluedPPAV:
 
 
 def _sides(factors, y_dim: int, divisors):
-    """(X, Y, X x Y): X the product of the xi_g factors, Y diagonal with the divisors."""
+    """(X, Y, form of X x Y): X the product of the xi_g factors, Y diagonal with the divisors."""
     x_pol = box_product(*map(xi_g, factors))
     diag = [1] * (y_dim - len(divisors)) + list(divisors)
     y_pol = PolarizedTorus(Torus(RATIONAL, y_dim), split_form(IntMatrix.diagonal(diag)))
-    return x_pol, y_pol, box_product(x_pol, y_pol)
+    return x_pol, y_pol, block_sum([x_pol.form, y_pol.form])
 
 
 def _factor_generators(factors, y_dim: int) -> list[IntMatrix]:
@@ -230,7 +230,7 @@ def _graph_lift(t, u, gx: int, gy: int) -> tuple[Fraction, ...]:
 
 
 def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
-    """Glue the permutation factors to a matching Y along their kernels."""
+    """Glue the permutation factors to a matching Y along their kernels; verified."""
     factors = tuple(factor_genera)
     if not factors or any(type(g) is not int or g < 1 for g in factors):
         raise ValueError(f"factor_genera must be a non-empty list of integers >= 1,"
@@ -245,7 +245,7 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     if y_dim < len(divisors):
         raise TypeMismatch(
             f"y_dim {y_dim} cannot carry {len(divisors)} nontrivial divisors")
-    x_pol, y_pol, prod = _sides(factors, y_dim, divisors)
+    x_pol, y_pol, prod_form = _sides(factors, y_dim, divisors)
     gx, gy = x_pol.g, y_pol.g
     n = gx + gy
 
@@ -253,8 +253,8 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     by = symplectic_basis(kernel_group(y_pol))
     if not bx.orders == divisors == by.orders:
         raise TypeMismatch(f"kernel orders {bx.orders}, {by.orders} differ from {divisors}")
-    # x_j -> v_j, y_j -> u_j negates the pairing, so the graph is isotropic;
-    # the pulled-back form is integral exactly when it is
+    # x_j -> v_j, y_j -> u_j negates the pairing, so the graph is isotropic
+    # and the pulled-back form is integral
     images = []
     for (xj, yj), (uj, vj) in zip(bx.pairs, by.pairs):
         images.append((xj, vj))
@@ -266,17 +266,7 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     den = cols.den
     h = hnf_columns(hstack(IntMatrix.identity(2 * n).scaled(den), cols.num))
     p = RatMatrix(h, den)
-    pulled = RatMatrix(h.transpose() * prod.form * h, den * den)
-    if not pulled.is_integral():
-        raise IntegralityFailure("pulled-back form is not integral")
-    m_a = pulled.num
-
-    index = Fraction(den ** (2 * n), abs(h.det()))
-    if index != math.prod(divisors) ** 2:
-        raise TypeMismatch(f"overlattice index {index} is not the squared divisor product")
-    # m_a is integral and alternating, so det = Pf^2 and |Pf| = 1 iff det = 1
-    if m_a.det() != 1:
-        raise TypeMismatch("pulled-back form is not principal")
+    form = RatMatrix(h.transpose() * prod_form * h, den * den).num
 
     # the overlattice contains Z^2n, so its inverse basis is integral
     q = p.inverse().to_int()
@@ -286,7 +276,10 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
         if not lifted.is_integral():
             raise IntegralityFailure("action does not preserve the overlattice")
         actions.append(lifted.num)
-    return GluedPPAV(factors, y_dim, p, m_a, tuple(actions), graph)
+    # verify_glued decides form-integral, overlattice-index and form-unimodular
+    glued = GluedPPAV(factors, y_dim, p, form, tuple(actions), graph)
+    _verified(glued)
+    return glued
 
 
 # -- verification ---------------------------------------------------------------
@@ -314,10 +307,10 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
     matrix product.  There must be one stored action per factor generator,
     each the identity or a pseudoreflection, and the stored graph must span
     the overlattice with Z^2n.  A GluedPPAV is a frozen value, so the report
-    is cached: decompose_glued re-uses the one its caller already made.
+    is cached: a caller and decompose_glued re-use the one build made.
     """
     divisors = elementary_divisors([g + 1 for g in a.factors])
-    _, _, prod = _sides(a.factors, a.y_dim, divisors)
+    prod_form = _sides(a.factors, a.y_dim, divisors)[2]
     n = a.dim
     form = a.form
     h, den = a.overlattice.num, a.overlattice.den
@@ -333,7 +326,7 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
 
     checks = []
     checks.append(("form-integral",
-                   h.transpose() * prod.form * h == form.scaled(den * den)))
+                   h.transpose() * prod_form * h == form.scaled(den * den)))
     alternating = form.transpose() == -form
     checks.append(("form-alternating", alternating))
     # an alternating form has det = Pf^2 (0 at odd size), so |Pf| = 1
@@ -379,6 +372,14 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
                       int(index) if index.denominator == 1 else 0)
 
 
+def _verified(a: GluedPPAV) -> GlueReport:
+    """verify_glued's report, or InvalidGlue naming the first failed check."""
+    report = verify_glued(a)
+    if report.first_failure is not None:
+        raise InvalidGlue(report.first_failure)
+    return report
+
+
 # -- decomposition ---------------------------------------------------------------
 
 
@@ -394,9 +395,7 @@ class GlueDecomposition(NamedTuple):
 
 def decompose_glued(a: GluedPPAV) -> GlueDecomposition:
     """Split a verified glue into its fixed part and polarized complement."""
-    report = verify_glued(a)
-    if report.first_failure is not None:
-        raise InvalidGlue(report.first_failure)
+    _verified(a)
     y_basis = fixed_sublattice(2 * a.dim, a.actions)
     x_basis = kernel_basis(y_basis.transpose() * a.form)
     y_type = alternating_type(y_basis.transpose() * a.form * y_basis)
@@ -468,7 +467,5 @@ def glued_from_json(text: str) -> GluedPPAV:
         actions=tuple(_parse_grid(m) for m in actions),
         graph=graph,
     )
-    report = verify_glued(glued)
-    if report.first_failure is not None:
-        raise InvalidGlue(report.first_failure)
+    _verified(glued)
     return glued

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple, Sequence
 
 from .exact_linalg import IntMatrix
@@ -132,8 +132,9 @@ class Torus:
     def lattice_rank(self) -> int:
         return 2 * self.g
 
+    @cache
     def complex_structure(self) -> IntMatrix:
-        """Matrix of multiplication by w on the Z-basis.
+        """Matrix of multiplication by w on the Z-basis, built once per torus.
 
         Over Z there is no w in the endomorphism ring; the block matrix with
         (u, v) = (0, -1) is used as the formal complex structure of the
@@ -144,24 +145,6 @@ class Torus:
         i = IntMatrix.identity(g)
         z = IntMatrix.zeros(g, g)
         return IntMatrix.from_blocks([[z, v * i], [i, u * i]])
-
-    def compatible_form(self, m: IntMatrix) -> bool:
-        """Whether an alternating form can arise from a Hermitian one here.
-
-        Over Z that pins the block shape [[0, B], [-B, 0]] with B symmetric;
-        over a CM order it is J^t M J == N(w) M for J = complex_structure().
-        """
-        if m.rows != 2 * self.g or m.cols != 2 * self.g:
-            return False
-        if self.order.is_cm:
-            j = self.complex_structure()
-            return j.transpose() * m * j == m.scaled(self.order.norm_w)
-        g = self.g
-        b = m.block(0, g, g, 2 * g)
-        return (m.block(0, g, 0, g) == IntMatrix.zeros(g, g)
-                and m.block(g, 2 * g, g, 2 * g) == IntMatrix.zeros(g, g)
-                and b.is_symmetric()
-                and m.block(g, 2 * g, 0, g) == -b)
 
 
 @dataclass(frozen=True)

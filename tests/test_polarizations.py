@@ -34,6 +34,7 @@ from ppavlab.polarizations import (
     BudgetExceeded,
     PolarizedTorus,
     SubtorusRestriction,
+    _compatible,
     _distinct_spans,
     _hyperplane_basis,
     _plane_basis,
@@ -94,6 +95,52 @@ def test_constructor_rejections():
         PolarizedTorus(Torus(GAUSSIAN, 1), IntMatrix.from_rows([[0, -1], [1, 0]]))
 
 
+def test_compatible_form_standard_symplectic():
+    g = 2
+    i = IntMatrix.identity(g)
+    z = IntMatrix.zeros(g, g)
+    m = IntMatrix.from_blocks([[z, i], [-i, z]])
+    for o in (RATIONAL, GAUSSIAN, EISENSTEIN):
+        assert _compatible(Torus(o, g), m)
+
+
+def test_compatible_form_rejections():
+    b = IntMatrix.from_rows([[1, 2], [0, 1]])  # not symmetric
+    z = IntMatrix.zeros(2, 2)
+    m = IntMatrix.from_blocks([[z, b], [-b, z]])
+    assert not _compatible(Torus(RATIONAL, 2), m)
+    # pairs e_1 with e_2 but i*e_1 with nothing, so multiplication by i
+    # cannot preserve it
+    skew = IntMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0],
+                                [0, 0, 0, 0], [0, 0, 0, 0]])
+    assert not _compatible(Torus(GAUSSIAN, 2), skew)
+    # the constructor rejects a form of the wrong shape before _compatible
+    with pytest.raises(IncompatibleForm):
+        PolarizedTorus(Torus(GAUSSIAN, 2), IntMatrix.identity(3))
+
+
+def _complex_structure_reference(torus):
+    """The block matrix [[0, v], [1, u]] of multiplication by w, built afresh."""
+    u, v = (torus.order.u, torus.order.v) if torus.order.is_cm else (0, -1)
+    i, z = IntMatrix.identity(torus.g), IntMatrix.zeros(torus.g, torus.g)
+    return IntMatrix.from_blocks([[z, i.scaled(v)], [i, i.scaled(u)]])
+
+
+def _compatible_reference(torus, m):
+    """The four-block compatibility test that tori.Torus carried before."""
+    if m.rows != 2 * torus.g or m.cols != 2 * torus.g:
+        return False
+    if torus.order.is_cm:
+        j = _complex_structure_reference(torus)
+        return j.transpose() * m * j == m.scaled(torus.order.norm_w)
+    g = torus.g
+    b = m.block(0, g, g, 2 * g)
+    return (m.block(0, g, 0, g) == IntMatrix.zeros(g, g)
+            and m.block(g, 2 * g, g, 2 * g) == IntMatrix.zeros(g, g)
+            and b.is_symmetric()
+            and m.block(g, 2 * g, 0, g) == -b)
+
+
 def rejection_det_first(torus, form):
     """The exception class the constructor's checks give with det taken first."""
     n = torus.lattice_rank
@@ -101,7 +148,7 @@ def rejection_det_first(torus, form):
         return IncompatibleForm
     if not form.is_antisymmetric():
         return NotAlternating
-    if not torus.compatible_form(form):
+    if not _compatible_reference(torus, form):
         return IncompatibleForm
     if form.det() == 0:
         return Degenerate
@@ -150,6 +197,15 @@ def test_constructor_rejection_matches_det_first_order(case):
     except (IncompatibleForm, NotAlternating, Degenerate, NotPositive) as exc:
         got = type(exc)
     assert got is rejection_det_first(torus, form)
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidate_forms())
+def test_associated_symmetric_matches_full_formula(case):
+    torus, form = case
+    u = torus.order.u if torus.order.is_cm else 0
+    want = form * _complex_structure_reference(torus) * 2 - form.scaled(u)
+    assert associated_symmetric(torus, form) == want
 
 
 def test_theta_and_xi_valid_over_every_order():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from ppavlab import standard_construction
 from ppavlab.exact_linalg import IntMatrix, RatMatrix, kernel_basis, pfaffian
 from ppavlab.group_actions import (
     _close,
@@ -341,6 +342,23 @@ def test_build_rejects_non_integer_sizes(factors, y_dim, named):
     # a float or string y_dim raised TypeError, and True built with y_dim 1
     with pytest.raises(ValueError, match=named):
         build_standard(factors, y_dim)
+
+
+def test_build_returns_only_verified_glues(monkeypatch):
+    # one identity action too many breaks only the one-action-per-generator
+    # count, which build_standard itself never checks
+    real = standard_construction._factor_generators
+    monkeypatch.setattr(standard_construction, "_factor_generators", lambda factors, y_dim: [
+        *real(factors, y_dim), IntMatrix.identity(2 * (sum(factors) + y_dim))])
+    with pytest.raises(InvalidGlue, match="x-action-reflections"):
+        build_standard([2], 1)
+
+
+def test_sides_product_form_is_the_box_product_form():
+    for factors, y_dim in GRID + _glue_cases():
+        divisors = elementary_divisors([g + 1 for g in factors])
+        x_pol, y_pol, prod_form = _sides(factors, y_dim, divisors)
+        assert prod_form == box_product(x_pol, y_pol).form
 
 
 def test_build_principal_form_frozen_small():

@@ -243,24 +243,3 @@ def test_complex_structure_satisfies_defining_relation():
         u, v = (o.u, o.v) if o.is_cm else (0, -1)
         assert j * j == j.scaled(u) + IntMatrix.identity(4).scaled(v)
 
-
-def test_compatible_form_standard_symplectic():
-    g = 2
-    i = IntMatrix.identity(g)
-    z = IntMatrix.zeros(g, g)
-    m = IntMatrix.from_blocks([[z, i], [-i, z]])
-    for o in ALL_ORDERS:
-        assert Torus(o, g).compatible_form(m)
-
-
-def test_compatible_form_rejections():
-    b = IntMatrix.from_rows([[1, 2], [0, 1]])  # not symmetric
-    z = IntMatrix.zeros(2, 2)
-    m = IntMatrix.from_blocks([[z, b], [-b, z]])
-    assert not Torus(RATIONAL, 2).compatible_form(m)
-    # pairs e_1 with e_2 but i*e_1 with nothing, so multiplication by i
-    # cannot preserve it
-    skew = IntMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0],
-                                [0, 0, 0, 0], [0, 0, 0, 0]])
-    assert not Torus(GAUSSIAN, 2).compatible_form(skew)
-    assert not Torus(GAUSSIAN, 2).compatible_form(IntMatrix.identity(3))
