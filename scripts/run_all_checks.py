@@ -7,10 +7,15 @@ human-facing version for a quick desk run.  Exit code matches the command:
 """
 
 import argparse
+import os
 import sys
 
-from ppavlab.checks import RunOptions, run_checks
-from ppavlab.cli import GMAX_LIMIT, _gmax
+# the checkout's src comes first, so the script runs without an installed ppavlab
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from ppavlab.checks import RunOptions, run_checks  # noqa: E402
+from ppavlab.cli import GMAX_LIMIT, _gmax  # noqa: E402
 
 
 def main() -> int:

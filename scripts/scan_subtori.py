@@ -8,10 +8,15 @@ aborts loudly if any restriction comes out principal.
 """
 
 import argparse
+import os
 import sys
 from collections import Counter
 
-from ppavlab.polarizations import (
+# the checkout's src comes first, so the script runs without an installed ppavlab
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from ppavlab.polarizations import (  # noqa: E402
     BudgetExceeded, PrincipalRestrictionFound, scan_subtorus_types)
 
 

@@ -20,12 +20,12 @@ from .standard_construction import FACTOR_PRODUCT_LIMIT
 
 # Upper limits on the size flags, set by timing the checks they feed on a
 # 2-core host: --gmax 40 takes xi-kernel-type and theta-principal about 6 s
-# together; a factor of 6 closes example_b(6), 5,040 elements in 0.6 s (7
-# would close 40,320 in 6 s and 200 MB); --ydim 32 builds factors 6,6 in
-# 7 s.  build_standard holds the limit on prod(g + 1).
+# together; at --ydim 32 the worst factor lists the limits admit, 15,15 and
+# 14,16, build in 6.4-7.9 s (a factor limit of 40 would admit 5,40 at
+# 12.7 s).  build_standard holds the limit on prod(g + 1).
 GMAX_LIMIT = 40
 YDIM_LIMIT = 32
-FACTOR_LIMIT = 6
+FACTOR_LIMIT = 16
 
 
 def _positive_int(text: str, limit: int) -> int:

@@ -13,6 +13,7 @@ integers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -103,50 +104,47 @@ def _identity_columns(n: int) -> tuple:
     return tuple(IntMatrix.identity(n).columns())
 
 
+def _grow(seen: set, fresh, steps):
+    """Levels of a breadth-first search: each is fresh·steps - seen, added to seen.
+
+    Elements are held by their columns and multiplied by a generator through
+    the generator's column non-zeros (`_times`).  The last level is empty.
+    """
+    while fresh:
+        fresh = {_times(e, step) for e in fresh for step in steps} - seen
+        seen |= fresh
+        yield fresh
+
+
 def _close(torus: Torus, actions: tuple[IntMatrix, ...], cap: int) -> MatrixGroup:
     """Group generated by integer action matrices, in breadth-first order.
 
     Elements are listed by word length and, within a level, by the
     lexicographic order of their O-entries, so element indexing is
-    reproducible.  Raises CapExceeded past `cap` elements, or as soon as two
+    reproducible.  Raises CapExceeded past `cap` elements, or when two
     elements agree mod 3: reduction mod p >= 3 is injective on finite
     subgroups of GL_2g(Z) (Minkowski), so such a group is infinite.
-
-    The search holds each element by its columns and multiplies it by a
-    generator through the generator's column non-zeros (`_times`); the
-    residue and the sort key of an element are taken once, when it is new.
     """
     if any(abs(r.det()) != 1 for r in actions):
         raise ValueError("generators must have unit determinant")
     g, n = torus.g, torus.lattice_rank
     steps = [_column_nonzeros(r) for r in actions]
-    level = [_identity_columns(n)]
-    seen = set(level)
-    residues = {tuple([x % 3 for col in level[0] for x in col])}
-    elements = []
-    while level:
-        elements.extend(level)
+    identity = _identity_columns(n)
+    seen, residues, elements = {identity}, set(), []
+    for level in itertools.chain([[identity]], _grow(seen, [identity], steps)):
+        residues.update(tuple([x % 3 for col in e for x in col]) for e in level)
+        # the _pairs order: entry (i, j) and (g + i, j), row by row
+        elements.extend(sorted(level, key=lambda p: [
+            x for i in range(g) for col in p[:g] for x in (col[i], col[g + i])]))
+        if len(residues) < len(elements):
+            raise CapExceeded("two elements agree mod 3, so the group is infinite")
         if len(elements) > cap:
             raise CapExceeded(f"group has more than {cap} elements")
-        fresh = {}
-        for e in level:
-            for step in steps:
-                p = _times(e, step)
-                if p in seen:
-                    continue
-                seen.add(p)
-                residue = tuple([x % 3 for col in p for x in col])
-                if residue in residues:
-                    raise CapExceeded("two elements agree mod 3, so the group is infinite")
-                residues.add(residue)
-                # the _pairs order: entry (i, j) and (g + i, j), row by row
-                fresh[p] = [x for i in range(g) for col in p[:g] for x in (col[i], col[g + i])]
-        level = sorted(fresh, key=fresh.get)
     return MatrixGroup(torus, actions,
                        tuple(IntMatrix(n, n, tuple(zip(*e))) for e in elements))
 
 
-def closure(gens, cap: int = 10 ** 6) -> MatrixGroup:
+def closure(gens) -> MatrixGroup:
     """Group generated by finite-order O-matrices on one torus (see _close)."""
     gens = tuple(gens)
     if not gens:
@@ -154,7 +152,7 @@ def closure(gens, cap: int = 10 ** 6) -> MatrixGroup:
     order, g = gens[0].order, gens[0].g
     if any(m.order != order or m.g != g for m in gens):
         raise DimensionMismatch("generators must share the torus")
-    return _close(Torus(order, g), tuple(rational_rep(m) for m in gens), cap)
+    return _close(Torus(order, g), tuple(rational_rep(m) for m in gens), 10 ** 6)
 
 
 def invariant_form(group: MatrixGroup, p: PolarizedTorus) -> bool:
@@ -199,8 +197,7 @@ def pseudoreflection_generated(group: MatrixGroup) -> tuple[bool, int]:
     Q-rank is twice that (over Z it is diag(A, A)), so the test is rank 2.
     The subgroup is closed greedily: a reflection joins the generators only
     when the subgroup so far misses it, until the subgroup is the group.
-    Each join extends the subgroup's element set: the subgroup times the
-    new reflection, then every new element times every generator.
+    Each join grows the subgroup's element set from all of it.
     """
     refl = [e for e in group.elements if reflection_rank(e) == 2]
     if not refl:
@@ -210,12 +207,9 @@ def pseudoreflection_generated(group: MatrixGroup) -> tuple[bool, int]:
         if tuple(r.columns()) in sub:
             continue
         steps.append(_column_nonzeros(r))
-        fresh = {_times(h, steps[-1]) for h in sub} - sub
-        while fresh:
-            sub |= fresh
+        for _ in _grow(sub, list(sub), steps):
             if len(sub) > group.order:
                 raise CapExceeded(f"group has more than {group.order} elements")
-            fresh = {_times(p, step) for p in fresh for step in steps} - sub
         if len(sub) == group.order:
             break
     return len(sub) == group.order, len(refl)
@@ -361,16 +355,21 @@ def example_a(g: int, m: int) -> tuple[MatrixGroup, PolarizedTorus]:
     return closure(gens), theta_g(g, order)
 
 
+def _zero_sum_generators(g: int) -> list[OrderMatrix]:
+    """Adjacent transpositions of the first g coordinates, then the zero-sum row."""
+    gens = _adjacent_transpositions(RATIONAL, g)
+    last = [[int(i == j) for j in range(g)] for i in range(g - 1)]
+    last.append([-1] * g)
+    gens.append(OrderMatrix.from_int_rows(RATIONAL, last))
+    return gens
+
+
 @lru_cache(maxsize=None)
 def example_b(g: int) -> tuple[MatrixGroup, PolarizedTorus]:
     """All permutations of g+1 zero-sum coordinates, written in the first g."""
     if g < 1:
         raise ValueError("g must be >= 1")
-    gens = _adjacent_transpositions(RATIONAL, g)
-    last = [[int(i == j) for j in range(g)] for i in range(g - 1)]
-    last.append([-1] * g)
-    gens.append(OrderMatrix.from_int_rows(RATIONAL, last))
-    return closure(gens), xi_g(g)
+    return closure(_zero_sum_generators(g)), xi_g(g)
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,7 @@ from .exact_linalg import (
     kernel_basis,
     snf_diagonal,
 )
-from .group_actions import example_b, fixed_sublattice, reflection_rank
+from .group_actions import _zero_sum_generators, fixed_sublattice, reflection_rank
 from .polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
@@ -42,7 +42,7 @@ from .polarizations import (
     split_form,
     xi_g,
 )
-from .tori import RATIONAL, Torus
+from .tori import RATIONAL, Torus, rational_rep
 
 
 class DegeneratePairing(ValueError):
@@ -221,7 +221,7 @@ def _factor_generators(factors, y_dim: int) -> list[IntMatrix]:
     """Permutation generators of each factor, acting as the identity elsewhere."""
     eye = [IntMatrix.identity(2 * g) for g in (*factors, y_dim)]
     return [block_sum(eye[:f] + [b] + eye[f + 1:])
-            for f, g in enumerate(factors) for b in example_b(g)[0].generators]
+            for f, g in enumerate(factors) for b in map(rational_rep, _zero_sum_generators(g))]
 
 
 def _graph_lift(t, u, gx: int, gy: int) -> tuple[Fraction, ...]:

@@ -141,6 +141,22 @@ def test_scan_script_rejects_sizes_out_of_range(argv):
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize("script, argv, last", [
+    ("run_all_checks.py", ["--gmax", "2"], "checks passed"),
+    ("scan_subtori.py", ["2", "--height", "1"], "no principal restricted type"),
+], ids=["run-all-checks", "scan-subtori"])
+def test_scripts_run_from_a_fresh_checkout(script, argv, last):
+    # README presents both scripts as runnable from the checkout, with no
+    # install and no PYTHONPATH
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(root / "scripts" / script), *argv],
+                          capture_output=True, text=True, env=env, cwd=root.parent,
+                          timeout=120)
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[-1].endswith(last)
+
+
 def test_missing_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

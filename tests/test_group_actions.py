@@ -120,8 +120,8 @@ def test_closure_rejects_bad_generators():
 
 
 def test_closure_cap():
-    with pytest.raises(CapExceeded):
-        closure(C_GENS, cap=5)
+    with pytest.raises(CapExceeded, match="more than 5 elements"):
+        _close(Torus(GAUSSIAN, 2), tuple(rational_rep(m) for m in C_GENS), cap=5)
 
 
 def test_closure_of_infinite_group_fails_fast():

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from ppavlab import standard_construction
+from ppavlab import group_actions, standard_construction
 from ppavlab.exact_linalg import IntMatrix, RatMatrix, kernel_basis, pfaffian
 from ppavlab.group_actions import (
     _close,
+    example_b,
     fixed_sublattice,
     group_from_json,
     pseudoreflection_generated,
@@ -24,6 +25,7 @@ from ppavlab.polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
     alternating_type,
+    block_sum,
     box_product,
     kernel_group,
     polarization_from_json,
@@ -352,6 +354,48 @@ def test_build_returns_only_verified_glues(monkeypatch):
         *real(factors, y_dim), IntMatrix.identity(2 * (sum(factors) + y_dim))])
     with pytest.raises(InvalidGlue, match="x-action-reflections"):
         build_standard([2], 1)
+
+
+def _glue_outcome(factors, y_dim):
+    glued = build_standard(factors, y_dim)
+    return glued, verify_glued(glued), decompose_glued(glued)
+
+
+def test_glue_path_closes_no_group(monkeypatch):
+    # a glue needs each factor's generators, not the (g + 1)! elements of
+    # S_{g+1}; with every closure refused, build, verify and decompose
+    # still give the same glues
+    cases = GRID + _glue_cases()
+    want = [_glue_outcome(*case) for case in cases]
+    example_b.cache_clear()
+    verify_glued.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("a glue operation closed a group")
+
+    monkeypatch.setattr(group_actions, "_close", refuse)
+    assert [_glue_outcome(*case) for case in cases] == want
+
+
+def test_factor_generators_are_example_b_generators():
+    # the route the glue took when it read the generators off the closed group
+    def via_example_b(factors, y_dim):
+        eye = [IntMatrix.identity(2 * g) for g in (*factors, y_dim)]
+        return [block_sum(eye[:f] + [b] + eye[f + 1:])
+                for f, g in enumerate(factors) for b in example_b(g)[0].generators]
+
+    cases = [((g,), 1) for g in range(1, 7)] + list(GRID + _glue_cases())
+    for factors, y_dim in cases:
+        assert _factor_generators(factors, y_dim) == via_example_b(factors, y_dim), factors
+
+
+@pytest.mark.parametrize("g", [8, 12])
+def test_build_factors_past_the_closure_cap(g):
+    # closing S_{g+1} took 362,880 elements at g = 8 and passed the 10^6
+    # closure cap from g = 9 on; the glue reads only the g generators
+    glued = build_standard((g,), 1)
+    assert verify_glued(glued).checks == tuple((name, True) for name in CHECK_NAMES)
+    assert decompose_glued(glued).x_type == (1,) * (g - 1) + (g + 1,)
 
 
 def test_sides_product_form_is_the_box_product_form():
