@@ -394,35 +394,34 @@ def _hyperplane_basis(c: Sequence[int]) -> IntMatrix:
     With m the last index where c_m != 0 and t_i = gcd(c_i, ..., c_{n-1}),
     the kernel vectors that vanish before index i take at i exactly the
     multiples of d_i = t_{i+1} / t_i when i < m, only 0 at m, and every
-    integer past m (Newman, *Integral Matrices*, Ch. II).  So row i < m has
-    pivot d_i, each entry x_j with i < j < m is the one residue in [0, d_j)
-    that keeps the rest of c.x = 0 solvable, and x_m closes it; the rows
-    past m are unit vectors.
+    integer past m (Newman, *Integral Matrices*, Ch. II).  So column i < m
+    has pivot d_i, each entry x_j with i < j < m is the one residue in
+    [0, d_j) that keeps the rest of c.x = 0 solvable, and x_m closes it;
+    the columns from m on are unit vectors.  The entries are written
+    straight into the rows of the n x (n - 1) matrix.
     """
     n = len(c)
-    m = max(i for i in range(n) if c[i])
+    m = n - 1
+    while not c[m]:
+        m -= 1
     t = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         t[i] = math.gcd(c[i], t[i + 1])
     d = [t[i + 1] // t[i] for i in range(m)]
-    rows = []
-    for i in range(n):
-        if i == m:
-            continue
-        x = [0] * n
-        if i > m:
-            x[i] = 1
-        else:
-            x[i] = d[i]
-            rem = -c[i] * d[i]  # what c_{i+1} x_{i+1} + ... + c_m x_m must make
-            for j in range(i + 1, m):
-                if d[j] > 1:
-                    # rem is a multiple of t_j; leave a multiple of t_{j+1}
-                    x[j] = rem // t[j] * pow(c[j] // t[j], -1, d[j]) % d[j]
-                    rem -= c[j] * x[j]
-            x[m] = rem // c[m]
-        rows.append(x)
-    return IntMatrix.from_columns(rows, rows=n)
+    rows = [[0] * (n - 1) for _ in range(n)]
+    for i in range(m):
+        rows[i][i] = d[i]
+        rem = -c[i] * d[i]  # what c_{i+1} x_{i+1} + ... + c_m x_m must make
+        for j in range(i + 1, m):
+            if d[j] > 1:
+                # rem is a multiple of t_j; leave a multiple of t_{j+1}
+                x = rem // t[j] * pow(c[j] // t[j], -1, d[j]) % d[j]
+                rows[j][i] = x
+                rem -= c[j] * x
+        rows[m][i] = rem // c[m]
+    for i in range(m, n - 1):
+        rows[i + 1][i] = 1
+    return IntMatrix(n, n - 1, tuple(map(tuple, rows)))
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -468,10 +467,11 @@ def _plane_basis(n: int, key: Sequence[int]) -> IntMatrix:
         acc = u * acc + v * rhs[j]
     y = acc % big_d
     r1 = [(y * b - a) // big_d for a, b in zip(rhs, r2)]
-    return IntMatrix.from_columns([r1, r2], rows=n)
+    return IntMatrix(n, 2, tuple(zip(r1, r2)))
 
 
-def _distinct_spans(n: int, prims: list[tuple[int, ...]]) -> list[IntMatrix]:
+def _distinct_spans(n: int, prims: list[tuple[int, ...]]
+                    ) -> tuple[list[IntMatrix], list[IntMatrix], list[tuple[tuple[int, ...], IntMatrix]]]:
     """Saturated basis of each distinct Q-span of fewer than n of the vectors.
 
     Two k-subsets span the same Q-space exactly when their k x k minors (the
@@ -482,11 +482,17 @@ def _distinct_spans(n: int, prims: list[tuple[int, ...]]) -> list[IntMatrix]:
     no two span the same line: every vector is its own rank-1 span and
     every pair has a non-zero key.  The budget caps n at 4, so each rank
     has its own loop.
+
+    Returns (lines, planes, hyperplanes): the rank-1 bases in the order of
+    prims, the rank-2 bases of Z^4, and for each rank-(n - 1) span with
+    n >= 3 its primitive normal next to its basis.
     """
     # a primitive vector with leading entry positive is its own HNF
-    sublattices = [IntMatrix.from_columns((v,), rows=n) for v in prims]
+    lines = [IntMatrix(n, 1, tuple((x,) for x in v)) for v in prims]
+    planes = []
+    hyperplanes = []
     gcd = math.gcd
-    hyperplanes = set()
+    seen = set()
     if n == 3:
         for i, (a0, a1, a2) in enumerate(prims):
             for b0, b1, b2 in prims[i + 1:]:
@@ -494,13 +500,15 @@ def _distinct_spans(n: int, prims: list[tuple[int, ...]]) -> list[IntMatrix]:
                 g = gcd(p01, p02, p12)
                 if (p01 or p02 or p12) < 0:
                     g = -g
-                key = (p01 // g, p02 // g, p12 // g)
-                if key not in hyperplanes:
-                    hyperplanes.add(key)
-                    # the normal is the cross product a x b
-                    sublattices.append(_hyperplane_basis((key[2], -key[1], key[0])))
+                # the normal, the cross product a x b, is the key reordered
+                # with one sign flipped, so it keys the set; the set and the
+                # list share the one tuple
+                normal = (p12 // g, -p02 // g, p01 // g)
+                if normal not in seen:
+                    seen.add(normal)
+                    hyperplanes.append((normal, _hyperplane_basis(normal)))
     elif n == 4:
-        planes = set()
+        plane_keys = set()
         for i, (a0, a1, a2, a3) in enumerate(prims):
             for j in range(i + 1, len(prims)):
                 b0, b1, b2, b3 = prims[j]
@@ -510,9 +518,9 @@ def _distinct_spans(n: int, prims: list[tuple[int, ...]]) -> list[IntMatrix]:
                 if (p01 or p02 or p03 or p12 or p13 or p23) < 0:
                     g = -g
                 key = (p01 // g, p02 // g, p03 // g, p12 // g, p13 // g, p23 // g)
-                if key not in planes:
-                    planes.add(key)
-                    sublattices.append(_plane_basis(4, key))
+                if key not in plane_keys:
+                    plane_keys.add(key)
+                    planes.append(_plane_basis(4, key))
                 # the 3 x 3 minors of (a, b, c) by Laplace expansion along c:
                 # M_ijl = c_i p_jl - c_j p_il + c_l p_ij
                 for c0, c1, c2, c3 in prims[j + 1:]:
@@ -525,12 +533,26 @@ def _distinct_spans(n: int, prims: list[tuple[int, ...]]) -> list[IntMatrix]:
                         continue  # c lies in the span of a and b
                     if (m012 or m013 or m023 or m123) < 0:
                         h = -h
-                    key = (m012 // h, m013 // h, m023 // h, m123 // h)
-                    if key not in hyperplanes:
-                        hyperplanes.add(key)
-                        # signed maximal minors: the normal of the hyperplane
-                        sublattices.append(_hyperplane_basis((key[3], -key[2], key[1], -key[0])))
-    return sublattices
+                    # signed maximal minors: the normal of the hyperplane
+                    normal = (m123 // h, -m023 // h, m013 // h, -m012 // h)
+                    if normal not in seen:
+                        seen.add(normal)
+                        hyperplanes.append((normal, _hyperplane_basis(normal)))
+    return lines, planes, hyperplanes
+
+
+def _block_type(s: IntMatrix) -> tuple[int, ...]:
+    """Type of xi_g(n) restricted to diag(S, S), for a basis S of a sublattice of Z^n.
+
+    xi_g(n) is split_form(I + J), J all ones; restricted to diag(S, S) it
+    is split_form(S^t S + u u^t) with u = S^t 1, whose type is the Smith
+    diagonal of that block.
+    """
+    cols = s.columns()
+    u = [sum(c) for c in cols]
+    block = tuple(tuple(sum(map(operator.mul, x, y)) + ux * uy for y, uy in zip(cols, u))
+                  for x, ux in zip(cols, u))
+    return snf_diagonal(IntMatrix(s.cols, s.cols, block))
 
 
 def scan_subtorus_types(n: int, height: int) -> tuple[SubtorusRestriction, ...]:
@@ -538,10 +560,18 @@ def scan_subtorus_types(n: int, height: int) -> tuple[SubtorusRestriction, ...]:
 
     Sublattices are the saturations of spans of primitive vectors with
     entries in [-height, height], tensored with the order; each distinct
-    span's saturated basis is read off its Plücker vector once.  Raises
-    ValueError below n = 1 or height = 1, BudgetExceeded beyond n <= 4,
-    height <= 5 or 200,000 subsets, and PrincipalRestrictionFound if any
-    restricted type is all ones.
+    span's saturated basis is read off its Plücker vector once.  Results
+    come sorted by rank, then basis.  Raises ValueError below n = 1 or
+    height = 1, BudgetExceeded beyond n <= 4, height <= 5 or 200,000
+    subsets, and PrincipalRestrictionFound if any restricted type is all
+    ones.
+
+    A rank-1 type is the 1 x 1 block |v|^2 + (sum v)^2 of its vector v.  A
+    hyperplane's type is computed once per orbit of its primitive normal
+    nu under coordinate permutations and sign: I + J is invariant under
+    every permutation matrix P, so the block of (P nu)^perp = P(nu^perp)
+    is congruent to that of nu^perp, and -nu has the same hyperplane.
+    The orbit key is min(sorted(nu), sorted(-nu)).
     """
     if n < 1 or height < 1:
         raise ValueError(f"n and height must be >= 1, got n={n}, height={height}")
@@ -554,19 +584,27 @@ def scan_subtorus_types(n: int, height: int) -> tuple[SubtorusRestriction, ...]:
     if subsets > _SCAN_SUBSET_BUDGET:
         raise BudgetExceeded(f"scan of n={n}, height={height} needs {subsets} subsets;"
                              f" the budget is {_SCAN_SUBSET_BUDGET}")
-    # xi_g(n) is split_form(I + J), J all ones; restricted to diag(S, S) it
-    # is split_form(S^t S + u u^t) with u = S^t 1, whose type is the Smith
-    # diagonal of that block
-    results = []
-    for sat in _distinct_spans(n, prims):
-        cols = sat.columns()
-        u = [sum(c) for c in cols]
-        block = tuple(tuple(sum(map(operator.mul, x, y)) + ux * uy for y, uy in zip(cols, u))
-                      for x, ux in zip(cols, u))
-        results.append(SubtorusRestriction(sat, snf_diagonal(IntMatrix(sat.cols, sat.cols, block))))
-    results.sort(key=lambda r: (r.basis.cols, r.basis.entries))
+    lines, planes, hyperplanes = _distinct_spans(n, prims)
+    # prims, and so the lines, are already in lexicographic order
+    results = [SubtorusRestriction(s, (sum(x * x for x in v) + sum(v) ** 2,))
+               for v, s in zip(prims, lines)]
+    results += sorted((SubtorusRestriction(s, _block_type(s)) for s in planes),
+                      key=lambda r: r.basis.entries)
+    orbit_types = {}
+    # each (normal, basis) pair is replaced by its restriction in place, so
+    # the pairs are freed as the loop goes, not held until the sort
+    for i, (normal, s) in enumerate(hyperplanes):
+        up = sorted(normal)
+        orbit = tuple(min(up, [-x for x in reversed(up)]))
+        t = orbit_types.get(orbit)
+        if t is None:
+            t = orbit_types[orbit] = _block_type(s)
+        hyperplanes[i] = SubtorusRestriction(s, t)
+    hyperplanes.sort(key=lambda r: r.basis.entries)
+    results += hyperplanes
     for r in results:
-        if all(d == 1 for d in r.type):
+        # a Smith diagonal is a divisor chain: all ones exactly when its last entry is
+        if r.type[-1] == 1:
             raise PrincipalRestrictionFound(
                 f"sublattice {r.basis.entries} restricts to a principal type")
     return tuple(results)

@@ -699,8 +699,13 @@ def _sorted_spans(spans):
 @pytest.mark.parametrize("n, height", [(3, 3), (3, 4), (4, 1)])
 def test_distinct_spans_match_keying_every_subset(n, height):
     prims = _primitive_vectors(n, height)
-    assert (_sorted_spans(_distinct_spans(n, prims))
+    lines, planes, hyperplanes = _distinct_spans(n, prims)
+    assert (_sorted_spans(lines + planes + [s for _, s in hyperplanes])
             == _sorted_spans(_spans_by_keying_every_subset(n, prims)))
+    # each normal is primitive and annihilates its hyperplane
+    for normal, s in hyperplanes:
+        assert math.gcd(*normal) == 1
+        assert IntMatrix.from_rows([normal]) * s == IntMatrix.zeros(1, n - 1)
 
 
 @st.composite
@@ -716,7 +721,8 @@ def _primitive_sublists(draw):
 def test_distinct_spans_of_sublists_match_keying_every_subset(case):
     # height-2 vectors give rank-deficient triples and non-primitive minors
     n, prims = case
-    assert (_sorted_spans(_distinct_spans(n, prims))
+    lines, planes, hyperplanes = _distinct_spans(n, prims)
+    assert (_sorted_spans(lines + planes + [s for _, s in hyperplanes])
             == _sorted_spans(_spans_by_keying_every_subset(n, prims)))
 
 
@@ -799,11 +805,79 @@ def test_scan_height_one_contains_diagonal():
     found = {r.basis.entries: r.type for r in results}
     diag = IntMatrix.from_columns([[1, 1]], rows=2)
     assert found[diag.entries] == (6,)
+
+
+@pytest.mark.parametrize("n, height", [(2, 1), (3, 3), (4, 1)])
+def test_scan_rank_one_types_are_the_block_form(n, height):
     # every rank-1 type is the value of the block form on the basis vector
-    b = xi_g(2).form.block(0, 2, 2, 4)
-    for r in results:
-        v = IntMatrix.from_columns([r.basis.columns()[0]], rows=2)
+    b = xi_g(n).form.block(0, n, n, 2 * n)
+    rank_one = [r for r in scan_subtorus_types(n, height) if r.basis.cols == 1]
+    assert len(rank_one) == len(_primitive_vectors(n, height))
+    for r in rank_one:
+        v = IntMatrix.from_columns([r.basis.columns()[0]], rows=n)
         assert r.type == ((v.transpose() * b * v)[0, 0],)
+
+
+@st.composite
+def _primitive_normals(draw):
+    n = draw(st.integers(3, 6))
+    row = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    g = math.gcd(*row)
+    assume(g)
+    return tuple(x // g for x in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_primitive_normals())
+def test_hyperplane_type_is_invariant_under_permutation_and_sign(normal):
+    # the scan computes one type per orbit of normals; xi_n = split_form(I + J)
+    # is invariant under coordinate permutations, so the orbit shares a type
+    want = polarizations._block_type(_hyperplane_basis(normal))
+    for p in set(itertools.permutations(normal)):
+        assert polarizations._block_type(_hyperplane_basis(p)) == want
+        assert polarizations._block_type(_hyperplane_basis([-x for x in p])) == want
+
+
+def test_scan_types_are_not_a_function_of_the_norm():
+    # (1, 1, 0) and (1, -1, 0) have the same |nu| but lie in different orbits
+    types = {r.basis.entries: r.type for r in scan_subtorus_types(3, 1)}
+    assert [math.prod(types[_hyperplane_basis(nu).entries])
+            for nu in ((1, 1, 0), (1, -1, 0))] == [4, 8]
+
+
+@pytest.mark.parametrize("n, height", [(3, 2), (3, 3), (4, 1)])
+def test_hyperplane_type_product_is_determinant_formula(n, height):
+    # det(S^t (I + J) S) = (n + 1)|nu|^2 - (sum nu)^2 for the saturated
+    # hyperplane with primitive normal nu: det(I + J) = n + 1 and
+    # (I + J)^-1 = I - J/(n + 1)
+    types = {r.basis.entries: r.type for r in scan_subtorus_types(n, height)}
+    _, _, hyperplanes = _distinct_spans(n, _primitive_vectors(n, height))
+    assert hyperplanes
+    for normal, s in hyperplanes:
+        assert math.prod(types[s.entries]) == (
+            (n + 1) * sum(x * x for x in normal) - sum(normal) ** 2)
+
+
+def test_principal_type_raises_naming_first_sublattice_of_its_orbit(monkeypatch):
+    from ppavlab.checks import RunOptions, _check_subtorus_not_principal
+
+    orbit = {p for v in ((1, 1, 0), (-1, -1, 0)) for p in itertools.permutations(v)}
+
+    def normal(s):
+        (a0, b0), (a1, b1), (a2, b2) = s.entries
+        return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+    real = scan_subtorus_types(3, 3)
+    first = next(r for r in real if r.basis.cols == 2 and normal(r.basis) in orbit)
+    block_type = polarizations._block_type
+    monkeypatch.setattr(polarizations, "_block_type",
+                        lambda s: (1, 1) if normal(s) in orbit else block_type(s))
+    with pytest.raises(polarizations.PrincipalRestrictionFound) as found:
+        scan_subtorus_types(3, 3)
+    assert str(found.value) == f"sublattice {first.basis.entries} restricts to a principal type"
+    ok, detail = _check_subtorus_not_principal(RunOptions())
+    assert ok is False
+    assert detail == {"principal_witness": str(found.value)}
 
 
 def test_scan_type_matches_full_restriction():
