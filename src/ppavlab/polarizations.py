@@ -437,12 +437,14 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
 def _plane_basis(n: int, key: Sequence[int]) -> IntMatrix:
     """HNF basis (as columns) of the saturated rank-2 lattice with Plücker key `key`.
 
-    key holds the 2 x 2 minors p_ij (i < j, lexicographic), primitive.  For
-    the HNF rows r1, r2 (pivots c1 < c2) of the lattice, p = s (r1 ^ r2) with
-    s = +-1, so row c1 of p is s r1[c1] r2: r2 and r1[c1] are its primitive
-    part and gcd.  Row c2 of p gives D r1[j] = y r2[j] - s p_{c2 j} with
-    D = r2[c2] and y = r1[c2] in [0, D), and y is fixed mod D because r2 is
-    primitive.
+    key holds the 2 x 2 minors p_ij (i < j, lexicographic), primitive, with
+    its first non-zero minor positive, as _distinct_spans normalizes it.
+    For the HNF rows r1, r2 (pivots c1 < c2) of the lattice, p = +-(r1 ^ r2)
+    and that first minor is p_{c1 c2} = +-r1[c1] r2[c2], a product of two
+    positive pivots, so p = r1 ^ r2.  Row c1 of p is then r1[c1] r2: r2 and
+    r1[c1] are its primitive part and gcd.  Row c2 of p gives
+    D r1[j] = y r2[j] - p_{c2 j} with D = r2[c2] and y = r1[c2] in [0, D),
+    and y is fixed mod D because r2 is primitive.
     """
     p = [[0] * n for _ in range(n)]
     for (i, j), x in zip(itertools.combinations(range(n), 2), key):
@@ -451,12 +453,8 @@ def _plane_basis(n: int, key: Sequence[int]) -> IntMatrix:
     g = math.gcd(*q)
     r2 = [x // g for x in q]
     c2 = next(j for j in range(n) if r2[j])
-    s = 1
-    if r2[c2] < 0:
-        r2 = [-x for x in r2]
-        s = -1
     big_d = r2[c2]
-    rhs = [s * x for x in p[c2]]  # y r2[j] == rhs[j] (mod D) for every j
+    rhs = p[c2]  # y r2[j] == rhs[j] (mod D) for every j
     # fold D and r2's entries into their gcd, 1, carrying the right-hand
     # sides along: y * h == acc (mod D) throughout
     h, acc = big_d, 0

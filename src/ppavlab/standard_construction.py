@@ -37,7 +37,6 @@ from .polarizations import (
     _json_fields,
     alternating_type,
     block_sum,
-    box_product,
     kernel_group,
     split_form,
     xi_g,
@@ -51,10 +50,6 @@ class DegeneratePairing(ValueError):
 
 class TypeMismatch(ValueError):
     """The requested Y dimension cannot carry the required divisors."""
-
-
-class IntegralityFailure(ValueError):
-    """A pulled-back object landed outside the integral lattice."""
 
 
 class InvalidGlue(ValueError):
@@ -184,6 +179,14 @@ def elementary_divisors(ms) -> tuple[int, ...]:
     return tuple(d for d in snf_diagonal(IntMatrix.diagonal(ms)) if d > 1)
 
 
+def _glue_divisors(factors, y_dim: int) -> tuple[int, ...]:
+    """The X kernel's divisors; TypeMismatch when Y cannot carry them."""
+    divisors = elementary_divisors([g + 1 for g in factors])
+    if y_dim < len(divisors):
+        raise TypeMismatch(f"y_dim {y_dim} cannot carry {len(divisors)} nontrivial divisors")
+    return divisors
+
+
 @dataclass(frozen=True)
 class GluedPPAV:
     """Principal form on an overlattice of a product, with the lifted action.
@@ -200,6 +203,26 @@ class GluedPPAV:
     actions: tuple[IntMatrix, ...]
     graph: tuple[tuple[Fraction, ...], ...]
 
+    def __post_init__(self):
+        # the shape every check of verify_glued reads; ValueError names the field
+        factors, y_dim = self.factors, self.y_dim
+        if (type(factors) is not tuple or not factors
+                or any(type(g) is not int or g < 1 for g in factors)):
+            raise ValueError(f"factors must be a non-empty tuple of integers >= 1,"
+                             f" got {factors!r}")
+        if type(y_dim) is not int or y_dim < 1:
+            raise ValueError(f"y_dim must be an integer >= 1, got {y_dim!r}")
+        _glue_divisors(factors, y_dim)
+        size = 2 * self.dim
+        need = f"factors {factors} and y_dim {y_dim} need {size}"
+        for name, m in [("overlattice", self.overlattice), ("form", self.form),
+                        *((f"actions[{i}]", r) for i, r in enumerate(self.actions))]:
+            if (m.rows, m.cols) != (size, size):
+                raise ValueError(f"{name} is {m.rows}x{m.cols}, but {need}x{size}")
+        for i, gamma in enumerate(self.graph):
+            if len(gamma) != size:
+                raise ValueError(f"graph[{i}] has length {len(gamma)}, but {need}")
+
     @property
     def x_dim(self) -> int:
         return sum(self.factors)
@@ -209,12 +232,10 @@ class GluedPPAV:
         return self.x_dim + self.y_dim
 
 
-def _sides(factors, y_dim: int, divisors):
-    """(X, Y, form of X x Y): X the product of the xi_g factors, Y diagonal with the divisors."""
-    x_pol = box_product(*map(xi_g, factors))
+def _side_forms(factors, y_dim: int, divisors) -> list[IntMatrix]:
+    """The xi_g form of each factor, then Y's: split, diagonal with the divisors."""
     diag = [1] * (y_dim - len(divisors)) + list(divisors)
-    y_pol = PolarizedTorus(Torus(RATIONAL, y_dim), split_form(IntMatrix.diagonal(diag)))
-    return x_pol, y_pol, block_sum([x_pol.form, y_pol.form])
+    return [xi_g(g).form for g in factors] + [split_form(IntMatrix.diagonal(diag))]
 
 
 def _factor_generators(factors, y_dim: int) -> list[IntMatrix]:
@@ -241,13 +262,12 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     if size > FACTOR_PRODUCT_LIMIT:
         raise ValueError(f"the product of (factor + 1) is {size}, above the limit"
                          f" FACTOR_PRODUCT_LIMIT = {FACTOR_PRODUCT_LIMIT}")
-    divisors = elementary_divisors([g + 1 for g in factors])
-    if y_dim < len(divisors):
-        raise TypeMismatch(
-            f"y_dim {y_dim} cannot carry {len(divisors)} nontrivial divisors")
-    x_pol, y_pol, prod_form = _sides(factors, y_dim, divisors)
-    gx, gy = x_pol.g, y_pol.g
+    divisors = _glue_divisors(factors, y_dim)
+    forms = _side_forms(factors, y_dim, divisors)
+    gx, gy = sum(factors), y_dim
     n = gx + gy
+    x_pol = PolarizedTorus(Torus(RATIONAL, gx), block_sum(forms[:-1]))
+    y_pol = PolarizedTorus(Torus(RATIONAL, gy), forms[-1])
 
     bx = symplectic_basis(kernel_group(x_pol))
     by = symplectic_basis(kernel_group(y_pol))
@@ -266,18 +286,14 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     den = cols.den
     h = hnf_columns(hstack(IntMatrix.identity(2 * n).scaled(den), cols.num))
     p = RatMatrix(h, den)
-    form = RatMatrix(h.transpose() * prod_form * h, den * den).num
+    form = RatMatrix(h.transpose() * block_sum(forms) * h, den * den).num
 
     # the overlattice contains Z^2n, so its inverse basis is integral
     q = p.inverse().to_int()
-    actions = []
-    for gen in _factor_generators(factors, y_dim):
-        lifted = RatMatrix(q * gen * h, den)
-        if not lifted.is_integral():
-            raise IntegralityFailure("action does not preserve the overlattice")
-        actions.append(lifted.num)
-    # verify_glued decides form-integral, overlattice-index and form-unimodular
-    glued = GluedPPAV(factors, y_dim, p, form, tuple(actions), graph)
+    # a non-integral lift r is stored as c·r, c >= 2, whose c^2·form fails
+    # verify_glued's action-preserves-form; the gate decides the form's checks too
+    actions = tuple(RatMatrix(q * gen * h, den).num for gen in _factor_generators(factors, y_dim))
+    glued = GluedPPAV(factors, y_dim, p, form, actions, graph)
     _verified(glued)
     return glued
 
@@ -287,16 +303,21 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
 
 @dataclass(frozen=True)
 class GlueReport:
-    """Named re-checks of every glued invariant, in evaluation order."""
+    """Named re-checks of every glued invariant, in evaluation order, and the
+    canonical basis (columns) of the sublattice the actions fix."""
 
     checks: tuple[tuple[str, bool], ...]
     first_failure: str | None
-    fixed_dim: int
+    fixed_basis: IntMatrix
     overlattice_index: int
 
     @property
     def all_passed(self) -> bool:
         return self.first_failure is None
+
+    @property
+    def fixed_dim(self) -> int:
+        return self.fixed_basis.cols // 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,10 +328,11 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
     matrix product.  There must be one stored action per factor generator,
     each the identity or a pseudoreflection, and the stored graph must span
     the overlattice with Z^2n.  A GluedPPAV is a frozen value, so the report
-    is cached: a caller and decompose_glued re-use the one build made.
+    is cached: a caller and decompose_glued re-use the one build made, and
+    decompose_glued reads its Y side off the report's fixed_basis.
     """
     divisors = elementary_divisors([g + 1 for g in a.factors])
-    prod_form = _sides(a.factors, a.y_dim, divisors)[2]
+    prod_form = block_sum(_side_forms(a.factors, a.y_dim, divisors))
     n = a.dim
     form = a.form
     h, den = a.overlattice.num, a.overlattice.den
@@ -366,9 +388,8 @@ def verify_glued(a: GluedPPAV) -> GlueReport:
                    and hnf_columns(h.scaled(span // den)) == hnf_columns(
                        hstack(identity.scaled(span), cols.scaled(span // gden)))))
 
-    fdim = fixed_sublattice(2 * n, a.actions).cols // 2
     first = next((name for name, ok in checks if not ok), None)
-    return GlueReport(tuple(checks), first, fdim,
+    return GlueReport(tuple(checks), first, fixed_sublattice(2 * n, a.actions),
                       int(index) if index.denominator == 1 else 0)
 
 
@@ -395,8 +416,7 @@ class GlueDecomposition(NamedTuple):
 
 def decompose_glued(a: GluedPPAV) -> GlueDecomposition:
     """Split a verified glue into its fixed part and polarized complement."""
-    _verified(a)
-    y_basis = fixed_sublattice(2 * a.dim, a.actions)
+    y_basis = _verified(a).fixed_basis
     x_basis = kernel_basis(y_basis.transpose() * a.form)
     y_type = alternating_type(y_basis.transpose() * a.form * y_basis)
     x_type = alternating_type(x_basis.transpose() * a.form * x_basis)
@@ -448,9 +468,6 @@ def glued_from_json(text: str) -> GluedPPAV:
     factors, y_dim, num, den, form, actions, graph_num, graph_den = _json_fields(
         text, "factors", "y_dim", "overlattice_num", "overlattice_den", "form", "actions",
         "graph_num", "graph_den")
-    if (not isinstance(factors, list) or not factors
-            or any(type(g) is not int or g < 1 for g in factors + [y_dim])):
-        raise ValueError("factors must be a non-empty list of integers >= 1, y_dim an integer >= 1")
     den, graph_den = _parse_int(den), _parse_int(graph_den)
     if den < 1 or graph_den < 1:
         raise ValueError("overlattice_den and graph_den must be positive")
@@ -460,7 +477,8 @@ def glued_from_json(text: str) -> GluedPPAV:
     graph = tuple(tuple(Fraction(c, graph_den) for c in gamma)
                   for gamma in _parse_grid(graph_num).entries)
     glued = GluedPPAV(
-        factors=tuple(factors),
+        # GluedPPAV checks the sizes and shapes; only a list becomes a tuple
+        factors=tuple(factors) if isinstance(factors, list) else factors,
         y_dim=y_dim,
         overlattice=RatMatrix(num, den),
         form=_parse_grid(form),

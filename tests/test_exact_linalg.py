@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rank_over_field
 from ppavlab.exact_linalg import (
     IntMatrix,
     NotAlternating,
@@ -16,7 +17,6 @@ from ppavlab.exact_linalg import (
     is_positive_definite,
     kernel_basis,
     pfaffian,
-    rank_over_field,
     saturate,
     snf,
     snf_diagonal,
@@ -477,6 +477,18 @@ def test_product_rows_on_each_side_of_the_cutoff():
 def test_rank_over_field():
     assert rank_over_field(M([[1, 2], [2, 4]])) == 1
     assert rank_over_field(IntMatrix.identity(3)) == 3
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: IntMatrix.from_blocks([[IntMatrix.identity(2), IntMatrix.identity(3)]]),
+     "ragged block row"),
+    (lambda: IntMatrix.identity(2) + IntMatrix.identity(3), "shape mismatch"),
+    (lambda: IntMatrix.identity(2).mul_vec((1, 2, 3)), "vector length mismatch"),
+    (lambda: IntMatrix.zeros(2, 3).det(), "determinant needs a square matrix"),
+], ids=["ragged-blocks", "add-shapes", "mul-vec-length", "det-not-square"])
+def test_int_matrix_rejects_mismatched_shapes(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def fraction_det(rows):

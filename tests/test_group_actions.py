@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppavlab.exact_linalg import IntMatrix, kernel_basis, rank_over_field
+from oracles import rank_over_field
+from ppavlab.exact_linalg import IntMatrix, kernel_basis
 from ppavlab.group_actions import (
     CapExceeded,
     DimensionMismatch,

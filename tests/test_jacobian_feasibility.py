@@ -97,6 +97,9 @@ def test_ramification_realizable_examples():
     assert ramification_realizable(4, 1) is None
     assert ramification_realizable(6, 5) == (6,)
     assert ramification_realizable(6, 1) is None
+    assert ramification_realizable(2, -1) is None
+    with pytest.raises(ValueError, match="at least 2"):
+        ramification_realizable(1, 0)
 
 
 def test_realizable_multiset_builds_consistent_datum():

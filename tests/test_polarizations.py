@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import rank_over_field
 from ppavlab import polarizations
 
 from ppavlab.exact_linalg import (
@@ -67,6 +68,24 @@ def random_pd_block(g, rng, span=2):
 
 
 # -- construction and validation ---------------------------------------------
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: alternating_type(IntMatrix.zeros(2, 2)), Degenerate),
+    # Smith diagonal (1, 2): the divisors do not pair up
+    (lambda: alternating_type(IntMatrix.diagonal([1, 2])), NotAlternating),
+    (lambda: theta_g(0), ValueError),
+    (lambda: xi_g(0), ValueError),
+    (lambda: weil_pairing(kernel_group(xi_g(1)), (0, 0, 0), (0, 0, 0, 0)), NotMember),
+    (lambda: restrict_with_basis(theta_g(2), IntMatrix.identity(3)), IncompatibleForm),
+    # Z(1, 0) in the lattice of E_i is saturated, but i·(1, 0) = (0, 1) leaves it
+    (lambda: restrict_with_basis(theta_g(1, GAUSSIAN), IntMatrix.from_columns([(1, 0)])),
+     NotStable),
+], ids=["type-degenerate", "type-unpaired", "theta-0", "xi-0", "pairing-length",
+        "restrict-rows", "gaussian-not-stable"])
+def test_boundary_raises(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_theta_form_frozen():
@@ -582,7 +601,6 @@ def test_restrict_seeded_positivity_and_splitting():
         k = rng.randint(1, g - 1)
         cols = [[rng.randint(-2, 2) for _ in range(g)] for _ in range(k)]
         base = IntMatrix.from_columns(cols, rows=g)
-        from ppavlab.exact_linalg import rank_over_field
         if rank_over_field(base) < k:
             continue
         sat = saturate(base)

@@ -51,7 +51,7 @@ MEMBERS_KEPT_WITHOUT_REFERENCE = {
     "glued_to_json": "the serialized format's boundary",
     "glued_from_json": "the serialized format's boundary",
     "weil_pairing": "the checked reference pairing the tests compare against",
-    "rank_over_field": "the tests' rank oracle for reflection_rank",
+    "GlueReport.fixed_dim": "the benchmark's glue digest reads it",
     "FiniteSymplecticGroup.elements": "the element enumeration the tests compare against",
     "CoverDatum": "ROADMAP item 7 decides it",
     "CoverDatum.consistent": "ROADMAP item 7 decides it",

@@ -40,13 +40,12 @@ from ppavlab.standard_construction import (
     FACTOR_PRODUCT_LIMIT,
     DegeneratePairing,
     GluedPPAV,
-    IntegralityFailure,
     InvalidGlue,
     SymplecticBasis,
     TypeMismatch,
     _element_numerators,
     _factor_generators,
-    _sides,
+    _side_forms,
     build_standard,
     decompose_glued,
     elementary_divisors,
@@ -217,11 +216,18 @@ def _glue_cases():
     return workloads.GLUE_CASES
 
 
+def _side_tori(factors, y_dim):
+    """X and Y of a glue as validated tori: the box product of the xi_g, and Y."""
+    divisors = elementary_divisors([g + 1 for g in factors])
+    diag = (1,) * (y_dim - len(divisors)) + divisors
+    return (box_product(*map(xi_g, factors)),
+            PolarizedTorus(Torus(RATIONAL, y_dim), split_form(IntMatrix.diagonal(diag))))
+
+
 def _oracle_kernels():
     """Kernels of the glue sides, the named forms, and two that do not reduce."""
     for factors, y_dim in GRID + _glue_cases():
-        divisors = elementary_divisors([g + 1 for g in factors])
-        x_pol, y_pol, _ = _sides(factors, y_dim, divisors)
+        x_pol, y_pol = _side_tori(factors, y_dim)
         yield f"x{factors}", kernel_group(x_pol)
         yield f"y{factors}-{y_dim}", kernel_group(y_pol)
     for g in range(1, 6):
@@ -254,8 +260,7 @@ def test_symplectic_basis_matches_fraction_pairing():
 def _pool_kernels():
     """Kernels of both sides of each benchmark glue, and of a few xi_g."""
     for factors, y_dim in _glue_cases():
-        divisors = elementary_divisors([g + 1 for g in factors])
-        x_pol, y_pol, _ = _sides(factors, y_dim, divisors)
+        x_pol, y_pol = _side_tori(factors, y_dim)
         yield kernel_group(x_pol)
         yield kernel_group(y_pol)
     for g in (1, 2, 3, 5):
@@ -399,10 +404,55 @@ def test_build_factors_past_the_closure_cap(g):
 
 
 def test_sides_product_form_is_the_box_product_form():
+    # build_standard and verify_glued take the product form as block_sum of
+    # the factor forms; box_product of the validated tori is the other route
     for factors, y_dim in GRID + _glue_cases():
         divisors = elementary_divisors([g + 1 for g in factors])
-        x_pol, y_pol, prod_form = _sides(factors, y_dim, divisors)
-        assert prod_form == box_product(x_pol, y_pol).form
+        forms = _side_forms(factors, y_dim, divisors)
+        assert block_sum(forms) == box_product(*_side_tori(factors, y_dim)).form
+        assert block_sum(forms[:-1]) == _side_tori(factors, y_dim)[0].form
+
+
+def test_non_integral_lift_fails_action_preserves_form(monkeypatch):
+    # -1 on X moves each graph vector (t, u) by (-2t, 0), off the product
+    # lattice, so its lift is not integral; it is stored as c·r, c >= 2
+    real = standard_construction._factor_generators
+
+    def with_minus_x(factors, y_dim):
+        gx = sum(factors)
+        minus_x = block_sum([IntMatrix.identity(2 * gx).scaled(-1), IntMatrix.identity(2 * y_dim)])
+        return [minus_x, *real(factors, y_dim)[1:]]
+
+    monkeypatch.setattr(standard_construction, "_factor_generators", with_minus_x)
+    with pytest.raises(InvalidGlue, match="action-preserves-form"):
+        build_standard((2,), 1)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the gate rebuilt a validated torus")
+
+
+def test_gate_validates_no_torus(monkeypatch):
+    # the gate reads the product form off the factor forms: with torus
+    # construction refused inside the module, it gives the same reports
+    glues = [build_standard(*case) for case in GRID + _glue_cases()]
+    want = [verify_glued.__wrapped__(glued) for glued in glues]
+    for name in ("box_product", "PolarizedTorus"):
+        # raising=False: the module does not import box_product at all
+        monkeypatch.setattr(standard_construction, name, _refuse, raising=False)
+    assert [verify_glued.__wrapped__(glued) for glued in glues] == want
+
+
+def test_decompose_reads_the_gate_s_fixed_sublattice(monkeypatch):
+    glues = [build_standard(*case) for case in GRID + _glue_cases()]
+    reports = [verify_glued(glued) for glued in glues]
+    calls = []
+    real = standard_construction.fixed_sublattice
+    monkeypatch.setattr(standard_construction, "fixed_sublattice",
+                        lambda *args: calls.append(args) or real(*args))
+    for glued, report in zip(glues, reports):
+        assert decompose_glued(glued).y_basis == report.fixed_basis
+    assert calls == []
 
 
 def test_build_principal_form_frozen_small():
@@ -609,6 +659,7 @@ def test_fixed_sublattice_of_glue_actions_matches_unreduced_stack():
         stacked = IntMatrix.from_rows(
             [row for r in glued.actions for row in (r - IntMatrix.identity(n)).entries], cols=n)
         assert fixed_sublattice(n, glued.actions) == kernel_basis(stacked)
+        assert verify_glued(glued).fixed_basis == kernel_basis(stacked)
 
 
 def test_unimodular_by_det_agrees_with_pfaffian():
@@ -731,6 +782,66 @@ def test_glued_json_rejects_malformed_fields(tamper):
     data = json.loads(glued_to_json(build_standard([1], 1)))
     with pytest.raises(ValueError):
         glued_from_json(json.dumps(tamper(data)))
+
+
+def _two_glue_json(tamper):
+    data = json.loads(glued_to_json(build_standard((2,), 1)))
+    return json.dumps(tamper(data))
+
+
+def _identity_grid(n):
+    return [[str(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("tamper, error, message", [
+    (lambda d: {**d, "y_dim": 2}, ValueError,
+     r"^overlattice is 6x6, but factors \(2,\) and y_dim 2 need 8x8$"),
+    (lambda d: {**d, "factors": [1]}, ValueError,
+     r"^overlattice is 6x6, but factors \(1,\) and y_dim 1 need 4x4$"),
+    (lambda d: {**d, "factors": [2, 1]}, ValueError,
+     r"^overlattice is 6x6, but factors \(2, 1\) and y_dim 1 need 8x8$"),
+    (lambda d: {**d, "actions": [_identity_grid(3), *d["actions"][1:]]}, ValueError,
+     r"^actions\[0\] is 3x3, but"),
+    (lambda d: {**d, "overlattice_num": _identity_grid(3)}, ValueError,
+     r"^overlattice is 3x3, but"),
+    (lambda d: {**d, "form": []}, ValueError, r"^form is 0x0, but"),
+    (lambda d: {**d, "graph_num": [row[:-1] for row in d["graph_num"]]}, ValueError,
+     r"^graph\[0\] has length 5, but factors \(2,\) and y_dim 1 need 6$"),
+    (lambda d: {**d, "factors": [0]}, ValueError, r"^factors must be"),
+    (lambda d: {**d, "factors": 2}, ValueError, r"^factors must be"),
+    (lambda d: {**d, "y_dim": 0}, ValueError, r"^y_dim must be"),
+    (lambda d: {**d, "factors": [1, 1]}, TypeMismatch, r"^y_dim 1 cannot carry 2"),
+], ids=["y-dim-2", "factors-1", "factors-2-1", "action-3x3", "overlattice-3x3",
+        "form-empty", "graph-short", "factor-zero", "factors-int", "y-dim-zero",
+        "y-dim-too-small"])
+def test_glued_json_rejects_misshapen_glue(tamper, error, message):
+    # each used to crash inside the gate ("shape mismatch in product") or
+    # in RatMatrix.from_rows; now GluedPPAV names the field
+    with pytest.raises(error, match=message):
+        glued_from_json(_two_glue_json(tamper))
+
+
+def test_glued_ppav_rejects_misshapen_fields():
+    glued = build_standard((2,), 1)
+    with pytest.raises(ValueError, match=r"^graph\[0\] has length 5"):
+        dataclasses.replace(glued, graph=(glued.graph[0][:-1], *glued.graph[1:]))
+    with pytest.raises(ValueError, match="^factors must be"):
+        dataclasses.replace(glued, factors=[2])
+    with pytest.raises(ValueError, match="^y_dim must be"):
+        dataclasses.replace(glued, y_dim=True)
+
+
+def test_glued_json_reads_plain_ints_and_rejects_non_list_grids():
+    # the writer emits decimal strings; plain JSON integers load as well
+    glued = build_standard((2,), 1)
+    data = json.loads(glued_to_json(glued))
+    plain = {key: [[int(x) for x in row] for row in data[key]]
+             for key in ("overlattice_num", "form", "graph_num")}
+    plain["actions"] = [[[int(x) for x in row] for row in m] for m in data["actions"]]
+    plain.update((key, int(data[key])) for key in ("overlattice_den", "graph_den"))
+    assert glued_from_json(json.dumps({**data, **plain})) == glued
+    with pytest.raises(ValueError, match="a matrix must be a list of rows"):
+        glued_from_json(json.dumps({**data, "form": "0"}))
 
 
 def _glue_json(**fields):

@@ -14,12 +14,12 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from oracles import rank_over_field  # noqa: E402
 from ppavlab.exact_linalg import (  # noqa: E402
     IntMatrix,
     hnf_columns,
     is_positive_definite,
     kernel_basis,
-    rank_over_field,
     snf_diagonal,
 )
 from ppavlab.group_actions import example_a, example_c  # noqa: E402

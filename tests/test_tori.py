@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from ppavlab.exact_linalg import IntMatrix, rank_over_field
+from oracles import rank_over_field
+from ppavlab.exact_linalg import IntMatrix
 from ppavlab.tori import (
     BadOrder,
     EISENSTEIN,
@@ -109,6 +110,11 @@ def test_rational_integer_matrices_reject_w_parts():
 def is_invertible(m):
     # det_Z(rational_rep(m)) is the norm of det_O(m), a unit iff it is +-1
     return abs(rational_rep(m).det()) == 1
+
+
+def test_order_matrix_rejects_non_square_grid():
+    with pytest.raises(ValueError, match="matrix must be square"):
+        OrderMatrix.from_int_rows(RATIONAL, [[1, 0]])
 
 
 def test_order_matrix_det_and_invertibility():
