@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Alternate benchmark runs between a parent and a changed checkout.
 
-    python3 scripts/ab_bench.py PARENT CHANGE --workload W --pairs N \
-        [--seed S] [--seconds T] [--out FILE]
+    python3 scripts/ab_bench.py PARENT CHANGE --workload W --pairs N [--out FILE]
 
 PARENT and CHANGE are source checkouts, each with its own perfbench/.  Each
 pair runs `perfbench/run.py --trace 0` once in each checkout, one process
@@ -14,9 +13,10 @@ change records its per-layer metrics.
 For each end-to-end metric of CHANGE's BENCHMARK.json the summary gives the
 two medians, the spread of the parent's runs (the distance between their
 quartiles) and how many pairs each side wins; a tie counts for neither.
---seconds defaults to BENCHMARK.json's run_seconds.  With --out, the
-workload's record is merged into that JSON file, which also holds the two
-commits, the Python version and the core count.
+Every run uses the benchmark's seed 1 and CHANGE's BENCHMARK.json
+run_seconds, the same on both sides.  With --out, the workload's record is
+merged into that JSON file, which also holds the two commits, the Python
+version and the core count.
 """
 
 from __future__ import annotations
@@ -29,11 +29,13 @@ import statistics
 import subprocess
 import sys
 
+SEED = 1  # the seed the benchmark runs with
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+
+def run_once(checkout: str, workload: str, seconds: float, trace: int) -> dict:
     """One run.py process in the checkout: its metadata and its result."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -82,8 +84,6 @@ def main(argv=None) -> int:
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--out")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -91,12 +91,12 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
         bench = json.load(handle)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
 
     runs = []
     for i in range(args.pairs):
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {side: run_once(getattr(args, side), args.workload, args.seed, seconds, 0)
+        pair = {side: run_once(getattr(args, side), args.workload, seconds, 0)
                 for side in sides}
         runs.append(pair)
         print(f"{args.workload} pair {i + 1}/{args.pairs}: " + ", ".join(
@@ -106,8 +106,8 @@ def main(argv=None) -> int:
                          for r in runs], better)
     failed = {side: sum(r[side]["result"]["failed"] for r in runs)
               for side in ("parent", "change")}
-    traced = run_once(args.change, args.workload, args.seed, seconds, 1)
-    record = {"seed": args.seed, "seconds": seconds, "summary": summary,
+    traced = run_once(args.change, args.workload, seconds, 1)
+    record = {"seed": SEED, "seconds": seconds, "summary": summary,
               "failed": failed, "pairs": runs, "trace_change": traced}
     for name, s in summary.items():
         print(f"{args.workload} {name}: parent {s['parent_median']:.4f}"

@@ -212,7 +212,6 @@ class GluedPPAV:
                              f" got {factors!r}")
         if type(y_dim) is not int or y_dim < 1:
             raise ValueError(f"y_dim must be an integer >= 1, got {y_dim!r}")
-        _glue_divisors(factors, y_dim)
         size = 2 * self.dim
         need = f"factors {factors} and y_dim {y_dim} need {size}"
         for name, m in [("overlattice", self.overlattice), ("form", self.form),
@@ -222,6 +221,8 @@ class GluedPPAV:
         for i, gamma in enumerate(self.graph):
             if len(gamma) != size:
                 raise ValueError(f"graph[{i}] has length {len(gamma)}, but {need}")
+        # last: the divisors cost a Smith form of size len(factors)
+        _glue_divisors(factors, y_dim)
 
     @property
     def x_dim(self) -> int:

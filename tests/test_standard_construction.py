@@ -429,12 +429,13 @@ def test_non_integral_lift_fails_action_preserves_form(monkeypatch):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("the gate rebuilt a validated torus")
+    raise AssertionError("the gate rebuilt the product or the Y torus")
 
 
-def test_gate_validates_no_torus(monkeypatch):
-    # the gate reads the product form off the factor forms: with torus
-    # construction refused inside the module, it gives the same reports
+def test_gate_builds_no_box_product_and_no_y_torus(monkeypatch):
+    # the gate reads the product form off the factor forms: with box_product
+    # and PolarizedTorus refused inside the module, it gives the same
+    # reports (xi_g, in polarizations, still validates each factor torus)
     glues = [build_standard(*case) for case in GRID + _glue_cases()]
     want = [verify_glued.__wrapped__(glued) for glued in glues]
     for name in ("box_product", "PolarizedTorus"):
@@ -811,12 +812,24 @@ def _identity_grid(n):
     (lambda d: {**d, "factors": 2}, ValueError, r"^factors must be"),
     (lambda d: {**d, "y_dim": 0}, ValueError, r"^y_dim must be"),
     (lambda d: {**d, "factors": [1, 1]}, TypeMismatch, r"^y_dim 1 cannot carry 2"),
+    (lambda d: {**d, "factors": [1] * 20000}, ValueError,
+     r"^overlattice is 6x6, but factors \(1, 1, 1, "),
 ], ids=["y-dim-2", "factors-1", "factors-2-1", "action-3x3", "overlattice-3x3",
         "form-empty", "graph-short", "factor-zero", "factors-int", "y-dim-zero",
-        "y-dim-too-small"])
-def test_glued_json_rejects_misshapen_glue(tamper, error, message):
+        "y-dim-too-small", "factors-long"])
+def test_glued_json_rejects_misshapen_glue(tamper, error, message, monkeypatch):
     # each used to crash inside the gate ("shape mismatch in product") or
-    # in RatMatrix.from_rows; now GluedPPAV names the field
+    # in RatMatrix.from_rows; now GluedPPAV names the field.  The shapes are
+    # checked before the divisors: 20,000 factors would otherwise cost a
+    # 20,000 x 20,000 Smith form before the 6x6 matrices reject the record
+    real = standard_construction.elementary_divisors
+
+    def small_only(ms):
+        ms = list(ms)
+        assert len(ms) <= 2, "divisors computed before the shape checks"
+        return real(ms)
+
+    monkeypatch.setattr(standard_construction, "elementary_divisors", small_only)
     with pytest.raises(error, match=message):
         glued_from_json(_two_glue_json(tamper))
 
