@@ -19,10 +19,10 @@ from .standard_construction import FACTOR_PRODUCT_LIMIT
 
 
 # Upper limits on the size flags, set by timing the checks they feed on a
-# 2-core host: --gmax 40 takes xi-kernel-type and theta-principal about 6 s
-# together; at --ydim 32 the worst factor lists the limits admit, 15,15 and
-# 14,16, build in 6.4-7.9 s (a factor limit of 40 would admit 5,40 at
-# 12.7 s).  build_standard holds the limit on prod(g + 1).
+# 2-core host: --gmax 40 takes xi-kernel-type and theta-principal about 2.4 s
+# together; at --ydim 32 the slowest factor lists the limits admit, eight 1s
+# and 14,16, build in 2.5 and 2.2 s (a factor limit of 40 would admit 5,40
+# at 5.6 s).  build_standard holds the limit on prod(g + 1).
 GMAX_LIMIT = 40
 YDIM_LIMIT = 32
 FACTOR_LIMIT = 16
@@ -87,7 +87,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.ydim is not None and args.factors is None:
+        # the default standard-build grid sets its own Y dimensions
+        parser.error("--ydim needs --factors")
     if args.list_checks:
         for check_id, check in CHECKS.items():
             print(f"{check_id}\t{(check.__doc__ or '').strip()}")

@@ -8,6 +8,7 @@ runs in integers.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -292,6 +293,11 @@ class RatMatrix:
         return Fraction(self.num.det(), self.den ** self.rows)
 
     def inverse(self) -> "RatMatrix":
+        """The inverse, computed once per value: a glue's build and its gate share it."""
+        return self._inverse
+
+    @functools.cached_property
+    def _inverse(self) -> "RatMatrix":
         """One fraction-free Gauss-Jordan pass on [num | I].
 
         Step k swaps in the first non-zero pivot at or below row k and sets

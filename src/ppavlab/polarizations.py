@@ -162,12 +162,17 @@ def theta_g(g: int, order: QuadOrder = RATIONAL) -> PolarizedTorus:
     return PolarizedTorus(Torus(order, g), split_form(IntMatrix.identity(g)))
 
 
+def _xi_form(g: int) -> IntMatrix:
+    """split_form(I + J), J all ones: the form of xi_g, without a torus."""
+    ones = IntMatrix.from_rows([[1] * g for _ in range(g)], cols=g)
+    return split_form(IntMatrix.identity(g) + ones)
+
+
 def xi_g(g: int, order: QuadOrder = RATIONAL) -> PolarizedTorus:
     """The sum-of-axes-plus-antidiagonal polarization, block I + all-ones."""
     if g < 1:
         raise ValueError("g must be >= 1")
-    ones = IntMatrix.from_rows([[1] * g for _ in range(g)], cols=g)
-    return PolarizedTorus(Torus(order, g), split_form(IntMatrix.identity(g) + ones))
+    return PolarizedTorus(Torus(order, g), _xi_form(g))
 
 
 def polarization_type(p: PolarizedTorus) -> tuple[int, ...]:

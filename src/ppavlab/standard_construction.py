@@ -13,6 +13,7 @@ the fixed sublattice and its complement.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -35,11 +36,11 @@ from .polarizations import (
     FiniteSymplecticGroup,
     PolarizedTorus,
     _json_fields,
+    _xi_form,
     alternating_type,
     block_sum,
     kernel_group,
     split_form,
-    xi_g,
 )
 from .tori import RATIONAL, Torus, rational_rep
 
@@ -56,8 +57,8 @@ class InvalidGlue(ValueError):
     """A stored glued variety failed re-verification."""
 
 
-# symplectic_basis searches the X kernel's prod(g + 1)^2 elements; at 256
-# (eight factors of 1) a build takes 5 s on a 2-core host, ten 1s take 90 s
+# symplectic_basis walks the X kernel's prod(g + 1)^2 coefficient tuples; at 256
+# (eight 1s) standard-build takes 2.5 s at y_dim 32 on 2 cores, ten 1s take 23 s
 FACTOR_PRODUCT_LIMIT = 256
 
 
@@ -71,54 +72,36 @@ class SymplecticBasis(NamedTuple):
     orders: tuple[int, ...]
 
 
-def _element_numerators(k: FiniteSymplecticGroup, e: int) -> list[tuple[int, ...]]:
-    """Numerators over e of the non-zero elements, in the order of k.elements().
-
-    An odometer over the coefficient tuples in itertools.product order:
-    each step raises the last digit that is below its order and resets
-    the digits after it, so it adds that digit's generator and, for each
-    reset digit j, the wrapped multiple -(orders[j] - 1) * gen_j, all
-    mod e, as one precomputed vector.
-    """
-    gens = [[int(c * e) for c in gen] for gen in k.generators]
-    dim = k.ambient.form.rows
-    delta = [0] * dim  # the wraps of the digits after the current one
-    deltas = []
-    for gen, o in zip(reversed(gens), reversed(k.orders)):
-        deltas.append(tuple((d + x) % e for d, x in zip(delta, gen)))
-        delta = [(d - (o - 1) * x) % e for d, x in zip(delta, gen)]
-    deltas.reverse()
-    last = [o - 1 for o in k.orders]
-    digits = [0] * len(last)
-    v = (0,) * dim
-    pool = []
-    while True:
-        i = len(digits) - 1
-        while i >= 0 and digits[i] == last[i]:
-            digits[i] = 0
-            i -= 1
-        if i < 0:
-            return pool
-        digits[i] += 1
-        v = tuple((x + d) % e for x, d in zip(v, deltas[i]))
-        if any(v):
-            pool.append(v)
+def _coefficient_sums(orders, weights, e: int) -> list[int]:
+    """sum(c_i·w_i) mod e for each coefficient tuple c, in itertools.product order."""
+    sums = [0]
+    for o, w in zip(orders, weights):
+        steps = [c * w % e for c in range(o)]
+        sums = [(s + t) % e for s in sums for t in steps]
+    return sums
 
 
 def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
     """Greedy hyperbolic reduction of a finite kernel group.
 
-    Repeatedly takes an element of maximal order, finds a partner whose
-    pairing has that exact order, normalizes the pairing to +1/d, and
-    recurses on the orthogonal complement.  Elements are integer numerators
-    v over the exponent e: v has order e / gcd(e, v), and <v, w> is
-    (v^t·form·w / e) mod e over e.  The covector v^t·form of each chosen
-    x and y is taken once, so every pairing is one dot product.
+    Repeatedly takes the first element x of maximal order d and the first
+    partner y whose pairing with x has order d, normalizes the pairing to
+    +1/d, and keeps the members orthogonal to both: <x, y> is a hyperbolic
+    plane, so they are, in order, what z -> z - a·x - b·y projects onto.
+    Elements are integer numerators v over the exponent e: v has order
+    e / gcd(e, v), and <v, w> is (v^t·form·w / e) mod e over e, one dot
+    product with the covector v^t·form, taken once per chosen x and y.  The
+    first step walks the generators' coefficient tuples in k.elements()
+    order: a covector is 0 mod e, so <x, sum c_i·g_i> = sum c_i·<x, g_i>,
+    and only the tuples orthogonal to x and y become vectors.
     Deterministic for a fixed generator list.
     """
     m = k.ambient.form
     e = math.lcm(*k.orders)
     mt = m.transpose()
+    gens = [[int(c * e) for c in gen] for gen in k.generators]
+    coords = list(zip(*gens))
+    tuples = functools.partial(itertools.product, *map(range, k.orders))
 
     def order(v) -> int:
         return e // math.gcd(e, *v)
@@ -130,28 +113,41 @@ def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
         # cv is the covector v^t·form of the left argument
         return (dot(cv, w) // e) % e
 
-    pool = _element_numerators(k, e)
+    def vector(coeffs) -> tuple[int, ...]:
+        return tuple(dot(coeffs, row) % e for row in coords)
+
     collected = []
-    while pool:
-        x = max(pool, key=order)
-        cx = mt.mul_vec(x)
-        d = order(x)
-        step = e // d
-        y = next((c for c in pool if e // math.gcd(e, pair(cx, c)) == d), None)
+
+    def hyperbolic(x, cx, y, d) -> tuple[int, ...]:
+        # record x and y scaled to <x, y> = 1/d; return y's covector
         if y is None:
             raise DegeneratePairing(f"no partner of order {d} in the pairing")
-        t = pow(pair(cx, y) // step, -1, d)
+        t = pow(pair(cx, y) // (e // d), -1, d)
         y = tuple(t * c % e for c in y)
         cy = mt.mul_vec(y)
         collected.append((x, y, cx, cy, d))
-        fresh = set()
-        for z in pool:
-            a_co = -(pair(cy, z) // step) % d
-            b_co = pair(cx, z) // step % d
-            w = tuple((zc - a_co * xc - b_co * yc) % e for zc, xc, yc in zip(z, x, y))
-            if any(w):
-                fresh.add(w)
-        pool = sorted(fresh)
+        return cy
+
+    # the largest element order is the lcm of the generators' orders
+    d = math.lcm(*map(order, gens))
+    pool = []
+    if d > 1:
+        x = next(v for v in map(vector, tuples()) if order(v) == d)
+        cx = mt.mul_vec(x)
+        px = _coefficient_sums(k.orders, [pair(cx, g) for g in gens], e)
+        i = next((i for i, p in enumerate(px) if e // math.gcd(e, p) == d), None)
+        y = None if i is None else vector(next(itertools.islice(tuples(), i, None)))
+        cy = hyperbolic(x, cx, y, d)
+        py = _coefficient_sums(k.orders, [pair(cy, g) for g in gens], e)
+        kept = itertools.compress(tuples(), [not a and not b for a, b in zip(px, py)])
+        pool = sorted({v for v in map(vector, kept) if any(v)})
+    while pool:
+        x = max(pool, key=order)
+        d = order(x)
+        cx = mt.mul_vec(x)
+        y = next((c for c in pool if e // math.gcd(e, pair(cx, c)) == d), None)
+        cy = hyperbolic(x, cx, y, d)
+        pool = [z for z in pool if not pair(cx, z) and not pair(cy, z)]
     collected.reverse()
     orders = tuple(d for *_, d in collected)
     if any(nxt % prev for prev, nxt in zip(orders, orders[1:])):
@@ -236,7 +232,7 @@ class GluedPPAV:
 def _side_forms(factors, y_dim: int, divisors) -> list[IntMatrix]:
     """The xi_g form of each factor, then Y's: split, diagonal with the divisors."""
     diag = [1] * (y_dim - len(divisors)) + list(divisors)
-    return [xi_g(g).form for g in factors] + [split_form(IntMatrix.diagonal(diag))]
+    return [_xi_form(g) for g in factors] + [split_form(IntMatrix.diagonal(diag))]
 
 
 def _factor_generators(factors, y_dim: int) -> list[IntMatrix]:

@@ -78,6 +78,16 @@ def test_non_positive_sizes_usage_error(capsys, flag, value):
     assert captured.out == ""
 
 
+def test_ydim_without_factors_usage_error(capsys):
+    # the default grid sets its own Y dimensions, so a lone --ydim would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--check", "standard-build", "--ydim", "5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--ydim" in captured.err
+    assert captured.out == ""
+
+
 EIGHT_ONES = ",".join(["1"] * 8)  # prod(g + 1) = 256, the product limit
 
 

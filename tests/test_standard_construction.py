@@ -11,8 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ppavlab import group_actions, standard_construction
+from ppavlab import group_actions, polarizations, standard_construction
 from ppavlab.exact_linalg import IntMatrix, RatMatrix, kernel_basis, pfaffian
 from ppavlab.group_actions import (
     _close,
@@ -43,7 +45,6 @@ from ppavlab.standard_construction import (
     InvalidGlue,
     SymplecticBasis,
     TypeMismatch,
-    _element_numerators,
     _factor_generators,
     _side_forms,
     build_standard,
@@ -152,7 +153,8 @@ def test_symplectic_basis_degenerate():
 
 
 def _symplectic_basis_by_fractions(k):
-    """The reduction with every pairing taken through the form, as Fractions."""
+    """The reduction with every pairing taken through the form, as Fractions,
+    projecting the whole element pool onto each complement."""
     m = k.ambient.form
     e = math.lcm(*k.orders)
     gens = IntMatrix.from_columns([[int(c * e) for c in gen] for gen in k.generators],
@@ -224,6 +226,10 @@ def _side_tori(factors, y_dim):
             PolarizedTorus(Torus(RATIONAL, y_dim), split_form(IntMatrix.diagonal(diag))))
 
 
+def _reversed(k):
+    return FiniteSymplecticGroup(k.ambient, k.generators[::-1], k.orders[::-1])
+
+
 def _oracle_kernels():
     """Kernels of the glue sides, the named forms, and two that do not reduce."""
     for factors, y_dim in GRID + _glue_cases():
@@ -239,6 +245,11 @@ def _oracle_kernels():
         PolarizedTorus(Torus(RATIONAL, 3), split_form(IntMatrix.diagonal([2, 4, 12]))))
     k = kernel_group(xi_g(2))
     yield "isotropic", FiniteSymplecticGroup(k.ambient, (k.generators[0],), (k.orders[0],))
+    # dependent generators list every element twice or more
+    yield "xi2-twice", FiniteSymplecticGroup(k.ambient, k.generators * 2, k.orders * 2)
+    # the largest order comes first, so x is not the last generator
+    yield "split-2-4-12-reversed", _reversed(kernel_group(
+        PolarizedTorus(Torus(RATIONAL, 3), split_form(IntMatrix.diagonal([2, 4, 12])))))
     # twice the generators of the (Z/4)^2 kernel of 4·theta_1 span an
     # isotropic (Z/2)^2
     k = kernel_group(scale(theta_g(1), 4))
@@ -257,22 +268,47 @@ def test_symplectic_basis_matches_fraction_pairing():
         "4theta1-half": ("DegeneratePairing", "no partner of order 2 in the pairing")}
 
 
-def _pool_kernels():
-    """Kernels of both sides of each benchmark glue, and of a few xi_g."""
-    for factors, y_dim in _glue_cases():
-        x_pol, y_pol = _side_tori(factors, y_dim)
-        yield kernel_group(x_pol)
-        yield kernel_group(y_pol)
-    for g in (1, 2, 3, 5):
-        yield kernel_group(xi_g(g))
+def _gram_plus_one(rows, g):
+    c = IntMatrix.from_rows(rows, cols=g)
+    return c.transpose() * c + IntMatrix.identity(g)
 
 
-def test_element_numerators_follow_elements_order():
-    for k in _pool_kernels():
-        e = math.lcm(*k.orders)
-        want = [v for v in (tuple(int(x * e) for x in el) for el in k.elements()) if any(v)]
-        assert _element_numerators(k, e) == want, k.orders
-        assert len(want) == k.order - 1
+@st.composite
+def split_forms(draw, max_det):
+    """split_form(C^t·C + I) for C with g <= 4 columns and entries in [-5, 5].
+
+    An entry that would lift det(C^t·C + I) above max_det is set to 0, so
+    the kernel, of order det^2, stays small enough for the oracle to list.
+    """
+    g = draw(st.integers(1, 4))
+    rows = [[0] * g for _ in range(draw(st.integers(1, g)))]
+    for row in rows:
+        for j in range(g):
+            row[j] = draw(st.integers(-5, 5))
+            if _gram_plus_one(rows, g).det() > max_det:
+                row[j] = 0
+    return PolarizedTorus(Torus(RATIONAL, g), split_form(_gram_plus_one(rows, g)))
+
+
+@st.composite
+def box_products_of_split_forms(draw, max_det):
+    p = draw(split_forms(8))
+    # the form of p has det(C^t·C + I)^2
+    return box_product(p, draw(split_forms(max_det // math.isqrt(p.form.det()))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_forms(40), st.booleans())
+def test_symplectic_basis_matches_projection_oracle_on_random_forms(pol, reverse):
+    k = _reversed(kernel_group(pol)) if reverse else kernel_group(pol)
+    assert _outcome(symplectic_basis, k) == _outcome(_symplectic_basis_by_fractions, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_products_of_split_forms(48), st.booleans())
+def test_symplectic_basis_matches_projection_oracle_on_box_products(pol, reverse):
+    k = _reversed(kernel_group(pol)) if reverse else kernel_group(pol)
+    assert _outcome(symplectic_basis, k) == _outcome(_symplectic_basis_by_fractions, k)
 
 
 # -- building ------------------------------------------------------------------
@@ -429,18 +465,19 @@ def test_non_integral_lift_fails_action_preserves_form(monkeypatch):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("the gate rebuilt the product or the Y torus")
+    raise AssertionError("the gate built the product or a torus")
 
 
 def test_gate_builds_no_box_product_and_no_y_torus(monkeypatch):
     # the gate reads the product form off the factor forms: with box_product
-    # and PolarizedTorus refused inside the module, it gives the same
-    # reports (xi_g, in polarizations, still validates each factor torus)
+    # and PolarizedTorus refused in this module and PolarizedTorus refused
+    # in polarizations, where xi_g would build one, it gives the same reports
     glues = [build_standard(*case) for case in GRID + _glue_cases()]
     want = [verify_glued.__wrapped__(glued) for glued in glues]
     for name in ("box_product", "PolarizedTorus"):
         # raising=False: the module does not import box_product at all
         monkeypatch.setattr(standard_construction, name, _refuse, raising=False)
+    monkeypatch.setattr(polarizations, "PolarizedTorus", _refuse)
     assert [verify_glued.__wrapped__(glued) for glued in glues] == want
 
 
@@ -724,6 +761,26 @@ GLUE_JSON_SHA256 = {
 def test_glued_json_text_is_pinned():
     assert set(GLUE_JSON_SHA256) == set(_glue_cases())
     for (factors, y_dim), want in GLUE_JSON_SHA256.items():
+        text = glued_to_json(build_standard(factors, y_dim))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (factors, y_dim)
+
+
+# sha256 of glued_to_json for glues beyond the benchmark's, recorded while
+# symplectic_basis still projected its whole element pool: longer and mixed
+# divisor chains, a Y larger than its divisors, and one factor alone
+MORE_GLUE_JSON_SHA256 = {
+    ((4, 4), 5): "42cef34cc36b69f23170cdf87472097a3013a168c9ae6bab3f678f20131ecfe1",
+    ((1,) * 6, 6): "d90e5e4ba043f06418ba20dce1b226ec32536d481ff18ac63fe30f765cd8b2e2",
+    ((2, 5), 3): "8a9bfde150fbf521a1a6832c2fa210eecd4ae9e8ec39a7e97a443e914e36e850",
+    ((3, 7), 2): "448829d54da379c118f2eae023e5918388a804fd9040faa2d8593122120fa54f",
+    ((5,), 1): "8d0a9d57560b18250d218f2a92b10683e29af5a3463453eeab856f9d29152c6a",
+    ((1, 2, 3), 3): "013fe291e479b0bb3bdf3d90b0ea31dcfde3a15d79dd1695a03597f3752437f5",
+    ((2, 2, 2, 2), 4): "4c735a6526bf42c4f0fe8864b6417e7bc179af0c92fc86646172f5431e29794c",
+}
+
+
+def test_more_glued_json_texts_are_pinned():
+    for (factors, y_dim), want in MORE_GLUE_JSON_SHA256.items():
         text = glued_to_json(build_standard(factors, y_dim))
         assert hashlib.sha256(text.encode()).hexdigest() == want, (factors, y_dim)
 
