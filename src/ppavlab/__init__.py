@@ -13,7 +13,6 @@ from .exact_linalg import (
     hnf_columns,
     is_positive_definite,
     kernel_basis,
-    pfaffian,
     saturate,
     snf,
     snf_diagonal,
@@ -38,7 +37,6 @@ from .polarizations import (
     scan_subtorus_types,
     self_intersection,
     theta_g,
-    weil_pairing,
     xi_g,
 )
 from .group_actions import (
@@ -74,14 +72,13 @@ from .checks import CHECKS, RunOptions, run_checks
 
 __all__ = [
     "IntMatrix", "RatMatrix", "hnf_columns",
-    "is_positive_definite", "kernel_basis", "pfaffian", "saturate",
-    "snf", "snf_diagonal",
+    "is_positive_definite", "kernel_basis", "saturate", "snf",
+    "snf_diagonal",
     "EISENSTEIN", "GAUSSIAN", "OrderElem", "OrderMatrix", "QuadOrder",
     "RATIONAL", "Torus",
     "PolarizedTorus", "box_product", "is_principal",
     "kernel_group", "polarization_type", "restrict", "scale",
-    "scan_subtorus_types", "self_intersection", "theta_g", "weil_pairing",
-    "xi_g",
+    "scan_subtorus_types", "self_intersection", "theta_g", "xi_g",
     "MatrixGroup", "action_on_kernel", "average_pullback",
     "closure", "example_a", "example_b", "example_c", "fixed_sublattice",
     "invariant_form", "ns_fixed", "pseudoreflection_generated",

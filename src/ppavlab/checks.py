@@ -278,16 +278,17 @@ def _check_jacobian_cases(opts: RunOptions):
 
 def _check_self_intersection(opts: RunOptions):
     """The self-intersections of theta_g and xi_g equal g! times the product of the type."""
+    # two routes meet the closed forms g! and g!(g + 1): self_intersection
+    # reads the type off the Smith form, and g! * sqrt(det) holds because
+    # det = Pf^2 for an alternating form (a Bareiss determinant)
     degrees = {}
     ok = True
     for g in range(1, 6):
-        theta = self_intersection(theta_g(g))
-        xi = self_intersection(xi_g(g))
-        degrees[g] = {"theta": theta, "xi": xi}
-        type_route_theta = math.factorial(g) * math.prod(polarization_type(theta_g(g)))
-        type_route_xi = math.factorial(g) * math.prod(polarization_type(xi_g(g)))
-        ok = ok and theta == math.factorial(g) == type_route_theta
-        ok = ok and xi == math.factorial(g) * (g + 1) == type_route_xi
+        fact = math.factorial(g)
+        degrees[g] = {}
+        for name, p, want in (("theta", theta_g(g), fact), ("xi", xi_g(g), fact * (g + 1))):
+            degree = degrees[g][name] = self_intersection(p)
+            ok = ok and degree == want == fact * math.isqrt(p.form.det())
     return ok, {"degrees": degrees}
 
 

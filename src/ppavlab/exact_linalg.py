@@ -1,9 +1,9 @@
 """Exact dense linear algebra over Z and Q.
 
-Smith and Hermite normal forms, Pfaffians, integer kernels and saturations,
-all with arbitrary-precision arithmetic.  No floats anywhere; a rational
-matrix is an integer numerator over one denominator, and every elimination
-runs in integers.
+Smith and Hermite normal forms, integer kernels and saturations, all with
+arbitrary-precision arithmetic.  No floats anywhere; a rational matrix is
+an integer numerator over one denominator, and every elimination runs in
+integers.
 """
 
 from __future__ import annotations
@@ -474,46 +474,6 @@ def _row_hnf(rows_in: list, ncols: int) -> list[list[int]]:
 def hnf_columns(m: IntMatrix) -> IntMatrix:
     """Canonical basis (as columns) of the lattice spanned by the columns of m."""
     return IntMatrix.from_columns(_row_hnf(m.columns(), m.rows), rows=m.rows)
-
-
-# -- Pfaffian --------------------------------------------------------------
-
-
-def pfaffian(m: IntMatrix) -> int:
-    """Pfaffian of an even-size antisymmetric integer matrix.
-
-    One fraction-free skew elimination, the skew analogue of Bareiss: step k
-    pivots on (k, k+1), swapping row and column k+1 with the first non-zero
-    entry of row k (a sign flip), and updates each trailing entry to
-    (p a_ij + a_ik a_(k+1)j - a_i(k+1) a_kj) / prev, with p the pivot and
-    prev the one before.  After step t each trailing entry is the Pfaffian
-    of rows and columns 0..2t+1 plus i, j, so every division is exact and
-    the last pivot is the Pfaffian.  pfaffian(m)**2 == m.det().
-    """
-    if m.rows != m.cols or m.rows % 2:
-        raise NotAlternating("need a square matrix of even size")
-    if m != -m.transpose():
-        raise NotAlternating("matrix is not antisymmetric")
-    n = m.rows
-    a = [list(r) for r in m.entries]
-    sign, prev = 1, 1
-    for k in range(0, n, 2):
-        p = next((j for j in range(k + 1, n) if a[k][j]), None)
-        if p is None:
-            return 0
-        if p != k + 1:
-            a[k + 1], a[p] = a[p], a[k + 1]
-            for row in a:
-                row[k + 1], row[p] = row[p], row[k + 1]
-            sign = -sign
-        piv, row_k, row_l = a[k][k + 1], a[k], a[k + 1]
-        for i in range(k + 2, n):
-            row_i = a[i]
-            c, d = row_i[k], row_i[k + 1]
-            for j in range(k + 2, n):
-                row_i[j] = (piv * row_i[j] + c * row_l[j] - d * row_k[j]) // prev
-        prev = piv
-    return sign * prev
 
 
 # -- kernels, saturation ---------------------------------------------------

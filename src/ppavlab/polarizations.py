@@ -2,9 +2,9 @@
 
 A polarization is carried by the lattice form alone: antisymmetric,
 nondegenerate, compatible with the (formal) complex structure, and with
-positive associated symmetric matrix.  The kernel group of the form, its
-Q/Z-valued pairing, restriction to stable sublattices, and a bounded scan
-over such sublattices all run in exact arithmetic.
+positive associated symmetric matrix.  The kernel group of the form,
+restriction to stable sublattices, and a bounded scan over such
+sublattices all run in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exact_linalg import (
     SNF,
@@ -24,7 +24,6 @@ from .exact_linalg import (
     NotAlternating,
     hnf_columns,
     is_positive_definite,
-    pfaffian,
     saturate,
     snf,
     snf_diagonal,
@@ -56,10 +55,6 @@ class IncompatibleForm(ValueError):
     """The form does not descend from a Hermitian form on this torus."""
 
 
-class NotMember(ValueError):
-    """Vector is not in the kernel group of the form."""
-
-
 class NotStable(ValueError):
     """Sublattice is not stable under the complex structure."""
 
@@ -87,6 +82,8 @@ class PolarizedTorus:
         n = self.torus.lattice_rank
         if self.form.rows != n or self.form.cols != n:
             raise IncompatibleForm(f"form must be {n}x{n}")
+        if any(type(x) is not int for row in self.form.entries for x in row):
+            raise IncompatibleForm("form entries must be integers")
         if not self.form.is_antisymmetric():
             raise NotAlternating("polarization form must be antisymmetric")
         if not _compatible(self.torus, self.form):
@@ -140,19 +137,22 @@ def associated_symmetric(torus: Torus, form: IntMatrix) -> IntMatrix:
     return doubled - form.scaled(u) if u else doubled
 
 
-def alternating_type(form: IntMatrix) -> tuple[int, ...]:
-    """Elementary divisors (d_1 | ... | d_g) of a nondegenerate alternating form.
+def _paired_type(diag: tuple[int, ...]) -> tuple[int, ...]:
+    """One divisor of each pair of an alternating form's Smith diagonal.
 
-    The Smith diagonal of an alternating form is doubled,
-    (d_1, d_1, d_2, d_2, ...); the type keeps one divisor of each pair.
+    The Smith diagonal of a nondegenerate alternating form is doubled,
+    (d_1, d_1, d_2, d_2, ...); a zero or an unpaired divisor raises.
     """
-    diag = snf_diagonal(form)
     if 0 in diag:
         raise Degenerate("degenerate form has no type")
-    for k in range(0, len(diag), 2):
-        if diag[k] != diag[k + 1]:
-            raise NotAlternating("divisors of an alternating form must pair up")
+    if diag[0::2] != diag[1::2]:
+        raise NotAlternating("divisors of an alternating form must pair up")
     return diag[0::2]
+
+
+def alternating_type(form: IntMatrix) -> tuple[int, ...]:
+    """Elementary divisors (d_1 | ... | d_g) of a nondegenerate alternating form."""
+    return _paired_type(snf_diagonal(form))
 
 
 def theta_g(g: int, order: QuadOrder = RATIONAL) -> PolarizedTorus:
@@ -176,9 +176,9 @@ def xi_g(g: int, order: QuadOrder = RATIONAL) -> PolarizedTorus:
 
 
 def polarization_type(p: PolarizedTorus) -> tuple[int, ...]:
-    """Elementary divisors (d_1 | ... | d_g) of the form, halved pairing."""
-    d = p._smith.d  # alternating and nondegenerate, so (d_1, d_1, d_2, d_2, ...)
-    return tuple(d[i, i] for i in range(0, d.rows, 2))
+    """Elementary divisors (d_1 | ... | d_g) of the form, read off its cached Smith form."""
+    d = p._smith.d
+    return _paired_type(tuple(d[i, i] for i in range(d.rows)))
 
 
 def is_principal(p: PolarizedTorus) -> bool:
@@ -186,10 +186,6 @@ def is_principal(p: PolarizedTorus) -> bool:
 
 
 # -- kernel group ------------------------------------------------------------
-
-
-def _is_kernel_member(m: IntMatrix, x: Sequence[Fraction]) -> bool:
-    return all(v.denominator == 1 for v in m.mul_vec(x))
 
 
 def as_vector(xs: Sequence) -> tuple[Fraction, ...]:
@@ -209,15 +205,7 @@ class FiniteSymplecticGroup:
         return math.prod(self.orders)
 
     def contains(self, x: Sequence) -> bool:
-        return _is_kernel_member(self.ambient.form, as_vector(x))
-
-    def elements(self) -> Iterator[tuple[Fraction, ...]]:
-        """All group elements in a fixed order (coefficient tuples, little end last)."""
-        n = self.ambient.form.rows
-        for coeffs in itertools.product(*(range(o) for o in self.orders)):
-            yield tuple(
-                sum((c * gen[i] for c, gen in zip(coeffs, self.generators)), Fraction(0)) % 1
-                for i in range(n))
+        return all(v.denominator == 1 for v in self.ambient.form.mul_vec(as_vector(x)))
 
 
 def kernel_group(p: PolarizedTorus) -> FiniteSymplecticGroup:
@@ -233,24 +221,12 @@ def kernel_group(p: PolarizedTorus) -> FiniteSymplecticGroup:
     return FiniteSymplecticGroup(p, tuple(gens), tuple(orders))
 
 
-def weil_pairing(k: FiniteSymplecticGroup, x: Sequence, y: Sequence) -> Fraction:
-    """Q/Z-valued pairing x^t·form·y of two kernel members."""
-    m = k.ambient.form
-    xv, yv = as_vector(x), as_vector(y)
-    for v in (xv, yv):
-        if len(v) != m.rows:
-            raise NotMember("vector length must match the lattice rank")
-        if not _is_kernel_member(m, v):
-            raise NotMember("vector is not in the kernel of the form")
-    return sum(map(operator.mul, xv, m.mul_vec(yv))) % 1
-
-
 # -- products and rescalings -------------------------------------------------
 
 
 def scale(p: PolarizedTorus, m: int) -> PolarizedTorus:
-    if m < 1:
-        raise ValueError("scale factor must be >= 1")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"scale factor must be an integer >= 1, got {m!r}")
     return PolarizedTorus(p.torus, p.form.scaled(m))
 
 
@@ -281,8 +257,11 @@ def box_product(*factors: PolarizedTorus) -> PolarizedTorus:
 
 
 def self_intersection(p: PolarizedTorus) -> int:
-    """Top self-intersection number of the polarization: g! * |Pf(form)|."""
-    return math.factorial(p.g) * abs(pfaffian(p.form))
+    """Top self-intersection number g! * d_1 ... d_g, equal to g! * |Pf(form)|.
+
+    Riemann-Roch; the type is read off the torus's cached Smith form.
+    """
+    return math.factorial(p.g) * math.prod(polarization_type(p))
 
 
 # -- restriction to stable sublattices ---------------------------------------

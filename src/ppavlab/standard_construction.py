@@ -91,7 +91,7 @@ def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
     Elements are integer numerators v over the exponent e: v has order
     e / gcd(e, v), and <v, w> is (v^t·form·w / e) mod e over e, one dot
     product with the covector v^t·form, taken once per chosen x and y.  The
-    first step walks the generators' coefficient tuples in k.elements()
+    first step walks the generators' coefficient tuples in itertools.product
     order: a covector is 0 mod e, so <x, sum c_i·g_i> = sum c_i·<x, g_i>,
     and only the tuples orthogonal to x and y become vectors.
     Deterministic for a fixed generator list.
@@ -170,8 +170,8 @@ def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
 def elementary_divisors(ms) -> tuple[int, ...]:
     """Divisor chain of the direct sum of cyclic groups Z/m, 1's dropped."""
     ms = list(ms)
-    if any(m < 1 for m in ms):
-        raise ValueError("moduli must be >= 1")
+    if any(type(m) is not int or m < 1 for m in ms):
+        raise ValueError(f"moduli must be integers >= 1, got {ms!r}")
     return tuple(d for d in snf_diagonal(IntMatrix.diagonal(ms)) if d > 1)
 
 
@@ -181,6 +181,25 @@ def _glue_divisors(factors, y_dim: int) -> tuple[int, ...]:
     if y_dim < len(divisors):
         raise TypeMismatch(f"y_dim {y_dim} cannot carry {len(divisors)} nontrivial divisors")
     return divisors
+
+
+@dataclass(frozen=True)
+class GlueReport:
+    """Named re-checks of every glued invariant, in evaluation order, and the
+    canonical basis (columns) of the sublattice the actions fix."""
+
+    checks: tuple[tuple[str, bool], ...]
+    first_failure: str | None
+    fixed_basis: IntMatrix
+    overlattice_index: int
+
+    @property
+    def all_passed(self) -> bool:
+        return self.first_failure is None
+
+    @property
+    def fixed_dim(self) -> int:
+        return self.fixed_basis.cols // 2
 
 
 @dataclass(frozen=True)
@@ -227,6 +246,76 @@ class GluedPPAV:
     @property
     def dim(self) -> int:
         return self.x_dim + self.y_dim
+
+    @functools.cached_property
+    def _report(self) -> GlueReport:
+        """Re-derive and test all invariants from scratch; verify_glued's report.
+
+        With the overlattice p = h/den and p^-1 = q/qden every check is an
+        integer matrix product.  There must be one stored action per factor
+        generator, each the identity or a pseudoreflection, and the stored
+        graph must span the overlattice with Z^2n.
+        """
+        divisors = elementary_divisors([g + 1 for g in self.factors])
+        prod_form = block_sum(_side_forms(self.factors, self.y_dim, divisors))
+        n = self.dim
+        form = self.form
+        h, den = self.overlattice.num, self.overlattice.den
+        hdet = h.det()
+        # a singular overlattice fails every check that needs p^-1
+        j = None
+        if hdet:
+            p_inv = self.overlattice.inverse()
+            q = p_inv.num
+            # j = k·p^-1·J·p with k = p_inv.den·den > 0, a multiple of the lifted structure
+            k = p_inv.den * den
+            j = q * Torus(RATIONAL, n).complex_structure() * h
+
+        checks = []
+        checks.append(("form-integral",
+                       h.transpose() * prod_form * h == form.scaled(den * den)))
+        alternating = form.transpose() == -form
+        checks.append(("form-alternating", alternating))
+        # an alternating form has det = Pf^2 (0 at odd size), so |Pf| = 1
+        # exactly when det = 1
+        checks.append(("form-unimodular", alternating and form.det() == 1))
+
+        # is_positive_definite also tests symmetry
+        checks.append(("form-positive", j is not None and is_positive_definite(form * j * 2)))
+        checks.append(("complex-structure", j is not None
+                       and j.transpose() * form * j == form.scaled(k * k)))
+
+        checks.append(("action-preserves-form",
+                       all(r.transpose() * form * r == form for r in self.actions)))
+        checks.append(("action-commutes-structure",
+                       j is not None and all(r * j == j * r for r in self.actions)))
+
+        # r moves each graph vector by a product-lattice vector: with the graph
+        # as integer columns over gden, h·r·(q·cols) - k·cols vanishes mod k·gden;
+        # q·cols is taken once, so each action costs two narrow products
+        graph = RatMatrix.from_rows(self.graph, cols=2 * n).transpose()
+        gden, cols = graph.den, graph.num
+        if j is not None:
+            qcols, kcols = q * cols, cols.scaled(k)
+        checks.append(("graph-action-trivial", j is not None and all(
+            x % (k * gden) == 0
+            for r in self.actions
+            for row in (h * (r * qcols) - kcols).entries for x in row)))
+
+        identity = IntMatrix.identity(2 * n)
+        checks.append(("x-action-reflections", len(self.actions) == self.x_dim
+                       and all(reflection_rank(r) in (0, 2) for r in self.actions)))
+
+        index = Fraction(den ** (2 * n), abs(hdet)) if hdet else Fraction(0)
+        span = math.lcm(den, gden)
+        checks.append(("overlattice-index",
+                       index == math.prod(divisors) ** 2
+                       and hnf_columns(h.scaled(span // den)) == hnf_columns(
+                           hstack(identity.scaled(span), cols.scaled(span // gden)))))
+
+        first = next((name for name, ok in checks if not ok), None)
+        return GlueReport(tuple(checks), first, fixed_sublattice(2 * n, self.actions),
+                          int(index) if index.denominator == 1 else 0)
 
 
 def _side_forms(factors, y_dim: int, divisors) -> list[IntMatrix]:
@@ -298,96 +387,14 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
 # -- verification ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GlueReport:
-    """Named re-checks of every glued invariant, in evaluation order, and the
-    canonical basis (columns) of the sublattice the actions fix."""
-
-    checks: tuple[tuple[str, bool], ...]
-    first_failure: str | None
-    fixed_basis: IntMatrix
-    overlattice_index: int
-
-    @property
-    def all_passed(self) -> bool:
-        return self.first_failure is None
-
-    @property
-    def fixed_dim(self) -> int:
-        return self.fixed_basis.cols // 2
-
-
-@functools.lru_cache(maxsize=None)
 def verify_glued(a: GluedPPAV) -> GlueReport:
-    """Re-derive and test all invariants of a glued variety from scratch.
+    """The glue's report, computed on first request and kept on the glue.
 
-    With the overlattice p = h/den and p^-1 = q/qden every check is an integer
-    matrix product.  There must be one stored action per factor generator,
-    each the identity or a pseudoreflection, and the stored graph must span
-    the overlattice with Z^2n.  A GluedPPAV is a frozen value, so the report
-    is cached: a caller and decompose_glued re-use the one build made, and
-    decompose_glued reads its Y side off the report's fixed_basis.
+    A GluedPPAV is a frozen value, so its build's gate, a caller and
+    decompose_glued share the one run, and decompose_glued reads its Y side
+    off the report's fixed_basis.
     """
-    divisors = elementary_divisors([g + 1 for g in a.factors])
-    prod_form = block_sum(_side_forms(a.factors, a.y_dim, divisors))
-    n = a.dim
-    form = a.form
-    h, den = a.overlattice.num, a.overlattice.den
-    hdet = h.det()
-    # a singular overlattice fails every check that needs p^-1
-    j = None
-    if hdet:
-        p_inv = a.overlattice.inverse()
-        q = p_inv.num
-        # j = k·p^-1·J·p with k = p_inv.den·den > 0, a multiple of the lifted structure
-        k = p_inv.den * den
-        j = q * Torus(RATIONAL, n).complex_structure() * h
-
-    checks = []
-    checks.append(("form-integral",
-                   h.transpose() * prod_form * h == form.scaled(den * den)))
-    alternating = form.transpose() == -form
-    checks.append(("form-alternating", alternating))
-    # an alternating form has det = Pf^2 (0 at odd size), so |Pf| = 1
-    # exactly when det = 1
-    checks.append(("form-unimodular", alternating and form.det() == 1))
-
-    # is_positive_definite also tests symmetry
-    checks.append(("form-positive", j is not None and is_positive_definite(form * j * 2)))
-    checks.append(("complex-structure", j is not None
-                   and j.transpose() * form * j == form.scaled(k * k)))
-
-    checks.append(("action-preserves-form",
-                   all(r.transpose() * form * r == form for r in a.actions)))
-    checks.append(("action-commutes-structure",
-                   j is not None and all(r * j == j * r for r in a.actions)))
-
-    # r moves each graph vector by a product-lattice vector: with the graph
-    # as integer columns over gden, h·r·(q·cols) - k·cols vanishes mod k·gden;
-    # q·cols is taken once, so each action costs two narrow products
-    graph = RatMatrix.from_rows(a.graph, cols=2 * n).transpose()
-    gden, cols = graph.den, graph.num
-    if j is not None:
-        qcols, kcols = q * cols, cols.scaled(k)
-    checks.append(("graph-action-trivial", j is not None and all(
-        x % (k * gden) == 0
-        for r in a.actions
-        for row in (h * (r * qcols) - kcols).entries for x in row)))
-
-    identity = IntMatrix.identity(2 * n)
-    checks.append(("x-action-reflections", len(a.actions) == a.x_dim
-                   and all(reflection_rank(r) in (0, 2) for r in a.actions)))
-
-    index = Fraction(den ** (2 * n), abs(hdet)) if hdet else Fraction(0)
-    span = math.lcm(den, gden)
-    checks.append(("overlattice-index",
-                   index == math.prod(divisors) ** 2
-                   and hnf_columns(h.scaled(span // den)) == hnf_columns(
-                       hstack(identity.scaled(span), cols.scaled(span // gden)))))
-
-    first = next((name for name, ok in checks if not ok), None)
-    return GlueReport(tuple(checks), first, fixed_sublattice(2 * n, a.actions),
-                      int(index) if index.denominator == 1 else 0)
+    return a._report
 
 
 def _verified(a: GluedPPAV) -> GlueReport:

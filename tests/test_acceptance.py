@@ -11,7 +11,8 @@ import random
 import time
 from fractions import Fraction
 
-from ppavlab.exact_linalg import IntMatrix, is_positive_definite, pfaffian
+from oracles import pfaffian
+from ppavlab.exact_linalg import IntMatrix, is_positive_definite
 from ppavlab.group_actions import (
     action_on_kernel,
     average_pullback,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rank_over_field
+from oracles import pfaffian, rank_over_field
 from ppavlab.exact_linalg import (
     IntMatrix,
     NotAlternating,
@@ -16,7 +16,6 @@ from ppavlab.exact_linalg import (
     hnf_columns,
     is_positive_definite,
     kernel_basis,
-    pfaffian,
     saturate,
     snf,
     snf_diagonal,

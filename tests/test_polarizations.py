@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import rank_over_field
+from oracles import NotMember, kernel_elements, pfaffian, rank_over_field, weil_pairing
 from ppavlab import polarizations
 
 from ppavlab.exact_linalg import (
@@ -28,7 +28,6 @@ from ppavlab.polarizations import (
     Degenerate,
     FiniteSymplecticGroup,
     IncompatibleForm,
-    NotMember,
     NotPositive,
     NotSaturated,
     NotStable,
@@ -55,7 +54,6 @@ from ppavlab.polarizations import (
     self_intersection,
     split_form,
     theta_g,
-    weil_pairing,
     xi_g,
 )
 from ppavlab.tori import GAUSSIAN, EISENSTEIN, RATIONAL, OrderMatrix, Torus, rational_rep
@@ -112,6 +110,18 @@ def test_constructor_rejections():
         PolarizedTorus(Torus(RATIONAL, 1), IntMatrix.from_rows([[0, -1], [1, 0]]))
     with pytest.raises(NotPositive):
         PolarizedTorus(Torus(GAUSSIAN, 1), IntMatrix.from_rows([[0, -1], [1, 0]]))
+
+
+@pytest.mark.parametrize("form", [
+    theta_g(1).form.scaled(2.5),
+    theta_g(1).form.scaled(2.0),
+    theta_g(1).form.scaled(Fraction(2)),
+    # equal to theta_1's form entry by entry, since True == 1
+    IntMatrix.from_rows([[0, True], [-1, 0]]),
+], ids=["float", "integral-float", "fraction", "bool"])
+def test_constructor_rejects_non_int_entries(form):
+    with pytest.raises(IncompatibleForm, match="integers"):
+        PolarizedTorus(Torus(RATIONAL, 1), form)
 
 
 def test_compatible_form_standard_symplectic():
@@ -318,7 +328,7 @@ def brute_kernel_order(form: IntMatrix) -> int:
 def test_kernel_group_trivial_for_principal():
     k = kernel_group(theta_g(2))
     assert k.order == 1 and k.orders == ()
-    assert list(k.elements()) == [(Fraction(0),) * 4]
+    assert list(kernel_elements(k)) == [(Fraction(0),) * 4]
 
 
 def test_kernel_group_xi_is_diagonal_torsion():
@@ -329,7 +339,7 @@ def test_kernel_group_xi_is_diagonal_torsion():
         d2 = tuple([Fraction(0)] * g + [Fraction(1, g + 1)] * g)
         assert k.contains(d1) and k.contains(d2)
         # every element is constant within each block
-        for x in k.elements():
+        for x in kernel_elements(k):
             assert len(set(x[:g])) == 1 and len(set(x[g:])) == 1
 
 
@@ -366,7 +376,7 @@ def test_weil_pairing_values():
 def test_weil_pairing_alternating_and_nondegenerate():
     for g in (1, 2, 3):
         k = kernel_group(xi_g(g))
-        els = list(k.elements())
+        els = list(kernel_elements(k))
         assert len(els) == k.order
         for x in els:
             assert weil_pairing(k, x, x) == 0
@@ -381,6 +391,14 @@ def test_scale_multiplies_type():
     assert polarization_type(scale(theta_g(2), 3)) == (3, 3)
     with pytest.raises(ValueError):
         scale(theta_g(1), 0)
+
+
+@pytest.mark.parametrize("factor", [2.5, 2.0, Fraction(2), True, False, -1],
+                         ids=["float", "integral-float", "fraction", "true", "false", "negative"])
+def test_scale_rejects_non_int_factor(factor):
+    # unchecked, 2.5 gives a float form of type (2.5, 2.5) and True passes as 1
+    with pytest.raises(ValueError, match="integer >= 1"):
+        scale(theta_g(2), factor)
 
 
 def test_box_product_of_thetas_is_theta():
@@ -448,6 +466,47 @@ def test_box_product_seeded_type_merge():
 def test_self_intersection_frozen():
     assert self_intersection(theta_g(3)) == 6
     assert self_intersection(xi_g(2)) == 6
+
+
+@st.composite
+def _split_forms(draw):
+    """split_form(C^t C + I) for a random integer C, g <= 4, entries in [-5, 5]."""
+    g = draw(st.integers(1, 4))
+    c = IntMatrix.from_rows(draw(st.lists(st.lists(st.integers(-5, 5), min_size=g, max_size=g),
+                                          min_size=g, max_size=g)), cols=g)
+    return PolarizedTorus(Torus(RATIONAL, g),
+                          split_form(c.transpose() * c + IntMatrix.identity(g)))
+
+
+def _assert_self_intersection_by_oracles(p):
+    # the Pfaffian oracle and the snf_diagonal route share no code with the
+    # torus's cached Smith form
+    assert self_intersection(p) == math.factorial(p.g) * abs(pfaffian(p.form))
+    assert polarization_type(p) == alternating_type(p.form)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_split_forms())
+def test_self_intersection_matches_pfaffian_oracle(p):
+    _assert_self_intersection_by_oracles(p)
+
+
+@pytest.mark.parametrize("order", [GAUSSIAN, EISENSTEIN], ids=["gaussian", "eisenstein"])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_self_intersection_matches_pfaffian_oracle_over_cm_orders(g, order):
+    for p, want in ((theta_g(g, order), math.factorial(g)),
+                    (xi_g(g, order), math.factorial(g) * (g + 1))):
+        _assert_self_intersection_by_oracles(p)
+        assert self_intersection(p) == want
+
+
+def test_self_intersection_of_example_c():
+    from ppavlab.group_actions import example_c
+
+    pol = example_c()[1]
+    _assert_self_intersection_by_oracles(pol)
+    assert polarization_type(pol) == (1, 2)
+    assert self_intersection(pol) == 4
 
 
 def test_self_intersection_xi_by_rank_one_update_oracle():

@@ -17,7 +17,6 @@ SRC = Path(ppavlab.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 KEPT_WITHOUT_CALLER = {
-    "weil_pairing": "the checked reference pairing the tests compare against",
     "CoverDatum": "ROADMAP item 7 decides it",
     "ramification_realizable": "ROADMAP item 7 decides it",
 }
@@ -50,9 +49,7 @@ MEMBERS_KEPT_WITHOUT_REFERENCE = {
     "group_from_json": "the serialized format's boundary",
     "glued_to_json": "the serialized format's boundary",
     "glued_from_json": "the serialized format's boundary",
-    "weil_pairing": "the checked reference pairing the tests compare against",
     "GlueReport.fixed_dim": "the benchmark's glue digest reads it",
-    "FiniteSymplecticGroup.elements": "the element enumeration the tests compare against",
     "CoverDatum": "ROADMAP item 7 decides it",
     "CoverDatum.consistent": "ROADMAP item 7 decides it",
     "ramification_realizable": "ROADMAP item 7 decides it",

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import pfaffian, weil_pairing
 from ppavlab import group_actions, polarizations, standard_construction
-from ppavlab.exact_linalg import IntMatrix, RatMatrix, kernel_basis, pfaffian
+from ppavlab.exact_linalg import IntMatrix, RatMatrix, kernel_basis
 from ppavlab.group_actions import (
     _close,
     example_b,
@@ -35,7 +36,6 @@ from ppavlab.polarizations import (
     scale,
     split_form,
     theta_g,
-    weil_pairing,
     xi_g,
 )
 from ppavlab.standard_construction import (
@@ -77,6 +77,14 @@ def test_elementary_divisors_examples():
 def test_elementary_divisors_rejects_nonpositive():
     with pytest.raises(ValueError):
         elementary_divisors([2, 0])
+
+
+@pytest.mark.parametrize("moduli", [[2.0, 3], [True, 4], [2, Fraction(3)], ["2"], [-1]],
+                         ids=["float", "bool", "fraction", "string", "negative"])
+def test_elementary_divisors_rejects_non_int_moduli(moduli):
+    # unchecked, [2.0, 3] raises TypeError inside the Smith form and [True, 4] gives (4,)
+    with pytest.raises(ValueError, match="integers >= 1"):
+        elementary_divisors(moduli)
 
 
 # -- symplectic bases ----------------------------------------------------------
@@ -409,7 +417,6 @@ def test_glue_path_closes_no_group(monkeypatch):
     cases = GRID + _glue_cases()
     want = [_glue_outcome(*case) for case in cases]
     example_b.cache_clear()
-    verify_glued.cache_clear()
 
     def refuse(*args):
         raise AssertionError("a glue operation closed a group")
@@ -473,12 +480,35 @@ def test_gate_builds_no_box_product_and_no_y_torus(monkeypatch):
     # and PolarizedTorus refused in this module and PolarizedTorus refused
     # in polarizations, where xi_g would build one, it gives the same reports
     glues = [build_standard(*case) for case in GRID + _glue_cases()]
-    want = [verify_glued.__wrapped__(glued) for glued in glues]
+    want = [verify_glued(glued) for glued in glues]
     for name in ("box_product", "PolarizedTorus"):
         # raising=False: the module does not import box_product at all
         monkeypatch.setattr(standard_construction, name, _refuse, raising=False)
     monkeypatch.setattr(polarizations, "PolarizedTorus", _refuse)
-    assert [verify_glued.__wrapped__(glued) for glued in glues] == want
+    # a copy is a new glue, so its report is derived again
+    assert [verify_glued(dataclasses.replace(glued)) for glued in glues] == want
+
+
+def test_report_is_kept_on_the_glue(monkeypatch):
+    # the report is derived once per glue object, not looked up in a
+    # process-wide memo keyed by the glue's value
+    assert not hasattr(verify_glued, "cache_info")
+    glued = build_standard((2, 3), 1)
+    assert verify_glued(glued) is verify_glued(glued)
+    calls = []
+    real = standard_construction.reflection_rank
+    monkeypatch.setattr(standard_construction, "reflection_rank",
+                        lambda r: calls.append(r) or real(r))
+    assert decompose_glued(glued).y_basis == verify_glued(glued).fixed_basis
+    assert calls == []
+    # an equal glue loaded from its JSON text is a new object: the gate runs
+    # on it, once, whatever the original's report
+    loaded = glued_from_json(glued_to_json(glued))
+    assert loaded == glued
+    assert calls == list(glued.actions)
+    assert verify_glued(loaded) == verify_glued(glued)
+    assert verify_glued(loaded) is not verify_glued(glued)
+    assert calls == list(glued.actions)
 
 
 def test_decompose_reads_the_gate_s_fixed_sublattice(monkeypatch):
