@@ -184,25 +184,6 @@ def _glue_divisors(factors, y_dim: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class GlueReport:
-    """Named re-checks of every glued invariant, in evaluation order, and the
-    canonical basis (columns) of the sublattice the actions fix."""
-
-    checks: tuple[tuple[str, bool], ...]
-    first_failure: str | None
-    fixed_basis: IntMatrix
-    overlattice_index: int
-
-    @property
-    def all_passed(self) -> bool:
-        return self.first_failure is None
-
-    @property
-    def fixed_dim(self) -> int:
-        return self.fixed_basis.cols // 2
-
-
-@dataclass(frozen=True)
 class GluedPPAV:
     """Principal form on an overlattice of a product, with the lifted action.
 
@@ -385,6 +366,25 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
 
 
 # -- verification ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GlueReport:
+    """Named re-checks of every glued invariant, in evaluation order, and the
+    canonical basis (columns) of the sublattice the actions fix."""
+
+    checks: tuple[tuple[str, bool], ...]
+    first_failure: str | None
+    fixed_basis: IntMatrix
+    overlattice_index: int
+
+    @property
+    def all_passed(self) -> bool:
+        return self.first_failure is None
+
+    @property
+    def fixed_dim(self) -> int:
+        return self.fixed_basis.cols // 2
 
 
 def verify_glued(a: GluedPPAV) -> GlueReport:
