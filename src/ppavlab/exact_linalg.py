@@ -25,10 +25,6 @@ class NotAlternating(ValueError):
     """Expected an antisymmetric matrix (M == -M^t) of even size."""
 
 
-def _tuplize(entries) -> tuple:
-    return tuple(tuple(row) for row in entries)
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """Dense matrix over Z, row-major, immutable and hashable."""
@@ -46,7 +42,7 @@ class IntMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         """Matrix with the given rows; cols, if given, must be their length."""
-        rows = _tuplize(rows)
+        rows = tuple(tuple(row) for row in rows)
         if rows:
             if cols is not None and cols != len(rows[0]):
                 raise ValueError(f"cols={cols} disagrees with rows of length {len(rows[0])}")
@@ -181,7 +177,7 @@ class IntMatrix:
         return g
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant by fraction-free elimination (`_bareiss_step`)."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
         n = self.rows
@@ -198,11 +194,22 @@ class IntMatrix:
                 a[k], a[swap] = a[swap], a[k]
                 sign = -sign
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
+                _bareiss_step(a[i], a[k], k, prev)
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
+
+
+def _bareiss_step(row: list[int], pivot_row: list[int], k: int, prev: int) -> None:
+    """Clear column k of row by pivot_row, in place and fraction-free.
+
+    Each entry right of column k becomes (p row[j] - row[k] pivot_row[j]) /
+    prev, with p = pivot_row[k] and prev the previous step's pivot (1 at the
+    first).  By Sylvester's identity it is, up to sign, a minor of order
+    k + 1 of the matrix, so the division is exact (Bareiss, Math. Comp. 22,
+    1968).  Columns up to k are left stale: no caller reads them again.
+    """
+    p, c = pivot_row[k], row[k]
+    row[k + 1:] = [(p * x - c * y) // prev for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
 
 
 @dataclass(frozen=True)
@@ -300,12 +307,10 @@ class RatMatrix:
     def _inverse(self) -> "RatMatrix":
         """One fraction-free Gauss-Jordan pass on [num | I].
 
-        Step k swaps in the first non-zero pivot at or below row k and sets
-        every other row i to (p a_ij - a_ik a_kj) / prev, with p the pivot
-        and prev the one before; every division is exact (Bareiss).  The left
-        block ends as d I with d = +-det(num), the right block as adj =
-        d num^-1, so the inverse is den sign(d) adj / |d|.  Columns left of
-        the pivot are never read again, so they are not updated.
+        Step k swaps in the first non-zero pivot at or below row k and clears
+        column k from every other row (`_bareiss_step`).  The left block
+        ends as d I with d = +-det(num), the right block as adj = d num^-1,
+        so the inverse is den sign(d) adj / |d|.
         """
         n = self.rows
         if n != self.cols:
@@ -318,14 +323,10 @@ class RatMatrix:
                 raise RankDeficient("matrix is singular")
             a[k], a[piv] = a[piv], a[k]
             row_k = a[k]
-            p = row_k[k]
             for i in range(n):
                 if i != k:
-                    row_i = a[i]
-                    c = row_i[k]
-                    for j in range(k + 1, 2 * n):
-                        row_i[j] = (p * row_i[j] - c * row_k[j]) // prev
-            prev = p
+                    _bareiss_step(a[i], row_k, k, prev)
+            prev = row_k[k]
         scale = self.den if prev > 0 else -self.den
         return RatMatrix(IntMatrix.from_rows([[scale * x for x in r[n:]] for r in a], cols=n),
                          abs(prev))
@@ -398,15 +399,13 @@ def snf(m: IntMatrix) -> SNF:
 def snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """The invariant factors of m: the diagonal of its Smith normal form.
 
-    Square matrices up to 3x3 skip the transforms: with D_k the gcd of the
+    Square 2x2 and 3x3 matrices skip the transforms: with D_k the gcd of the
     k x k minors, d_k = D_k / D_{k-1}, or 0 when D_k = 0 (Newman,
     *Integral Matrices*, Thm II.9).
     """
     n = m.rows
-    if n == m.cols and 1 <= n <= 3:
+    if n == m.cols and 2 <= n <= 3:
         e = m.entries
-        if n == 1:
-            return (abs(e[0][0]),)
         if n == 2:
             (a, b), (c, d) = e
             d1, d2 = math.gcd(a, b, c, d), abs(a * d - b * c)
@@ -507,9 +506,8 @@ def saturate(l: IntMatrix) -> IntMatrix:
 def is_positive_definite(m: IntMatrix) -> bool:
     """Sylvester test on an integer symmetric matrix: exact, no floats.
 
-    One Bareiss pass without pivoting: pivot k is the k-th leading principal
-    minor, so the first pivot <= 0 decides, and the exact divisions by the
-    previous (positive) pivot keep every entry an integer.
+    Fraction-free elimination (`_bareiss_step`) without pivoting: pivot k is
+    the k-th leading principal minor, so the first pivot <= 0 decides.
     """
     if not m.is_symmetric():
         return False
@@ -520,11 +518,7 @@ def is_positive_definite(m: IntMatrix) -> bool:
         piv = a[k][k]
         if piv <= 0:
             return False
-        row_k = a[k]
         for i in range(k + 1, n):
-            row_i = a[i]
-            c = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * piv - c * row_k[j]) // prev
+            _bareiss_step(a[i], a[k], k, prev)
         prev = piv
     return True

@@ -42,6 +42,7 @@ from .tori import (
     OrderMatrix,
     RATIONAL,
     Torus,
+    _order_pairs,
     order_by_kind,
     rational_rep,
     unit_of_order,
@@ -71,12 +72,6 @@ class MatrixGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-
-def _pairs(g: int, r: IntMatrix) -> list[tuple[int, int]]:
-    """O-entries (a, b) row by row: A + B*w acts as [[A, vB], [B, A + uB]]."""
-    rows = r.entries
-    return [(rows[i][j], rows[g + i][j]) for i in range(g) for j in range(g)]
 
 
 def _column_nonzeros(r: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -120,8 +115,8 @@ def _close(torus: Torus, actions: tuple[IntMatrix, ...], cap: int) -> MatrixGrou
     """Group generated by integer action matrices, in breadth-first order.
 
     Elements are listed by word length and, within a level, by the
-    lexicographic order of their O-entries, so element indexing is
-    reproducible.  Raises CapExceeded past `cap` elements, or when two
+    lexicographic order of their O-entries (`_order_pairs`), so element
+    indexing is reproducible.  Raises CapExceeded past `cap` elements, or when two
     elements agree mod 3: reduction mod p >= 3 is injective on finite
     subgroups of GL_2g(Z) (Minkowski), so such a group is infinite.
     """
@@ -133,9 +128,7 @@ def _close(torus: Torus, actions: tuple[IntMatrix, ...], cap: int) -> MatrixGrou
     seen, residues, elements = {identity}, set(), []
     for level in itertools.chain([[identity]], _grow(seen, [identity], steps)):
         residues.update(tuple([x % 3 for col in e for x in col]) for e in level)
-        # the _pairs order: entry (i, j) and (g + i, j), row by row
-        elements.extend(sorted(level, key=lambda p: [
-            x for i in range(g) for col in p[:g] for x in (col[i], col[g + i])]))
+        elements.extend(sorted(level, key=lambda e: _order_pairs(g, e)))
         if len(residues) < len(elements):
             raise CapExceeded("two elements agree mod 3, so the group is infinite")
         if len(elements) > cap:
@@ -392,7 +385,7 @@ def group_to_json(group: MatrixGroup) -> str:
     return json.dumps({
         "order_kind": group.torus.order.kind,
         "g": group.torus.g,
-        "elements": [_pairs(group.torus.g, e) for e in group.elements],
+        "elements": [_order_pairs(group.torus.g, e.columns()) for e in group.elements],
     })
 
 

@@ -227,3 +227,9 @@ def rational_rep(m: OrderMatrix) -> IntMatrix:
         z = IntMatrix.zeros(m.g, m.g)
         return IntMatrix.from_blocks([[a, z], [z, a]])
     return IntMatrix.from_blocks([[a, b.scaled(o.v)], [b, a + b.scaled(o.u)]])
+
+
+def _order_pairs(g: int, columns) -> list[tuple[int, int]]:
+    """The O-entries (a, b) of a `rational_rep` action, row by row, from its
+    columns: entry (i, j) = a + b*w has a at row i and b at row g + i of column j."""
+    return [(col[i], col[g + i]) for i in range(g) for col in columns[:g]]

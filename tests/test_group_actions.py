@@ -17,7 +17,6 @@ from ppavlab.group_actions import (
     MatrixGroup,
     NotInvariant,
     _close,
-    _pairs,
     action_on_kernel,
     average_pullback,
     closure,
@@ -138,7 +137,7 @@ def test_closure_of_infinite_group_fails_fast():
 
 def _dense_close(torus, actions, cap):
     """Reference closure: dense IntMatrix products, the same level order and mod-3 test."""
-    seen, residues, elements = set(), set(), []
+    g, seen, residues, elements = torus.g, set(), set(), []
     level = [IntMatrix.identity(torus.lattice_rank)]
     while level:
         for p in level:
@@ -155,7 +154,9 @@ def _dense_close(torus, actions, cap):
             for r in actions:
                 p = e * r
                 if p not in seen and p not in fresh:
-                    fresh[p] = [c for pair in _pairs(torus.g, p) for c in pair]
+                    # O-entry (i, j) is a + b*w with a at (i, j) and b at (g + i, j)
+                    fresh[p] = [c for i in range(g) for j in range(g)
+                                for c in (p[i, j], p[g + i, j])]
         level = sorted(fresh, key=fresh.get)
     return tuple(elements)
 
