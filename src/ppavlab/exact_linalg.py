@@ -25,9 +25,25 @@ class NotAlternating(ValueError):
     """Expected an antisymmetric matrix (M == -M^t) of even size."""
 
 
+def _require_entries(name: str, grid, types: tuple[type, ...] = (int,)) -> None:
+    """ValueError naming `name` at the first entry of grid whose type is not
+    exactly one of types: a bool, a float or a Fraction is not an int."""
+    for row in grid:
+        for x in row:
+            if type(x) not in types:
+                kinds = " or ".join(t.__name__ for t in types)
+                raise ValueError(f"{name} entries must be {kinds}, got {x!r}")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense matrix over Z, row-major, immutable and hashable."""
+    """Dense matrix over Z, row-major, immutable and hashable.
+
+    The builders from_rows, from_columns and diagonal refuse any entry that
+    is not an int.  The direct constructor IntMatrix(rows, cols, entries)
+    checks only the shape: it is the library's internal path for entries
+    already known to be integers.
+    """
 
     rows: int
     cols: int
@@ -43,6 +59,7 @@ class IntMatrix:
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         """Matrix with the given rows; cols, if given, must be their length."""
         rows = tuple(tuple(row) for row in rows)
+        _require_entries("matrix", rows)
         if rows:
             if cols is not None and cols != len(rows[0]):
                 raise ValueError(f"cols={cols} disagrees with rows of length {len(rows[0])}")
@@ -62,7 +79,9 @@ class IntMatrix:
         # zip would silently truncate to the shortest column
         if list(map(len, columns)) != [rows] * len(columns):
             raise ValueError(f"columns do not all have length {rows}")
-        return cls(rows, len(columns), tuple(zip(*columns)))
+        entries = tuple(zip(*columns))
+        _require_entries("matrix", entries)
+        return cls(rows, len(columns), entries)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -74,6 +93,7 @@ class IntMatrix:
 
     @classmethod
     def diagonal(cls, values: Sequence[int]) -> "IntMatrix":
+        _require_entries("matrix", [values])
         n = len(values)
         return cls(n, n, tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n)))
 

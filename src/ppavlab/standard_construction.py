@@ -25,6 +25,7 @@ from typing import NamedTuple
 from .exact_linalg import (
     IntMatrix,
     RatMatrix,
+    _require_entries,
     hnf_columns,
     hstack,
     is_positive_definite,
@@ -210,13 +211,18 @@ class GluedPPAV:
             raise ValueError(f"y_dim must be an integer >= 1, got {y_dim!r}")
         size = 2 * self.dim
         need = f"factors {factors} and y_dim {y_dim} need {size}"
-        for name, m in [("overlattice", self.overlattice), ("form", self.form),
-                        *((f"actions[{i}]", r) for i, r in enumerate(self.actions))]:
+        integral = [("form", self.form),
+                    *((f"actions[{i}]", r) for i, r in enumerate(self.actions))]
+        for name, m in [("overlattice", self.overlattice), *integral]:
             if (m.rows, m.cols) != (size, size):
                 raise ValueError(f"{name} is {m.rows}x{m.cols}, but {need}x{size}")
         for i, gamma in enumerate(self.graph):
             if len(gamma) != size:
                 raise ValueError(f"graph[{i}] has length {len(gamma)}, but {need}")
+        # a float entry would pass every check yet break the JSON and the kernels
+        for name, m in integral:
+            _require_entries(name, m.entries)
+        _require_entries("graph", self.graph, (int, Fraction))
         # last: the divisors cost a Smith form of size len(factors)
         _glue_divisors(factors, y_dim)
 

@@ -192,6 +192,12 @@ def test_snf_diagonal_closed_form_matches_snf(m):
     assert snf_diagonal(m) == tuple(d[i, i] for i in range(m.rows))
 
 
+@pytest.mark.parametrize("x", [0, 1, -1, 12, -12, 10 ** 40, -(10 ** 40) - 7])
+def test_snf_diagonal_of_1x1_is_snf(x):
+    m = M([[x]])
+    assert snf_diagonal(m) == (snf(m).d[0, 0],) == (abs(x),)
+
+
 # -- Hermite normal form -----------------------------------------------------
 
 
@@ -405,6 +411,19 @@ def test_constructors_reject_bad_shapes(build):
         build()
 
 
+@pytest.mark.parametrize("entry", [2.5, 2.0, Fraction(2), True, None, "1"],
+                         ids=["float", "integral-float", "fraction", "bool", "none", "str"])
+@pytest.mark.parametrize("build", [
+    lambda x: IntMatrix.from_rows([[x, 0], [0, 1]]),
+    lambda x: IntMatrix.from_columns([(x, 0), (0, 1)]),
+    lambda x: IntMatrix.diagonal([1, x]),
+], ids=["from-rows", "from-columns", "diagonal"])
+def test_builders_reject_non_int_entries(build, entry):
+    # from_rows([[2.5, 0], [0, 1]]).det() used to return 2.0
+    with pytest.raises(ValueError, match="^matrix entries must be int, got "):
+        build(entry)
+
+
 def test_empty_shapes_survive_transpose_and_products():
     assert IntMatrix.from_columns([], rows=3) == IntMatrix.zeros(3, 0)
     assert IntMatrix.from_rows([], cols=2) == IntMatrix.zeros(0, 2)
@@ -545,6 +564,25 @@ def test_inverse_roundtrip():
         RatMatrix(M([[1, 1], [1, 1]])).inverse()
 
 
+@pytest.mark.parametrize("rows, det", [
+    ([[0, 2, 1], [3, 1, 0], [1, 0, 4]], -25),
+    ([[1, 2, 3], [2, 4, 5], [1, 3, 7]], 1),
+    ([[1, 0, 0, 0], [0, 1, 2, 0], [0, 2, 4, 1], [0, 1, 3, 5]], -1),
+    ([[1, 2, 3], [2, 4, 5], [3, 6, 9]], 0),
+], ids=["first-step", "middle-step", "middle-step-4x4", "singular-middle-step"])
+def test_det_and_inverse_swap_rows_at_a_zero_pivot(rows, det):
+    """The pivot of step k is a leading minor up to sign; each case has a zero one."""
+    m = M(rows)
+    assert m.det() == det == fraction_det(rows)
+    if not det:
+        with pytest.raises(RankDeficient):
+            RatMatrix(m).inverse()
+        return
+    inv = RatMatrix(m).inverse()
+    assert inv.entries == fraction_inverse(rows)
+    assert RatMatrix(m) * inv == RatMatrix(IntMatrix.identity(len(rows)))
+
+
 @st.composite
 def sparse_rat_matrix(draw):
     """(rows, den): up to 7x7, three entries in four zero, so pivots swap."""
@@ -622,6 +660,17 @@ def test_positive_definite():
     assert not is_positive_definite(M([[1, 2], [2, 1]]))
     assert not is_positive_definite(M([[0, 1], [1, 0]]))
     assert not is_positive_definite(M([[1, 0], [1, 1]]))  # not symmetric
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1, 2]],
+    [[1, 1, 0], [1, 1, 1], [0, 1, 5]],
+    # leading minors 1, 0, -4, 12: the last is positive, the second decides
+    [[1, 0, 0, 0], [0, 0, 2, 0], [0, 2, 0, 0], [0, 0, 0, -3]],
+], ids=["first-step", "middle-step", "middle-step-positive-det"])
+def test_positive_definite_stops_at_a_zero_pivot(rows):
+    assert not is_positive_definite(M(rows))
+    assert not sylvester_by_leading_minors(M(rows))
 
 
 def sylvester_by_leading_minors(m):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import kernel_elements, rank_over_field, weil_pairing
 from ppavlab.exact_linalg import IntMatrix, kernel_basis
 from ppavlab.group_actions import (
+    EXAMPLE_ORDER_LIMIT,
     CapExceeded,
     DimensionMismatch,
     MatrixGroup,
@@ -252,6 +253,18 @@ def test_example_b_rejects_non_positive_genus(g):
     # used to fail deep inside with "matrix must be square"
     with pytest.raises(ValueError, match="g must be >= 1"):
         example_b(g)
+
+
+@pytest.mark.parametrize("example, args", [
+    (example_a, (5, 4)), (example_a, (6, 3)), (example_a, (10 ** 9, 2)),
+    (example_b, (8,)), (example_b, (10 ** 9,)),
+], ids=["a-5-4", "a-6-3", "a-huge", "b-8", "b-huge"])
+def test_oversized_examples_fail_fast(example, args):
+    # the smallest refused sizes close 122,880 and 362,880 elements
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"EXAMPLE_ORDER_LIMIT = {EXAMPLE_ORDER_LIMIT}"):
+        example(*args)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_example_c_order():

@@ -116,8 +116,9 @@ def test_constructor_rejections():
     theta_g(1).form.scaled(2.5),
     theta_g(1).form.scaled(2.0),
     theta_g(1).form.scaled(Fraction(2)),
-    # equal to theta_1's form entry by entry, since True == 1
-    IntMatrix.from_rows([[0, True], [-1, 0]]),
+    # equal to theta_1's form entry by entry, since True == 1; the direct
+    # constructor skips the builders' own type check
+    IntMatrix(2, 2, ((0, True), (-1, 0))),
 ], ids=["float", "integral-float", "fraction", "bool"])
 def test_constructor_rejects_non_int_entries(form):
     with pytest.raises(IncompatibleForm, match="integers"):

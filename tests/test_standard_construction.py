@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import json
 import math
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -929,6 +930,33 @@ def test_glued_ppav_rejects_misshapen_fields():
         dataclasses.replace(glued, factors=[2])
     with pytest.raises(ValueError, match="^y_dim must be"):
         dataclasses.replace(glued, y_dim=True)
+
+
+def _retyped(m, kind):
+    """m through the direct constructor, which checks no entry type."""
+    return IntMatrix(m.rows, m.cols, tuple(tuple(map(kind, row)) for row in m.entries))
+
+
+def _bool_if_equal(x):
+    """True for 1 and False for 0, which compare equal to them; x otherwise."""
+    return x if x not in (0, 1) else bool(x)
+
+
+@pytest.mark.parametrize("field, tamper", [
+    ("form", lambda g: {"form": _retyped(g.form, float)}),
+    ("form", lambda g: {"form": _retyped(g.form, Fraction)}),
+    ("form", lambda g: {"form": _retyped(g.form, _bool_if_equal)}),
+    ("actions[0]", lambda g: {"actions": (_retyped(g.actions[0], float),)}),
+    ("actions[0]", lambda g: {"actions": (_retyped(g.actions[0], _bool_if_equal),)}),
+    ("graph", lambda g: {"graph": tuple(tuple(map(float, row)) for row in g.graph)}),
+    ("graph", lambda g: {"graph": tuple(tuple(map(_bool_if_equal, row)) for row in g.graph)}),
+], ids=["form-float", "form-fraction", "form-bool", "action-float", "action-bool",
+        "graph-float", "graph-bool"])
+def test_glued_ppav_rejects_non_integer_entries(field, tamper):
+    # each record equals the glue entry by entry, so it used to pass verify_glued
+    glued = build_standard((1,), 1)
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} entries must be "):
+        dataclasses.replace(glued, **tamper(glued))
 
 
 def test_glued_json_reads_plain_ints_and_rejects_non_list_grids():

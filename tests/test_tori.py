@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import rank_over_field
 from ppavlab.exact_linalg import IntMatrix
@@ -18,6 +20,7 @@ from ppavlab.tori import (
     Torus,
     W,
     ZERO,
+    _order_pairs,
     oconj,
     omul,
     onorm,
@@ -181,6 +184,24 @@ def test_rational_rep_of_i_is_standard_symplectic_rotation():
 def test_rational_rep_of_w_eisenstein():
     m = OrderMatrix.from_pairs(EISENSTEIN, [[(0, 1)]])
     assert rational_rep(m) == IntMatrix.from_rows([[0, -1], [1, -1]])
+
+
+@st.composite
+def order_matrices(draw):
+    """An OrderMatrix over Z, Z[i] or Z[w] with g <= 3 (w-part 0 over Z)."""
+    order = draw(st.sampled_from(ALL_ORDERS))
+    g = draw(st.integers(1, 3))
+    coeff = st.integers(-50, 50)
+    pair = st.tuples(coeff, coeff if order.is_cm else st.just(0))
+    return OrderMatrix.from_pairs(order, draw(st.lists(
+        st.lists(pair, min_size=g, max_size=g), min_size=g, max_size=g)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(order_matrices())
+def test_order_pairs_inverts_rational_rep(m):
+    assert _order_pairs(m.g, rational_rep(m).columns()) == [
+        (x.a, x.b) for row in m.entries for x in row]
 
 
 def test_rational_rep_matches_complex_structure():
