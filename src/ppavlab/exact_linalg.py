@@ -213,23 +213,29 @@ class IntMatrix:
                     return 0
                 a[k], a[swap] = a[swap], a[k]
                 sign = -sign
-            for i in range(k + 1, n):
-                _bareiss_step(a[i], a[k], k, prev)
+            _bareiss_step(a, k, range(k + 1, n), prev)
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
 
-def _bareiss_step(row: list[int], pivot_row: list[int], k: int, prev: int) -> None:
-    """Clear column k of row by pivot_row, in place and fraction-free.
+def _bareiss_step(a: list[list[int]], k: int, rows, prev: int) -> None:
+    """Clear column k of each row a[i], i in rows, by the pivot row a[k].
 
-    Each entry right of column k becomes (p row[j] - row[k] pivot_row[j]) /
-    prev, with p = pivot_row[k] and prev the previous step's pivot (1 at the
-    first).  By Sylvester's identity it is, up to sign, a minor of order
-    k + 1 of the matrix, so the division is exact (Bareiss, Math. Comp. 22,
-    1968).  Columns up to k are left stale: no caller reads them again.
+    In place and fraction-free: each entry right of column k becomes
+    (p a[i][j] - a[i][k] a[k][j]) / prev, with p = a[k][k] and prev the
+    previous step's pivot (1 at the first).  By Sylvester's identity it is,
+    up to sign, a minor of order k + 1 of the matrix, so the division is
+    exact (Bareiss, Math. Comp. 22, 1968).  Columns up to k are left stale:
+    no caller reads them again.
     """
-    p, c = pivot_row[k], row[k]
-    row[k + 1:] = [(p * x - c * y) // prev for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
+    pivot_row = a[k]
+    p = pivot_row[k]
+    cols = range(k + 1, len(pivot_row))
+    for i in rows:
+        row = a[i]
+        c = row[k]
+        for j in cols:
+            row[j] = (p * row[j] - c * pivot_row[j]) // prev
 
 
 @dataclass(frozen=True)
@@ -342,11 +348,8 @@ class RatMatrix:
             if piv is None:
                 raise RankDeficient("matrix is singular")
             a[k], a[piv] = a[piv], a[k]
-            row_k = a[k]
-            for i in range(n):
-                if i != k:
-                    _bareiss_step(a[i], row_k, k, prev)
-            prev = row_k[k]
+            _bareiss_step(a, k, [i for i in range(n) if i != k], prev)
+            prev = a[k][k]
         scale = self.den if prev > 0 else -self.den
         return RatMatrix(IntMatrix.from_rows([[scale * x for x in r[n:]] for r in a], cols=n),
                          abs(prev))
@@ -538,7 +541,6 @@ def is_positive_definite(m: IntMatrix) -> bool:
         piv = a[k][k]
         if piv <= 0:
             return False
-        for i in range(k + 1, n):
-            _bareiss_step(a[i], a[k], k, prev)
+        _bareiss_step(a, k, range(k + 1, n), prev)
         prev = piv
     return True
