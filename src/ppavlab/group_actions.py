@@ -116,9 +116,9 @@ def _close(torus: Torus, actions: tuple[IntMatrix, ...], cap: int) -> MatrixGrou
 
     Elements are listed by word length and, within a level, by the
     lexicographic order of their O-entries (`_order_pairs`), so element
-    indexing is reproducible.  Raises CapExceeded past `cap` elements, or when two
-    elements agree mod 3: reduction mod p >= 3 is injective on finite
-    subgroups of GL_2g(Z) (Minkowski), so such a group is infinite.
+    indexing is reproducible.  Raises CapExceeded past `cap` elements, or
+    when two elements agree mod 3: reduction mod p >= 3 is injective on
+    finite subgroups of GL_2g(Z) (Minkowski), so such a group is infinite.
     """
     if any(abs(r.det()) != 1 for r in actions):
         raise ValueError("generators must have unit determinant")
@@ -333,10 +333,10 @@ def _adjacent_transpositions(order, g: int) -> list[OrderMatrix]:
 
 _ORDER_FOR_UNIT = {2: RATIONAL, 3: EISENSTEIN, 4: GAUSSIAN, 6: EISENSTEIN}
 
-# The examples close their whole group, about 0.1 ms per element on a 2-core
+# The examples close their whole group, 0.1 ms or more per element on a 2-core
 # host: example_b(7) closes 40,320 elements in 6 s and example_a(6, 2) 46,080
-# in 3.7 s, while example_a(5, 4) (122,880) takes 8 s and example_b(8)
-# (362,880) more than a minute.
+# in 3.7 s, while example_a(5, 4) (122,880) takes 8 s and example_b(8) would
+# close 362,880.
 EXAMPLE_ORDER_LIMIT = 50_000
 
 
