@@ -7,8 +7,9 @@ PARENT and CHANGE are source checkouts, each with its own perfbench/.  Each
 pair runs `perfbench/run.py --trace 0` once in each checkout, one process
 at a time, alternating which side goes first: the parent in even pairs,
 the change in odd ones.  Both output lines of every run (its run metadata
-and its result) are kept.  After the pairs, one `--trace 1` run on the
-change records its per-layer metrics.
+and its result) are kept.  After the pairs, one `--trace 1` run on each
+side records its per-layer metrics; for `registry` each check's cold time
+is printed parent -> change, so the record shows which checks moved.
 
 For each end-to-end metric of CHANGE's BENCHMARK.json the summary gives the
 two medians, the spread of the parent's runs (the distance between their
@@ -78,6 +79,17 @@ def metric_values(run: dict) -> dict:
     return {name: m["value"] for name, m in run["result"]["metrics"].items()}
 
 
+def check_times(parent: dict, change: dict) -> list[tuple[str, float, float]]:
+    """(check id, parent ms, change ms) of each checks.<id>.cold_ms in both traces.
+
+    Checks come in the parent trace's order; one that only a side has is left out.
+    """
+    before, after = metric_values(parent), metric_values(change)
+    return [(name[len("checks."):-len(".cold_ms")], before[name], after[name])
+            for name in before
+            if name.startswith("checks.") and name.endswith(".cold_ms") and name in after]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -106,9 +118,11 @@ def main(argv=None) -> int:
                          for r in runs], better)
     failed = {side: sum(r[side]["result"]["failed"] for r in runs)
               for side in ("parent", "change")}
-    traced = run_once(args.change, args.workload, seconds, 1)
+    traced = {side: run_once(getattr(args, side), args.workload, seconds, 1)
+              for side in ("parent", "change")}
     record = {"seed": SEED, "seconds": seconds, "summary": summary,
-              "failed": failed, "pairs": runs, "trace_change": traced}
+              "failed": failed, "pairs": runs, "trace_parent": traced["parent"],
+              "trace_change": traced["change"]}
     for name, s in summary.items():
         print(f"{args.workload} {name}: parent {s['parent_median']:.4f}"
               f" (quartile spread {s['parent_quartile_spread']:.4f}),"
@@ -117,6 +131,9 @@ def main(argv=None) -> int:
               f" of {s['pairs']}")
     print(f"{args.workload} failed operations: parent {failed['parent']},"
           f" change {failed['change']}")
+    for check_id, before, after in check_times(traced["parent"], traced["change"]):
+        print(f"{args.workload} checks.{check_id}.cold_ms: parent {before:.1f},"
+              f" change {after:.1f}")
 
     if args.out:
         try:

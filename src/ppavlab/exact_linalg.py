@@ -106,7 +106,7 @@ class IntMatrix:
                 raise ValueError("ragged block row")
             for i in range(height):
                 rows.append(tuple(x for b in brow for x in b.entries[i]))
-        return cls.from_rows(rows, cols=sum(b.cols for b in blocks[0]) if blocks else 0)
+        return cls(len(rows), sum(b.cols for b in blocks[0]) if blocks else 0, tuple(rows))
 
     # -- access ------------------------------------------------------------
 
@@ -118,7 +118,8 @@ class IntMatrix:
         return list(zip(*self.entries)) if self.rows else [()] * self.cols
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "IntMatrix":
-        return IntMatrix.from_rows([r[c0:c1] for r in self.entries[r0:r1]], cols=c1 - c0)
+        rows = tuple(r[c0:c1] for r in self.entries[r0:r1])
+        return IntMatrix(len(rows), c1 - c0, rows)
 
     # -- algebra -----------------------------------------------------------
 
@@ -216,6 +217,11 @@ class IntMatrix:
             _bareiss_step(a, k, range(k + 1, n), prev)
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
+
+
+def _from_columns(columns: list, rows: int) -> IntMatrix:
+    """The matrix with the given columns, each of length rows, unchecked."""
+    return IntMatrix(rows, len(columns), tuple(zip(*columns)) if columns else ((),) * rows)
 
 
 def _bareiss_step(a: list[list[int]], k: int, rows, prev: int) -> None:
@@ -351,7 +357,7 @@ class RatMatrix:
             _bareiss_step(a, k, [i for i in range(n) if i != k], prev)
             prev = a[k][k]
         scale = self.den if prev > 0 else -self.den
-        return RatMatrix(IntMatrix.from_rows([[scale * x for x in r[n:]] for r in a], cols=n),
+        return RatMatrix(IntMatrix(n, n, tuple(tuple(scale * x for x in r[n:]) for r in a)),
                          abs(prev))
 
 
@@ -375,48 +381,74 @@ def snf(m: IntMatrix) -> SNF:
     divisibility chain.  The pivot rule (smallest nonzero absolute value,
     ties broken row-major) is fixed, so repeated runs produce identical
     transforms.
+
+    Every operation of a pivot step reads its multiples off the pivot row.
+    Left of column k that row is zero, a row operation changes only the
+    entries where it is non-zero, and column operation j subtracts q_j
+    times column k, with q_j fixed by the pivot row, which no other column
+    operation of the step changes.  So each row is updated once per step,
+    at those entries only, and a row of a or v whose column-k entry is 0 is
+    left alone.  The pivot search stops at the first entry of absolute
+    value 1, and a pivot 1 divides every entry without a scan.
     """
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.entries]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    v = [[0] * nc for _ in range(nc)]
+    for i in range(nc):
+        v[i][i] = 1
     k = 0
     while k < min(nr, nc):
-        best = None
+        best = 0
         for i in range(k, nr):
+            row = a[i]
             for j in range(k, nc):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
+                x = row[j]
+                if x and (not best or abs(x) < best):
+                    best, bi, bj = abs(x), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
-        _, bi, bj = best
         a[k], a[bi] = a[bi], a[k]
+        rows = a + v  # column operations act on a and v alike
         if bj != k:
-            for row in a + v:  # column operations act on a and v alike
+            for row in rows:
                 row[k], row[bj] = row[bj], row[k]
-        if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
         row_k = a[k]
+        if row_k[k] < 0:
+            for j in range(k, nc):
+                row_k[j] = -row_k[j]
         piv = row_k[k]
-        for i in range(k + 1, nr):
-            if a[i][k]:
-                q = a[i][k] // piv
-                a[i] = [x - q * y for x, y in zip(a[i], row_k)]
-        for j in range(k + 1, nc):
-            if row_k[j]:
-                q = row_k[j] // piv
-                for row in a + v:
-                    row[j] -= q * row[k]
-        if any(a[i][k] for i in range(k + 1, nr)) or any(row_k[k + 1:]):
+        tail = [(j, row_k[j]) for j in range(k + 1, nc) if row_k[j]]
+        for row in a[k + 1:]:
+            c = row[k]
+            if c:
+                q = c // piv
+                row[k] = c - q * piv
+                for j, y in tail:
+                    row[j] -= q * y
+        ops = [(j, y // piv) for j, y in tail]
+        if ops:
+            for row in rows:
+                c = row[k]
+                if c:
+                    for j, q in ops:
+                        row[j] -= q * c
+        if any(row[k] for row in a[k + 1:]) or any(row_k[k + 1:]):
             continue  # leftovers are smaller than the pivot; rescan
-        bad = next((i for i in range(k + 1, nr) for j in range(k + 1, nc)
-                    if a[i][j] % piv), None)
-        if bad is not None:
-            # drag a non-divisible entry into the pivot row
-            a[k] = [x + y for x, y in zip(row_k, a[bad])]
-            continue
+        if piv != 1:
+            bad = next((i for i in range(k + 1, nr) for j in range(k + 1, nc)
+                        if a[i][j] % piv), None)
+            if bad is not None:
+                # drag a non-divisible entry into the pivot row
+                row_b = a[bad]
+                for j in range(k, nc):
+                    row_k[j] += row_b[j]
+                continue
         k += 1
-    return SNF(IntMatrix.from_rows(a, cols=nc), IntMatrix.from_rows(v, cols=nc))
+    return SNF(IntMatrix(nr, nc, tuple(map(tuple, a))), IntMatrix(nc, nc, tuple(map(tuple, v))))
 
 
 def snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
@@ -495,7 +527,7 @@ def _row_hnf(rows_in: list, ncols: int) -> list[list[int]]:
 
 def hnf_columns(m: IntMatrix) -> IntMatrix:
     """Canonical basis (as columns) of the lattice spanned by the columns of m."""
-    return IntMatrix.from_columns(_row_hnf(m.columns(), m.rows), rows=m.rows)
+    return _from_columns(_row_hnf(m.columns(), m.rows), m.rows)
 
 
 # -- kernels, saturation ---------------------------------------------------
@@ -510,8 +542,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     """
     done = _row_hnf([col + tuple(int(i == j) for i in range(m.cols))
                      for j, col in enumerate(m.columns())], m.rows + m.cols)
-    return IntMatrix.from_columns([r[m.rows:] for r in done if not any(r[:m.rows])],
-                                  rows=m.cols)
+    return _from_columns([r[m.rows:] for r in done if not any(r[:m.rows])], m.cols)
 
 
 def saturate(l: IntMatrix) -> IntMatrix:

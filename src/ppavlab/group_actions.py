@@ -190,7 +190,9 @@ def pseudoreflection_generated(group: MatrixGroup) -> tuple[bool, int]:
     Q-rank is twice that (over Z it is diag(A, A)), so the test is rank 2.
     The subgroup is closed greedily: a reflection joins the generators only
     when the subgroup so far misses it, until the subgroup is the group.
-    Each join grows the subgroup's element set from all of it.
+    The subgroup is closed under the old steps, so the first level of a
+    join is sub·r - sub for the new step r alone; the later levels take
+    every step.
     """
     refl = [e for e in group.elements if reflection_rank(e) == 2]
     if not refl:
@@ -199,8 +201,11 @@ def pseudoreflection_generated(group: MatrixGroup) -> tuple[bool, int]:
     for r in refl:
         if tuple(r.columns()) in sub:
             continue
-        steps.append(_column_nonzeros(r))
-        for _ in _grow(sub, list(sub), steps):
+        step = _column_nonzeros(r)
+        steps.append(step)
+        first = {_times(e, step) for e in sub} - sub
+        sub |= first
+        for _ in itertools.chain([first], _grow(sub, first, steps)):
             if len(sub) > group.order:
                 raise CapExceeded(f"group has more than {group.order} elements")
         if len(sub) == group.order:
@@ -215,7 +220,8 @@ def fixed_sublattice(n: int, actions: tuple[IntMatrix, ...]) -> IntMatrix:
     the same row space and so the same kernel.
     """
     stacked = [row for r in actions for row in _minus_identity_rows(r)]
-    return kernel_basis(IntMatrix.from_rows(_row_hnf(stacked, n), cols=n))
+    rows = _row_hnf(stacked, n)
+    return kernel_basis(IntMatrix(len(rows), n, tuple(map(tuple, rows))))
 
 
 # -- invariant compatible forms ----------------------------------------------

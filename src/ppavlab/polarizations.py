@@ -88,10 +88,17 @@ class PolarizedTorus:
             raise NotAlternating("polarization form must be antisymmetric")
         if not _compatible(self.torus, self.form):
             raise IncompatibleForm("form is not compatible with the complex structure")
-        # 2MJ - uM = M(2J - u) is singular whenever M is, so a positive one
-        # proves M nondegenerate; det only tells the two failures apart
-        if not is_positive_definite(associated_symmetric(self.torus, self.form)):
-            if self.form.det() == 0:
+        if self.torus.order.is_cm:
+            # 2MJ - uM = M(2J - u) is singular whenever M is, so a positive
+            # one proves M nondegenerate; det only tells the two failures apart
+            symmetric, m = associated_symmetric(self.torus, self.form), self.form
+        else:
+            # the form is split_form(B), so 2MJ = diag(2B, 2B) is positive
+            # exactly when B is, and det M = det(B)^2 is 0 exactly when det B is
+            g = self.torus.g
+            symmetric = m = self.form.block(0, g, g, 2 * g)
+        if not is_positive_definite(symmetric):
+            if m.det() == 0:
                 raise Degenerate("polarization form must be nondegenerate")
             raise NotPositive("associated symmetric matrix must be positive definite")
 
@@ -164,7 +171,7 @@ def theta_g(g: int, order: QuadOrder = RATIONAL) -> PolarizedTorus:
 
 def _xi_form(g: int) -> IntMatrix:
     """split_form(I + J), J all ones: the form of xi_g, without a torus."""
-    ones = IntMatrix.from_rows([[1] * g for _ in range(g)], cols=g)
+    ones = IntMatrix(g, g, ((1,) * g,) * g)
     return split_form(IntMatrix.identity(g) + ones)
 
 
@@ -239,8 +246,9 @@ def block_sum(ms: Sequence[IntMatrix]) -> IntMatrix:
     # product index -> (factor, index within the factor)
     lookup = [(f, half * (m.rows // 2) + i)
               for half in (0, 1) for f, m in enumerate(ms) for i in range(m.rows // 2)]
-    return IntMatrix.from_rows([[ms[f][i, j] if f == h else 0 for h, j in lookup]
-                                for f, i in lookup], cols=len(lookup))
+    n = len(lookup)
+    return IntMatrix(n, n, tuple(tuple(ms[f][i, j] if f == h else 0 for h, j in lookup)
+                                 for f, i in lookup))
 
 
 def box_product(*factors: PolarizedTorus) -> PolarizedTorus:
@@ -383,7 +391,17 @@ def _hyperplane_basis(c: Sequence[int]) -> IntMatrix:
     [0, d_j) that keeps the rest of c.x = 0 solvable, and x_m closes it;
     the columns from m on are unit vectors.  The entries are written
     straight into the rows of the n x (n - 1) matrix.
+
+    For n = 3 and c_2 != 0 this is a closed form: with t = gcd(c_1, c_2),
+    d = |c_2| / t and x = -c_0 (c_1 / t)^-1 mod d (0 when d = 1), the
+    columns are (t, x, (-c_0 t - c_1 x) / c_2) and (0, d, -c_1 d / c_2).
     """
+    if len(c) == 3 and c[2]:
+        c0, c1, c2 = c
+        t = math.gcd(c1, c2)
+        d = abs(c2) // t
+        x = -c0 * pow(c1 // t, -1, d) % d if d > 1 else 0
+        return IntMatrix(3, 2, ((t, 0), (x, d), ((-c0 * t - c1 * x) // c2, -c1 * d // c2)))
     n = len(c)
     m = n - 1
     while not c[m]:

@@ -30,7 +30,6 @@ from .exact_linalg import (
     hstack,
     is_positive_definite,
     kernel_basis,
-    snf_diagonal,
 )
 from .group_actions import _zero_sum_generators, fixed_sublattice, reflection_rank
 from .polarizations import (
@@ -169,11 +168,20 @@ def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
 
 
 def elementary_divisors(ms) -> tuple[int, ...]:
-    """Divisor chain of the direct sum of cyclic groups Z/m, 1's dropped."""
+    """Divisor chain of the direct sum of cyclic groups Z/m, 1's dropped.
+
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), so replacing each pair (m_i, m_j),
+    i < j, by (gcd, lcm) leaves m_i the gcd of m_i, ..., m_n and a chain
+    d_1 | ... | d_n: the Smith form of diag(m), without an elimination.
+    """
     ms = list(ms)
     if any(type(m) is not int or m < 1 for m in ms):
         raise ValueError(f"moduli must be integers >= 1, got {ms!r}")
-    return tuple(d for d in snf_diagonal(IntMatrix.diagonal(ms)) if d > 1)
+    for i in range(len(ms)):
+        for j in range(i + 1, len(ms)):
+            g = math.gcd(ms[i], ms[j])
+            ms[i], ms[j] = g, ms[i] // g * ms[j]
+    return tuple(d for d in ms if d > 1)
 
 
 def _glue_divisors(factors, y_dim: int) -> tuple[int, ...]:

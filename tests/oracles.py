@@ -94,3 +94,77 @@ def weil_pairing(k: FiniteSymplecticGroup, x: Sequence, y: Sequence) -> Fraction
         if not k.contains(v):
             raise NotMember("vector is not in the kernel of the form")
     return sum(map(operator.mul, xv, m.mul_vec(yv))) % 1
+
+
+def snf_reference(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """(d, v) of the Smith loop as written before its rows were skipped.
+
+    A frozen copy of the straightforward loop: full pivot search, every row
+    of a and v touched by every column operation, one column at a time.
+    The library's snf must agree with it entry for entry, since the glue's
+    kernel generators and digests read v.
+    """
+    nr, nc = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    k = 0
+    while k < min(nr, nc):
+        best = None
+        for i in range(k, nr):
+            for j in range(k, nc):
+                x = a[i][j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        a[k], a[bi] = a[bi], a[k]
+        if bj != k:
+            for row in a + v:
+                row[k], row[bj] = row[bj], row[k]
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
+        row_k = a[k]
+        piv = row_k[k]
+        for i in range(k + 1, nr):
+            if a[i][k]:
+                q = a[i][k] // piv
+                a[i] = [x - q * y for x, y in zip(a[i], row_k)]
+        for j in range(k + 1, nc):
+            if row_k[j]:
+                q = row_k[j] // piv
+                for row in a + v:
+                    row[j] -= q * row[k]
+        if any(a[i][k] for i in range(k + 1, nr)) or any(row_k[k + 1:]):
+            continue
+        bad = next((i for i in range(k + 1, nr) for j in range(k + 1, nc)
+                    if a[i][j] % piv), None)
+        if bad is not None:
+            a[k] = [x + y for x, y in zip(row_k, a[bad])]
+            continue
+        k += 1
+    return IntMatrix(nr, nc, tuple(map(tuple, a))), IntMatrix(nc, nc, tuple(map(tuple, v)))
+
+
+def pseudoreflection_generated_reference(group) -> tuple[bool, int]:
+    """pseudoreflection_generated as written before a join's first level was cut.
+
+    Each join grows the subgroup from all of its elements by every step.
+    """
+    from ppavlab.group_actions import (
+        CapExceeded, _column_nonzeros, _grow, _identity_columns, reflection_rank)
+
+    refl = [e for e in group.elements if reflection_rank(e) == 2]
+    if not refl:
+        return group.order == 1, 0
+    sub, steps = {_identity_columns(group.torus.lattice_rank)}, []
+    for r in refl:
+        if tuple(r.columns()) in sub:
+            continue
+        steps.append(_column_nonzeros(r))
+        for _ in _grow(sub, list(sub), steps):
+            if len(sub) > group.order:
+                raise CapExceeded(f"group has more than {group.order} elements")
+        if len(sub) == group.order:
+            break
+    return len(sub) == group.order, len(refl)

@@ -33,3 +33,30 @@ def test_summary_of_canned_pairs(ab_bench):
 def test_quartile_spread_of_one_run_is_zero(ab_bench):
     assert ab_bench.quartile_spread([0.7]) == 0.0
     assert ab_bench.quartile_spread([1.0, 3.0]) == 1.0  # quartiles 1.5 and 2.5
+
+
+def _trace(values: dict) -> dict:
+    """A canned `--trace 1` run as run_once returns it."""
+    return {"meta": {"commit": "x"},
+            "result": {"metrics": {name: {"value": v, "unit": "ms"}
+                                   for name, v in values.items()}}}
+
+
+def test_check_times_pair_each_checks_cold_ms(ab_bench):
+    parent = _trace({"checks.box-kernel-product.cold_ms": 80.0,
+                     "checks.box-kernel-product.warm_ms": 70.0,
+                     "checks.subtorus-not-principal.cold_ms": 65.0,
+                     "checks.gone.cold_ms": 1.0,
+                     "exact_linalg.snf.calls": 231})
+    change = _trace({"checks.subtorus-not-principal.cold_ms": 50.0,
+                     "checks.box-kernel-product.cold_ms": 60.0,
+                     "checks.new.cold_ms": 2.0,
+                     "exact_linalg.snf.calls": 190})
+    # in the parent's order; warm times, other metrics and one-sided checks are left out
+    assert ab_bench.check_times(parent, change) == [
+        ("box-kernel-product", 80.0, 60.0), ("subtorus-not-principal", 65.0, 50.0)]
+
+
+def test_check_times_of_a_workload_without_checks_is_empty(ab_bench):
+    glue = _trace({"standard_construction.self_s": 0.05})
+    assert ab_bench.check_times(glue, glue) == []

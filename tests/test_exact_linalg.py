@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pfaffian, rank_over_field
+from oracles import pfaffian, rank_over_field, snf_reference
 from ppavlab.exact_linalg import (
     IntMatrix,
     NotAlternating,
@@ -165,6 +165,42 @@ def test_snf_deterministic():
 def test_snf_properties(m):
     assert_smith_certificate(m)
 
+
+
+@st.composite
+def smith_inputs(draw):
+    """Up to 7 x 7, in one of four shapes.
+
+    "split" is split_form(B) for a square B of size 1..3; "zero-lines" has
+    a zero row and a zero column; "no-units" has no entry +-1, so every
+    pivot is at least 2; "any" is any rectangle, 0 to 7 on each side.
+    """
+    shape = draw(st.sampled_from(("any", "split", "zero-lines", "no-units")))
+    if shape == "split":
+        g = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(small_ints, min_size=g, max_size=g),
+                             min_size=g, max_size=g))
+        b = IntMatrix.from_rows(rows, cols=g)
+        z = IntMatrix.zeros(g, g)
+        return IntMatrix.from_blocks([[z, b], [-b, z]])
+    r, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = small_ints
+    if shape == "no-units":
+        entry = st.sampled_from((-9, -6, -4, -3, -2, 0, 2, 3, 4, 6, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    if shape == "zero-lines" and r and c:
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, c - 1))
+        rows[i] = [0] * c
+        for row in rows:
+            row[j] = 0
+    return IntMatrix.from_rows(rows, cols=c)
+
+
+@settings(max_examples=500, deadline=None)
+@given(smith_inputs())
+def test_snf_matches_the_full_loop_entry_for_entry(m):
+    # the glue's kernel generators, and so every glue digest, read v
+    assert tuple(snf(m)) == snf_reference(m)
 
 @st.composite
 def small_square(draw):

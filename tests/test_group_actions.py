@@ -1,6 +1,7 @@
 """Closure, invariance, pseudoreflections, averaging, and kernel actions."""
 
 import hashlib
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -9,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kernel_elements, rank_over_field, weil_pairing
+from oracles import (
+    kernel_elements,
+    pseudoreflection_generated_reference,
+    rank_over_field,
+    weil_pairing,
+)
 from ppavlab.exact_linalg import IntMatrix, kernel_basis
 from ppavlab.group_actions import (
     EXAMPLE_ORDER_LIMIT,
@@ -439,6 +445,44 @@ def test_pseudoreflection_generated_matches_closing_all_reflections_random(case)
     else:
         generated = grp.order == 1
     assert pseudoreflection_generated(grp) == (generated, len(refl))
+
+
+def _b3_reflections():
+    """The nine reflections of W(B_3), the signed permutations of Z^3."""
+    out = []
+    for i in range(3):
+        out.append([[-1 if (r, c) == (i, i) else int(r == c) for c in range(3)]
+                    for r in range(3)])
+    for i, j in itertools.combinations(range(3), 2):
+        for sign in (1, -1):
+            rows = [[int(r == c) for c in range(3)] for r in range(3)]
+            rows[i][i] = rows[j][j] = 0
+            rows[i][j] = rows[j][i] = sign
+            out.append(rows)
+    return [OrderMatrix.from_int_rows(RATIONAL, rows) for rows in out]
+
+
+B3_REFLECTIONS = _b3_reflections()
+
+
+@pytest.mark.parametrize("key", list(ORACLE_GROUPS), ids=str)
+def test_pseudoreflection_generated_matches_the_full_level_loop(key):
+    # ORACLE_GROUPS holds every example group and neg_group
+    grp = ORACLE_GROUPS[key]()
+    assert pseudoreflection_generated(grp) == pseudoreflection_generated_reference(grp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(range(len(B3_REFLECTIONS))), min_size=1, max_size=5,
+                unique=True), st.booleans())
+def test_pseudoreflection_generated_matches_the_full_level_loop_on_b3(picked, negate):
+    # a subgroup of W(B_3) from some of its reflections, with -1 added or not:
+    # <s, -1> is not generated by its reflections
+    gens = [B3_REFLECTIONS[i] for i in picked]
+    if negate:
+        gens.append(OrderMatrix.scalar(RATIONAL, 3, OrderElem(-1, 0)))
+    grp = closure(gens)
+    assert pseudoreflection_generated(grp) == pseudoreflection_generated_reference(grp)
 
 
 # -- fixed sublattices ---------------------------------------------------------------

@@ -229,6 +229,43 @@ def test_constructor_rejection_matches_det_first_order(case):
     assert got is rejection_det_first(torus, form)
 
 
+
+@st.composite
+def symmetric_blocks(draw):
+    """A symmetric g x g block, g <= 4: positive, indefinite or singular.
+
+    C^t C + 1 is positive; C^t C - k often indefinite; C^t C with a zero row
+    in C singular; a random symmetric matrix any of the three.
+    """
+    g = draw(st.integers(1, 4))
+    entries = st.integers(-4, 4)
+    kind = draw(st.sampled_from(("positive", "shifted", "singular", "any")))
+    rows = draw(st.lists(st.lists(entries, min_size=g, max_size=g), min_size=g, max_size=g))
+    c = IntMatrix.from_rows(rows, cols=g)
+    if kind == "any":
+        return c + c.transpose()
+    if kind == "singular":
+        c = IntMatrix.from_rows(rows[:-1] + [[0] * g], cols=g)
+    shift = {"positive": 1, "singular": 0, "shifted": -draw(st.integers(1, 12))}[kind]
+    return c.transpose() * c + IntMatrix.identity(g).scaled(shift)
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_blocks())
+def test_z_validation_on_the_block_matches_the_2mj_route(b):
+    # over Z the constructor decides positivity on B; 2MJ decides it on 2g x 2g
+    torus, form = Torus(RATIONAL, b.rows), split_form(b)
+    if not is_positive_definite(form * _complex_structure_reference(torus) * 2):
+        want = Degenerate if form.det() == 0 else NotPositive
+    else:
+        want = None
+    try:
+        PolarizedTorus(torus, form)
+        got = None
+    except (Degenerate, NotPositive) as exc:
+        got = type(exc)
+    assert got is want
+
 @settings(max_examples=200, deadline=None)
 @given(candidate_forms())
 def test_associated_symmetric_matches_full_formula(case):
@@ -820,6 +857,19 @@ def _primitive_rows(draw):
 @settings(max_examples=400)
 @given(_primitive_rows())
 def test_hyperplane_basis_matches_kernel_basis(row):
+    assert _hyperplane_basis(row) == kernel_basis(IntMatrix.from_rows([row]))
+
+
+@pytest.mark.parametrize("row", [
+    (1, 0, 0), (0, 1, 0), (3, -5, 0), (-1, 0, 0),       # c_2 = 0: the general walk
+    (0, 0, 1), (0, 0, -1), (5, 0, 3), (-4, 0, -9),      # c_1 = 0
+    (1, 6, 4), (5, -6, 9), (7, 10, -15), (1, 4, 6),     # gcd(c_1, c_2) > 1
+    (1, 1, 1), (2, -3, 5), (-1, 2, -7),
+    (999_983, 10 ** 6, -999_999), (-(10 ** 6), 999_999, 10 ** 6),
+    (1, 2 * 10 ** 5, 10 ** 6), (10 ** 6 - 1, -(10 ** 6), 0), (3, 0, 10 ** 6),
+])
+def test_hyperplane_basis_of_z3_matches_kernel_basis(row):
+    assert math.gcd(*row) == 1
     assert _hyperplane_basis(row) == kernel_basis(IntMatrix.from_rows([row]))
 
 

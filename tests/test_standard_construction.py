@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pfaffian, weil_pairing
-from ppavlab import group_actions, polarizations, standard_construction
-from ppavlab.exact_linalg import IntMatrix, RatMatrix, kernel_basis
+from ppavlab import exact_linalg, group_actions, polarizations, standard_construction, tori
+from ppavlab.exact_linalg import IntMatrix, RatMatrix, kernel_basis, snf_diagonal
 from ppavlab.group_actions import (
     _close,
     example_b,
@@ -83,10 +84,47 @@ def test_elementary_divisors_rejects_nonpositive():
 @pytest.mark.parametrize("moduli", [[2.0, 3], [True, 4], [2, Fraction(3)], ["2"], [-1]],
                          ids=["float", "bool", "fraction", "string", "negative"])
 def test_elementary_divisors_rejects_non_int_moduli(moduli):
-    # unchecked, [2.0, 3] raises TypeError inside the Smith form and [True, 4] gives (4,)
+    # unchecked, [2.0, 3] raises TypeError in math.gcd and [True, 4] gives (4,)
     with pytest.raises(ValueError, match="integers >= 1"):
         elementary_divisors(moduli)
 
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(1, 60), max_size=8))
+def test_elementary_divisors_is_the_smith_form_of_the_diagonal(moduli):
+    smith = snf_diagonal(IntMatrix.diagonal(moduli)) if moduli else ()
+    assert elementary_divisors(moduli) == tuple(d for d in smith if d != 1)
+
+
+def test_internal_matrices_skip_the_entry_check(monkeypatch):
+    # only the boundary checks an entry's type: the glue's own fields, and
+    # the builders that turn outside values into an IntMatrix (an O-matrix's
+    # coordinates, a rational matrix's numerators, Y's y_dim divisors); the
+    # library's own products, blocks and normal forms use the direct
+    # constructor
+    real = exact_linalg._require_entries
+    check = GluedPPAV.__post_init__.__code__
+    boundary = {check, RatMatrix.from_rows.__func__.__code__,
+                tori.rational_rep.__wrapped__.__code__, _side_forms.__code__}
+    sites, names = [], []
+
+    def counting(name, grid, *types):
+        frame = sys._getframe(1)
+        if frame.f_code is not check:
+            frame = frame.f_back  # past the builder, to its caller
+        sites.append(frame.f_code)
+        if frame.f_code is check:
+            names.append(name)
+        return real(name, grid, *types)
+
+    monkeypatch.setattr(exact_linalg, "_require_entries", counting)
+    monkeypatch.setattr(standard_construction, "_require_entries", counting)
+    glued = build_standard((2, 3), 1)
+    decompose_glued(glued)
+    assert {code.co_name for code in sites} <= {code.co_name for code in boundary}
+    assert set(sites) <= boundary
+    assert names == ["form", *(f"actions[{i}]" for i in range(len(glued.actions))), "graph"]
 
 # -- symplectic bases ----------------------------------------------------------
 
