@@ -104,8 +104,7 @@ class IntMatrix:
             height = brow[0].rows
             if any(b.rows != height for b in brow):
                 raise ValueError("ragged block row")
-            for i in range(height):
-                rows.append(tuple(x for b in brow for x in b.entries[i]))
+            rows.extend(sum(parts, ()) for parts in zip(*(b.entries for b in brow)))
         return cls(len(rows), sum(b.cols for b in blocks[0]) if blocks else 0, tuple(rows))
 
     # -- access ------------------------------------------------------------
@@ -127,14 +126,14 @@ class IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(ra, rb))
+                         tuple(tuple(map(operator.add, ra, rb))
                                for ra, rb in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(-x for x in r) for r in self.entries))
+        return IntMatrix(self.rows, self.cols, tuple(tuple(map(operator.neg, r)) for r in self.entries))
 
     def __mul__(self, other):
         """Matrix product, built row by row from the non-zeros of each left row.
@@ -174,7 +173,8 @@ class IntMatrix:
         return NotImplemented
 
     def scaled(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(k * x for x in r) for r in self.entries))
+        return IntMatrix(self.rows, self.cols,
+                         tuple(tuple(map(operator.mul, repeat(k), r)) for r in self.entries))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(self.columns()))
@@ -185,10 +185,11 @@ class IntMatrix:
         return tuple(sum(map(operator.mul, row, v)) for row in self.entries)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self == self.transpose()
+        return self.rows == self.cols and self.entries == tuple(zip(*self.entries))
 
     def is_antisymmetric(self) -> bool:
-        return self.rows == self.cols and self == -self.transpose()
+        return self.rows == self.cols and self.entries == tuple(
+            tuple(map(operator.neg, col)) for col in zip(*self.entries))
 
     def entry_gcd(self) -> int:
         g = 0

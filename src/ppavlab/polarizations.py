@@ -82,7 +82,7 @@ class PolarizedTorus:
         n = self.torus.lattice_rank
         if self.form.rows != n or self.form.cols != n:
             raise IncompatibleForm(f"form must be {n}x{n}")
-        if any(type(x) is not int for row in self.form.entries for x in row):
+        if not set(map(type, itertools.chain.from_iterable(self.form.entries))) <= {int}:
             raise IncompatibleForm("form entries must be integers")
         if not self.form.is_antisymmetric():
             raise NotAlternating("polarization form must be antisymmetric")
@@ -219,11 +219,11 @@ def kernel_group(p: PolarizedTorus) -> FiniteSymplecticGroup:
     """Generators and orders of (form^{-1} Z^{2g}) / Z^{2g}."""
     d, v = p._smith
     gens, orders = [], []
-    for i in range(d.rows):
+    for i, col in enumerate(v.columns()):
         di = d[i, i]
         if di > 1:
             # column i of V over d_i: a kernel element of exact order d_i
-            gens.append(tuple(Fraction(v[r, i] % di, di) for r in range(v.rows)))
+            gens.append(tuple(Fraction(x % di, di) for x in col))
             orders.append(di)
     return FiniteSymplecticGroup(p, tuple(gens), tuple(orders))
 
