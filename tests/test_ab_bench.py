@@ -55,8 +55,3 @@ def test_check_times_pair_each_checks_cold_ms(ab_bench):
     # in the parent's order; warm times, other metrics and one-sided checks are left out
     assert ab_bench.check_times(parent, change) == [
         ("box-kernel-product", 80.0, 60.0), ("subtorus-not-principal", 65.0, 50.0)]
-
-
-def test_check_times_of_a_workload_without_checks_is_empty(ab_bench):
-    glue = _trace({"standard_construction.self_s": 0.05})
-    assert ab_bench.check_times(glue, glue) == []

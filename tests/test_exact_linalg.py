@@ -166,7 +166,6 @@ def test_snf_properties(m):
     assert_smith_certificate(m)
 
 
-
 @st.composite
 def smith_inputs(draw):
     """Up to 7 x 7, in one of four shapes.
@@ -201,6 +200,7 @@ def smith_inputs(draw):
 def test_snf_matches_the_full_loop_entry_for_entry(m):
     # the glue's kernel generators, and so every glue digest, read v
     assert tuple(snf(m)) == snf_reference(m)
+
 
 @st.composite
 def small_square(draw):

@@ -229,7 +229,6 @@ def test_constructor_rejection_matches_det_first_order(case):
     assert got is rejection_det_first(torus, form)
 
 
-
 @st.composite
 def symmetric_blocks(draw):
     """A symmetric g x g block, g <= 4: positive, indefinite or singular.
@@ -265,6 +264,7 @@ def test_z_validation_on_the_block_matches_the_2mj_route(b):
     except (Degenerate, NotPositive) as exc:
         got = type(exc)
     assert got is want
+
 
 @settings(max_examples=200, deadline=None)
 @given(candidate_forms())
