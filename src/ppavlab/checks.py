@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact_linalg import IntMatrix
 from .group_actions import (
@@ -60,8 +60,7 @@ class UnknownCheck(ValueError):
     """Requested check id is not in the registry."""
 
 
-@dataclass(frozen=True)
-class RunOptions:
+class RunOptions(NamedTuple):
     """Knobs shared by all checks; every field has a reproducible default."""
 
     gmax: int = 6
@@ -70,8 +69,7 @@ class RunOptions:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     status: str  # "pass" | "fail" | "error"
     witnesses: dict

@@ -9,7 +9,6 @@ problems such as unknown check ids.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -103,7 +102,7 @@ def main(argv=None) -> int:
     except UnknownCheck as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    lines = [json.dumps(dataclasses.asdict(r)) for r in results]
+    lines = [json.dumps(r._asdict()) for r in results]
     for line in lines:
         print(line)
     if args.json_path:

@@ -11,9 +11,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import NamedTuple, Sequence
 
 
@@ -25,18 +24,67 @@ class NotAlternating(ValueError):
     """Expected an antisymmetric matrix (M == -M^t) of even size."""
 
 
-def _require_entries(name: str, grid, types: tuple[type, ...] = (int,)) -> None:
-    """ValueError naming `name` at the first entry of grid whose type is not
-    exactly one of types: a bool, a float or a Fraction is not an int."""
-    for row in grid:
-        for x in row:
-            if type(x) not in types:
-                kinds = " or ".join(t.__name__ for t in types)
-                raise ValueError(f"{name} entries must be {kinds}, got {x!r}")
+def _require_entries(name: str, grid, types: tuple[type, ...] = (int,),
+                     error: type[Exception] = ValueError, message: str | None = None) -> None:
+    """Raise error unless every entry of grid has a type exactly in types:
+    a bool, a float or a Fraction is not an int.
+
+    The set of entry types decides; only a failing grid is walked, to name
+    `name` and its first bad entry, unless a fixed message is given.
+    """
+    if set(map(type, chain.from_iterable(grid))).issubset(types):
+        return
+    if message is None:
+        bad = next(x for x in chain.from_iterable(grid) if type(x) not in types)
+        kinds = " or ".join(t.__name__ for t in types)
+        message = f"{name} entries must be {kinds}, got {bad!r}"
+    raise error(message)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Immutable value, compared, hashed and shown by its fields.
+
+    A subclass lists its fields in `_fields`, in constructor order (at least
+    two, so that `_key` returns a tuple), and its __init__ runs its checks
+    and sets each field once through `_set`.  Values are equal only within
+    one class, the hash is hash((field, ...)), so set and dict orders follow
+    the field values alone, and the repr is Name(field=value, ...).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which assignment refuses
+        return type(self), self._key(self)
+
+
+class IntMatrix(_Frozen):
     """Dense matrix over Z, row-major, immutable and hashable.
 
     The builders from_rows, from_columns and diagonal refuse any entry that
@@ -45,13 +93,17 @@ class IntMatrix:
     already known to be integers.
     """
 
+    __slots__ = _fields = ("rows", "cols", "entries")
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if list(map(len, self.entries)) != [self.cols] * self.rows:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if list(map(len, entries)) != [cols] * rows:
             raise ValueError("entry grid does not match declared shape")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
 
     # -- construction ------------------------------------------------------
 
@@ -245,8 +297,7 @@ def _bareiss_step(a: list[list[int]], k: int, rows, prev: int) -> None:
             row[j] = (p * row[j] - c * pivot_row[j]) // prev
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+class RatMatrix(_Frozen):
     """Dense matrix over Q: an integer numerator over one denominator.
 
     Kept in lowest terms (den >= 1, gcd(content(num), den) = 1, den = 1 for
@@ -255,18 +306,21 @@ class RatMatrix:
     det's value.
     """
 
+    _fields = ("num", "den")
     num: IntMatrix
-    den: int = 1
+    den: int
 
-    def __post_init__(self):
-        if self.den < 1:
-            raise ValueError(f"denominator must be >= 1, got {self.den}")
-        g = math.gcd(self.num.entry_gcd(), self.den)
+    def __init__(self, num: IntMatrix, den: int = 1):
+        if type(den) is not int:
+            raise ValueError(f"denominator must be an int, got {den!r}")
+        if den < 1:
+            raise ValueError(f"denominator must be >= 1, got {den}")
+        g = math.gcd(num.entry_gcd(), den)
         if g > 1:
-            object.__setattr__(self, "num", IntMatrix(
-                self.num.rows, self.num.cols,
-                tuple(tuple(x // g for x in r) for r in self.num.entries)))
-            object.__setattr__(self, "den", self.den // g)
+            num = IntMatrix(num.rows, num.cols, tuple(tuple(x // g for x in r) for r in num.entries))
+            den //= g
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "RatMatrix":

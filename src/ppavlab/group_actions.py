@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact_linalg import (
     IntMatrix,
@@ -61,8 +61,7 @@ class NotInvariant(ValueError):
     """The group does not preserve the given form."""
 
 
-@dataclass(frozen=True)
-class MatrixGroup:
+class MatrixGroup(NamedTuple):
     """Finite group on a torus; each element is its integer action matrix."""
 
     torus: Torus

@@ -8,8 +8,9 @@ genus-1 quotient.  Curves never appear; only their numeric invariants do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
+
+from .exact_linalg import _Frozen, _set
 
 
 class _Infeasible:
@@ -66,21 +67,26 @@ def pseudoreflection_genus_bound() -> GenusBound:
 # -- cover data and realizability ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverDatum:
+class CoverDatum(_Frozen):
     """Numeric profile of a Galois cover: genera, group order, branch indices."""
 
+    __slots__ = _fields = ("g", "g_prime", "group_order", "ramification")
     g: int
     g_prime: int
     group_order: int
-    ramification: tuple[int, ...] = field(default=())
+    ramification: tuple[int, ...]
 
-    def __post_init__(self):
-        for r in self.ramification:
+    def __init__(self, g: int, g_prime: int, group_order: int,
+                 ramification: tuple[int, ...] = ()):
+        for r in ramification:
             if r < 2:
                 raise ValueError("branch indices must be at least 2")
-            if self.group_order % r:
+            if group_order % r:
                 raise ValueError("branch indices must divide the group order")
+        _set(self, "g", g)
+        _set(self, "g_prime", g_prime)
+        _set(self, "group_order", group_order)
+        _set(self, "ramification", ramification)
 
     @property
     def residual(self) -> int:
@@ -144,8 +150,7 @@ class CaseRow(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
-class Case31Report:
+class Case31Report(NamedTuple):
     """Eliminations for genus 3 over genus 1, with assumptions and survivors."""
 
     eliminations: tuple[Elimination, ...]

@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -22,6 +21,9 @@ from .exact_linalg import (
     SNF,
     IntMatrix,
     NotAlternating,
+    _Frozen,
+    _require_entries,
+    _set,
     hnf_columns,
     is_positive_definite,
     saturate,
@@ -71,19 +73,21 @@ class PrincipalRestrictionFound(AssertionError):
     """A scanned sublattice restriction came out principal."""
 
 
-@dataclass(frozen=True)
-class PolarizedTorus:
+class PolarizedTorus(_Frozen):
     """Torus with a positive compatible alternating form on its lattice."""
 
+    _fields = ("torus", "form")
     torus: Torus
     form: IntMatrix
 
-    def __post_init__(self):
+    def __init__(self, torus: Torus, form: IntMatrix):
+        _set(self, "torus", torus)
+        _set(self, "form", form)
         n = self.torus.lattice_rank
         if self.form.rows != n or self.form.cols != n:
             raise IncompatibleForm(f"form must be {n}x{n}")
-        if not set(map(type, itertools.chain.from_iterable(self.form.entries))) <= {int}:
-            raise IncompatibleForm("form entries must be integers")
+        _require_entries("form", self.form.entries, error=IncompatibleForm,
+                         message="form entries must be integers")
         if not self.form.is_antisymmetric():
             raise NotAlternating("polarization form must be antisymmetric")
         if not _compatible(self.torus, self.form):
@@ -199,8 +203,7 @@ def as_vector(xs: Sequence) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in xs)
 
 
-@dataclass(frozen=True)
-class FiniteSymplecticGroup:
+class FiniteSymplecticGroup(NamedTuple):
     """Kernel of the form: rational vectors mod Z^{2g} with a Q/Z pairing."""
 
     ambient: PolarizedTorus

@@ -18,14 +18,15 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .exact_linalg import (
     IntMatrix,
     RatMatrix,
+    _Frozen,
     _require_entries,
+    _set,
     hnf_columns,
     hstack,
     is_positive_definite,
@@ -192,8 +193,7 @@ def _glue_divisors(factors, y_dim: int) -> tuple[int, ...]:
     return divisors
 
 
-@dataclass(frozen=True)
-class GluedPPAV:
+class GluedPPAV(_Frozen):
     """Principal form on an overlattice of a product, with the lifted action.
 
     The overlattice basis is expressed in product coordinates (all plain
@@ -201,6 +201,7 @@ class GluedPPAV:
     the action matrices are written in the overlattice basis.
     """
 
+    _fields = ("factors", "y_dim", "overlattice", "form", "actions", "graph")
     factors: tuple[int, ...]
     y_dim: int
     overlattice: RatMatrix
@@ -208,9 +209,16 @@ class GluedPPAV:
     actions: tuple[IntMatrix, ...]
     graph: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, factors: tuple[int, ...], y_dim: int, overlattice: RatMatrix,
+                 form: IntMatrix, actions: tuple[IntMatrix, ...],
+                 graph: tuple[tuple[Fraction, ...], ...]):
+        _set(self, "factors", factors)
+        _set(self, "y_dim", y_dim)
+        _set(self, "overlattice", overlattice)
+        _set(self, "form", form)
+        _set(self, "actions", actions)
+        _set(self, "graph", graph)
         # the shape every check of verify_glued reads; ValueError names the field
-        factors, y_dim = self.factors, self.y_dim
         if (type(factors) is not tuple or not factors
                 or any(type(g) is not int or g < 1 for g in factors)):
             raise ValueError(f"factors must be a non-empty tuple of integers >= 1,"
@@ -382,8 +390,7 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
 # -- verification ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GlueReport:
+class GlueReport(NamedTuple):
     """Named re-checks of every glued invariant, in evaluation order, and the
     canonical basis (columns) of the sublattice the actions fix."""
 

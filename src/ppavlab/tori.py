@@ -11,11 +11,10 @@ field of O.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import NamedTuple, Sequence
 
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, _Frozen, _set
 
 
 class OrderMismatch(ValueError):
@@ -26,8 +25,7 @@ class BadOrder(ValueError):
     """No unit of the requested multiplicative order exists over this order."""
 
 
-@dataclass(frozen=True)
-class QuadOrder:
+class QuadOrder(NamedTuple):
     """Quadratic order presented by w^2 = u*w + v (kind "Z" has no w)."""
 
     kind: str
@@ -121,12 +119,18 @@ def unit_of_order(o: QuadOrder, m: int) -> OrderElem:
     return units_of_order(o, m)[0]
 
 
-@dataclass(frozen=True)
-class Torus:
+class Torus(_Frozen):
     """O^g with its standard Z-basis of rank 2g (rank g when O = Z)."""
 
+    __slots__ = _fields = ("order", "g")
     order: QuadOrder
     g: int
+
+    def __init__(self, order: QuadOrder, g: int):
+        if type(g) is not int or g < 1:
+            raise ValueError(f"g must be an integer >= 1, got {g!r}")
+        _set(self, "order", order)
+        _set(self, "g", g)
 
     @property
     def lattice_rank(self) -> int:
@@ -147,18 +151,20 @@ class Torus:
         return IntMatrix.from_blocks([[z, v * i], [i, u * i]])
 
 
-@dataclass(frozen=True)
-class OrderMatrix:
+class OrderMatrix(_Frozen):
     """Square matrix over a quadratic order; acts on a torus of dimension g."""
 
+    __slots__ = _fields = ("order", "entries")
     order: QuadOrder
     entries: tuple[tuple[OrderElem, ...], ...]
 
-    def __post_init__(self):
-        if any(len(r) != len(self.entries) for r in self.entries):
+    def __init__(self, order: QuadOrder, entries: tuple[tuple[OrderElem, ...], ...]):
+        if any(len(r) != len(entries) for r in entries):
             raise ValueError("matrix must be square")
-        if not self.order.is_cm and any(x.b for r in self.entries for x in r):
+        if not order.is_cm and any(x.b for r in entries for x in r):
             raise OrderMismatch("w-part must vanish over Z")
+        _set(self, "order", order)
+        _set(self, "entries", entries)
 
     @property
     def g(self) -> int:

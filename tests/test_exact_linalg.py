@@ -673,6 +673,14 @@ def test_rat_matrix_zero_and_denominator_bounds():
             RatMatrix(M([[1]]), den)
 
 
+@pytest.mark.parametrize("den", [True, 2.0, 2.5, Fraction(2)], ids=["bool", "integral-float",
+                                                                  "float", "fraction"])
+def test_rat_matrix_refuses_a_denominator_that_is_not_an_int(den):
+    # True == 1 and 2.0 == 2, so each used to pass as a denominator or fail inside math.gcd
+    with pytest.raises(ValueError, match="^denominator must be an int, got "):
+        RatMatrix(M([[1]]), den)
+
+
 def test_rat_matrix_boundary_arithmetic():
     a = RatMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(-2, 3)]])
     b = RatMatrix.from_rows([[Fraction(1, 3), 0], [1, 1]])

@@ -96,6 +96,13 @@ def test_units_unavailable():
         unit_of_order(GAUSSIAN, 3)
 
 
+@pytest.mark.parametrize("g", [0, -1, True, 2.5, 2.0, "2"])
+def test_torus_refuses_a_dimension_that_is_not_a_positive_int(g):
+    # Torus(RATIONAL, 2.5) used to build, with lattice_rank 5.0, and True passed as g = 1
+    with pytest.raises(ValueError, match="^g must be an integer >= 1, got "):
+        Torus(RATIONAL, g)
+
+
 def test_order_lookup():
     assert order_by_kind("Z[i]") is GAUSSIAN
     with pytest.raises(OrderMismatch):
