@@ -80,7 +80,8 @@ class _Frozen:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, which assignment refuses
+        # copy and pickle rebuild through __init__: restoring the fields by
+        # assignment would raise
         return type(self), self._key(self)
 
 
