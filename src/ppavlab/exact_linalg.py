@@ -88,10 +88,10 @@ class _Frozen:
 class IntMatrix(_Frozen):
     """Dense matrix over Z, row-major, immutable and hashable.
 
-    The builders from_rows, from_columns and diagonal refuse any entry that
-    is not an int.  The direct constructor IntMatrix(rows, cols, entries)
-    checks only the shape: it is the library's internal path for entries
-    already known to be integers.
+    The builders from_rows and from_columns refuse any entry that is not an
+    int.  The direct constructor IntMatrix(rows, cols, entries) checks only
+    the shape: it is the library's path for entries already known to be
+    integers.
     """
 
     __slots__ = _fields = ("rows", "cols", "entries")
@@ -113,28 +113,19 @@ class IntMatrix(_Frozen):
         """Matrix with the given rows; cols, if given, must be their length."""
         rows = tuple(tuple(row) for row in rows)
         _require_entries("matrix", rows)
-        if rows:
-            if cols is not None and cols != len(rows[0]):
-                raise ValueError(f"cols={cols} disagrees with rows of length {len(rows[0])}")
-            cols = len(rows[0])
-        elif cols is None:
-            cols = 0
-        return cls(len(rows), cols, rows)
+        return cls(len(rows), cols if cols is not None else len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
         """Matrix with the given columns; rows, if given, must be their length."""
-        columns = list(columns)
-        if not columns:
-            return cls(rows or 0, 0, ((),) * (rows or 0))
+        columns = [tuple(col) for col in columns]
+        _require_entries("matrix", columns)
         if rows is None:
-            rows = len(columns[0])
+            rows = len(columns[0]) if columns else 0
         # zip would silently truncate to the shortest column
         if list(map(len, columns)) != [rows] * len(columns):
             raise ValueError(f"columns do not all have length {rows}")
-        entries = tuple(zip(*columns))
-        _require_entries("matrix", entries)
-        return cls(rows, len(columns), entries)
+        return _from_columns(columns, rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -143,12 +134,6 @@ class IntMatrix(_Frozen):
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int]) -> "IntMatrix":
-        _require_entries("matrix", [values])
-        n = len(values)
-        return cls(n, n, tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence["IntMatrix"]]) -> "IntMatrix":
@@ -278,6 +263,13 @@ def _from_columns(columns: list, rows: int) -> IntMatrix:
     return IntMatrix(rows, len(columns), tuple(zip(*columns)) if columns else ((),) * rows)
 
 
+def _rat_rows(rows, cols: int) -> RatMatrix:
+    """The rational matrix with these rows of ints and Fractions, of length cols, unchecked."""
+    den = math.lcm(*(x.denominator for r in rows for x in r))
+    return RatMatrix(IntMatrix(len(rows), cols, tuple(
+        tuple(x.numerator * (den // x.denominator) for x in r) for r in rows)), den)
+
+
 def _bareiss_step(a: list[list[int]], k: int, rows, prev: int) -> None:
     """Clear column k of each row a[i], i in rows, by the pivot row a[k].
 
@@ -325,11 +317,11 @@ class RatMatrix(_Frozen):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "RatMatrix":
-        """Matrix with the given rows; cols, if given, must be their length."""
-        rows = [[Fraction(x) for x in r] for r in rows]
-        den = math.lcm(*(x.denominator for r in rows for x in r))
-        return cls(IntMatrix.from_rows([[x.numerator * (den // x.denominator) for x in r]
-                                        for r in rows], cols=cols), den)
+        """Matrix with the given rows of ints and Fractions; cols, if given,
+        must be their length.  A float, a bool or a string is refused."""
+        rows = [tuple(r) for r in rows]
+        _require_entries("matrix", rows, (int, Fraction))
+        return _rat_rows(rows, cols if cols is not None else len(rows[0]) if rows else 0)
 
     @property
     def rows(self) -> int:

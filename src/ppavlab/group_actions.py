@@ -148,11 +148,11 @@ def closure(gens) -> MatrixGroup:
 
 
 def invariant_form(group: MatrixGroup, p: PolarizedTorus) -> bool:
-    """Whether every element's lattice action preserves the form."""
+    """Whether the group preserves the form: exactly when its generators do."""
     if group.torus != p.torus:
         raise DimensionMismatch("group and polarization live on different tori")
     m = p.form
-    return all(e.transpose() * m * e == m for e in group.elements)
+    return all(r.transpose() * m * r == m for r in group.generators)
 
 
 def _minus_identity_rows(e: IntMatrix):
@@ -230,9 +230,9 @@ def _symmetric_basis(g: int) -> list[IntMatrix]:
     out = []
     for i in range(g):
         for j in range(i, g):
-            rows = [[int((r, c) in {(i, j), (j, i)}) for c in range(g)]
-                    for r in range(g)]
-            out.append(IntMatrix.from_rows(rows, cols=g))
+            rows = tuple(tuple(int((r, c) in {(i, j), (j, i)}) for c in range(g))
+                         for r in range(g))
+            out.append(IntMatrix(g, g, rows))
     return out
 
 
@@ -240,9 +240,9 @@ def _alternating_basis(n: int) -> list[IntMatrix]:
     out = []
     for i in range(n):
         for j in range(i + 1, n):
-            rows = [[(1 if (r, c) == (i, j) else -1 if (r, c) == (j, i) else 0)
-                     for c in range(n)] for r in range(n)]
-            out.append(IntMatrix.from_rows(rows, cols=n))
+            rows = tuple(tuple(1 if (r, c) == (i, j) else -1 if (r, c) == (j, i) else 0
+                               for c in range(n)) for r in range(n))
+            out.append(IntMatrix(n, n, rows))
     return out
 
 
@@ -271,7 +271,7 @@ def ns_fixed(group: MatrixGroup) -> tuple[int, tuple[IntMatrix, ...]]:
         images = [tt * b * t - b.scaled(c) for b in basis]
         rows.update(dict.fromkeys(tuple(e[i, k] for e in images)
                                   for i in range(n) for k in range(i + 1, n)))
-    sols = kernel_basis(IntMatrix.from_rows(list(rows), cols=len(basis)))
+    sols = kernel_basis(IntMatrix(len(rows), len(basis), tuple(rows)))
     forms = [_linear_combination(basis, col) for col in sols.columns()]
     if len(forms) == 1:
         forms[0] = _positivity_normalized(torus, forms[0])
@@ -302,8 +302,7 @@ def average_pullback(group: MatrixGroup, p: PolarizedTorus) -> tuple[PolarizedTo
     for rho in group.elements:
         total = total + rho.transpose() * p.form * rho
     mult = total.entry_gcd()
-    primitive = IntMatrix.from_rows(
-        [[x // mult for x in row] for row in total.entries], cols=n)
+    primitive = IntMatrix(n, n, tuple(tuple(x // mult for x in row) for row in total.entries))
     return PolarizedTorus(p.torus, primitive), mult
 
 
@@ -356,20 +355,22 @@ def _require_example_order(call: str, factors) -> None:
                              f" EXAMPLE_ORDER_LIMIT = {EXAMPLE_ORDER_LIMIT} elements")
 
 
-@lru_cache(maxsize=None)
+# typed: 2.0 or True must not hit the cache entry of 2 or 1, past the checks
+@lru_cache(maxsize=None, typed=True)
 def example_a(g: int, m: int) -> tuple[MatrixGroup, PolarizedTorus]:
     """Coordinate unit of order m on the first factor, plus all permutations.
 
     The group is the wreath product of Z/m by S_g, of order m^g g!.
     """
-    if m not in _ORDER_FOR_UNIT:
-        raise BadOrder("unit order must be one of 2, 3, 4, 6")
+    if type(g) is not int or g < 1:
+        raise ValueError(f"g must be >= 1 (an int, not a bool), got {g!r}")
+    if type(m) is not int or m not in _ORDER_FOR_UNIT:
+        raise BadOrder(f"unit order m must be one of 2, 3, 4, 6, got {m!r}")
     _require_example_order(f"example_a({g}, {m})", (m * k for k in range(1, g + 1)))
     order = _ORDER_FOR_UNIT[m]
     zeta = unit_of_order(order, m)
-    unit_rows = [[zeta if i == j == 0 else
-                  OrderElem(int(i == j), 0) for j in range(g)] for i in range(g)]
-    gens = [OrderMatrix(order, tuple(tuple(r) for r in unit_rows))]
+    gens = [OrderMatrix(order, tuple(tuple(zeta if i == j == 0 else OrderElem(int(i == j), 0)
+                                          for j in range(g)) for i in range(g)))]
     gens.extend(_adjacent_transpositions(order, g))
     return closure(gens), theta_g(g, order)
 
@@ -383,11 +384,11 @@ def _zero_sum_generators(g: int) -> list[OrderMatrix]:
     return gens
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def example_b(g: int) -> tuple[MatrixGroup, PolarizedTorus]:
     """All permutations of g+1 zero-sum coordinates, written in the first g."""
-    if g < 1:
-        raise ValueError("g must be >= 1")
+    if type(g) is not int or g < 1:
+        raise ValueError(f"g must be >= 1 (an int, not a bool), got {g!r}")
     _require_example_order(f"example_b({g})", range(2, g + 2))
     return closure(_zero_sum_generators(g)), xi_g(g)
 
@@ -418,21 +419,18 @@ def group_to_json(group: MatrixGroup) -> str:
 
 def group_from_json(text: str) -> MatrixGroup:
     kind, g, flat_elements = _json_fields(text, "order_kind", "g", "elements")
-    order = order_by_kind(kind)
-    if type(g) is not int or g < 1:
-        raise ValueError("g must be an integer >= 1")
+    torus = Torus(order_by_kind(kind), g)
     if not isinstance(flat_elements, list):
         raise ValueError("elements must be a list")
     for flat in flat_elements:
         if not isinstance(flat, list) or len(flat) != g * g:
             raise ValueError(f"each element needs exactly {g * g} O-entries")
-        if not all(isinstance(x, list) and len(x) == 2 and all(type(c) is int for c in x)
-                   for x in flat):
+        if not all(isinstance(x, list) and len(x) == 2 for x in flat):
             raise ValueError("each O-entry must be a pair of 2 integers")
-    torus = Torus(order, g)
+    # OrderMatrix checks that each coordinate is an int
     elements = tuple(
         rational_rep(OrderMatrix.from_pairs(
-            order, [flat[i * g:(i + 1) * g] for i in range(g)]))
+            torus.order, [flat[i * g:(i + 1) * g] for i in range(g)]))
         for flat in flat_elements)
     if len(set(elements)) != len(elements):
         raise ValueError("element list repeats an element")

@@ -87,7 +87,7 @@ class PolarizedTorus(_Frozen):
         if self.form.rows != n or self.form.cols != n:
             raise IncompatibleForm(f"form must be {n}x{n}")
         _require_entries("form", self.form.entries, error=IncompatibleForm,
-                         message="form entries must be integers")
+                         message="form must be a matrix of integers")
         if not self.form.is_antisymmetric():
             raise NotAlternating("polarization form must be antisymmetric")
         if not _compatible(self.torus, self.form):
@@ -168,8 +168,6 @@ def alternating_type(form: IntMatrix) -> tuple[int, ...]:
 
 def theta_g(g: int, order: QuadOrder = RATIONAL) -> PolarizedTorus:
     """Product of g principally polarized elliptic factors."""
-    if g < 1:
-        raise ValueError("g must be >= 1")
     return PolarizedTorus(Torus(order, g), split_form(IntMatrix.identity(g)))
 
 
@@ -181,8 +179,6 @@ def _xi_form(g: int) -> IntMatrix:
 
 def xi_g(g: int, order: QuadOrder = RATIONAL) -> PolarizedTorus:
     """The sum-of-axes-plus-antidiagonal polarization, block I + all-ones."""
-    if g < 1:
-        raise ValueError("g must be >= 1")
     return PolarizedTorus(Torus(order, g), _xi_form(g))
 
 
@@ -322,8 +318,8 @@ def _aligned_basis(torus: Torus, s: IntMatrix) -> IntMatrix:
         obasis = _o_column_echelon(torus.order, cols)
         # each O-vector f, then each w f, in the plain coordinates (a parts, b parts)
         wbasis = [[omul(torus.order, W, x) for x in vec] for vec in obasis]
-        aligned = IntMatrix.from_columns([[x.a for x in vec] + [x.b for x in vec]
-                                          for vec in obasis + wbasis], rows=2 * g)
+        columns = [[x.a for x in vec] + [x.b for x in vec] for vec in obasis + wbasis]
+        aligned = IntMatrix(2 * g, len(columns), tuple(zip(*columns)))
         if hnf_columns(aligned) != s:
             raise NotStable("sublattice is not stable under the complex structure")
         return aligned
@@ -564,8 +560,8 @@ def scan_subtorus_types(n: int, height: int) -> tuple[SubtorusRestriction, ...]:
     Sublattices are the saturations of spans of primitive vectors with
     entries in [-height, height], tensored with the order; each distinct
     span's saturated basis is read off its Plücker vector once.  Results
-    come sorted by rank, then basis.  Raises ValueError below n = 1 or
-    height = 1, BudgetExceeded beyond n <= 4, height <= 5 or 200,000
+    come sorted by rank, then basis.  Raises ValueError unless n and height
+    are ints >= 1, BudgetExceeded beyond n <= 4, height <= 5 or 200,000
     subsets, and PrincipalRestrictionFound if any restricted type is all
     ones.
 
@@ -576,8 +572,9 @@ def scan_subtorus_types(n: int, height: int) -> tuple[SubtorusRestriction, ...]:
     is congruent to that of nu^perp, and -nu has the same hyperplane.
     The orbit key is min(sorted(nu), sorted(-nu)).
     """
-    if n < 1 or height < 1:
-        raise ValueError(f"n and height must be >= 1, got n={n}, height={height}")
+    if type(n) is not int or type(height) is not int or n < 1 or height < 1:
+        raise ValueError(f"n and height must be >= 1 (ints, not bools),"
+                         f" got n={n!r}, height={height!r}")
     if n > 4 or height > 5:
         raise BudgetExceeded("supported budget is n <= 4, height <= 5")
     if n < 2:
@@ -637,10 +634,8 @@ def polarization_to_json(p: PolarizedTorus) -> str:
 
 def polarization_from_json(text: str) -> PolarizedTorus:
     kind, g, rows = _json_fields(text, "order", "g", "form")
-    if type(g) is not int or g < 1:
-        raise ValueError("g must be an integer >= 1")
-    if not isinstance(rows, list) or not all(
-            isinstance(row, list) and all(type(x) is int for x in row) for row in rows):
-        raise ValueError("form must be a list of rows of integers")
-    form = IntMatrix.from_rows(rows)
-    return PolarizedTorus(Torus(order_by_kind(kind), g), form)
+    torus = Torus(order_by_kind(kind), g)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("form must be a list of rows")
+    form = IntMatrix(len(rows), len(rows[0]) if rows else 0, tuple(map(tuple, rows)))
+    return PolarizedTorus(torus, form)

@@ -25,6 +25,7 @@ from .exact_linalg import (
     IntMatrix,
     RatMatrix,
     _Frozen,
+    _rat_rows,
     _require_entries,
     _set,
     hnf_columns,
@@ -100,7 +101,12 @@ def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
     m = k.ambient.form
     e = math.lcm(*k.orders)
     mt = m.transpose()
-    gens = [[int(c * e) for c in gen] for gen in k.generators]
+    gens = [[c * e for c in gen] for gen in k.generators]
+    for i, row in enumerate(gens):
+        if any(c.denominator != 1 for c in row):
+            raise ValueError(f"generator {i}, ({', '.join(map(str, k.generators[i]))}),"
+                             f" has an entry off the grid (1/{e})Z of its orders")
+    gens = [list(map(int, row)) for row in gens]
     coords = list(zip(*gens))
     tuples = functools.partial(itertools.product, *map(range, k.orders))
 
@@ -296,7 +302,7 @@ class GluedPPAV(_Frozen):
         # r moves each graph vector by a product-lattice vector: with the graph
         # as integer columns over gden, h·r·(q·cols) - k·cols vanishes mod k·gden;
         # q·cols is taken once, so each action costs two narrow products
-        graph = RatMatrix.from_rows(self.graph, cols=2 * n).transpose()
+        graph = _rat_rows(self.graph, 2 * n).transpose()
         gden, cols = graph.den, graph.num
         if j is not None:
             qcols, kcols = q * cols, cols.scaled(k)
@@ -324,7 +330,8 @@ class GluedPPAV(_Frozen):
 def _side_forms(factors, y_dim: int, divisors) -> list[IntMatrix]:
     """The xi_g form of each factor, then Y's: split, diagonal with the divisors."""
     diag = [1] * (y_dim - len(divisors)) + list(divisors)
-    return [_xi_form(g) for g in factors] + [split_form(IntMatrix.diagonal(diag))]
+    y = tuple(tuple(d if i == j else 0 for j in range(y_dim)) for i, d in enumerate(diag))
+    return [_xi_form(g) for g in factors] + [split_form(IntMatrix(y_dim, y_dim, y))]
 
 
 def _factor_generators(factors, y_dim: int) -> list[IntMatrix]:
@@ -371,7 +378,7 @@ def build_standard(factor_genera, y_dim: int) -> GluedPPAV:
     graph = tuple(_graph_lift(t, u, gx, gy) for t, u in images)
 
     # the overlattice is h/den with h the column HNF of den·[I | graph]
-    cols = RatMatrix.from_rows(graph, cols=2 * n).transpose()
+    cols = _rat_rows(graph, 2 * n).transpose()
     den = cols.den
     h = hnf_columns(hstack(IntMatrix.identity(2 * n).scaled(den), cols.num))
     p = RatMatrix(h, den)
@@ -470,12 +477,12 @@ def _parse_int(x) -> int:
 def _parse_grid(grid) -> IntMatrix:
     if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
         raise ValueError("a matrix must be a list of rows")
-    return IntMatrix.from_rows([[_parse_int(x) for x in row] for row in grid],
-                               cols=len(grid[0]) if grid else 0)
+    rows = tuple(tuple(_parse_int(x) for x in row) for row in grid)
+    return IntMatrix(len(rows), len(rows[0]) if rows else 0, rows)
 
 
 def glued_to_json(a: GluedPPAV) -> str:
-    graph = RatMatrix.from_rows(a.graph)
+    graph = _rat_rows(a.graph, 2 * a.dim)
     return json.dumps({
         "factors": list(a.factors),
         "y_dim": a.y_dim,

@@ -14,7 +14,7 @@ import itertools
 from functools import cache, lru_cache
 from typing import NamedTuple, Sequence
 
-from .exact_linalg import IntMatrix, _Frozen, _set
+from .exact_linalg import IntMatrix, _Frozen, _require_entries, _set
 
 
 class OrderMismatch(ValueError):
@@ -152,7 +152,10 @@ class Torus(_Frozen):
 
 
 class OrderMatrix(_Frozen):
-    """Square matrix over a quadratic order; acts on a torus of dimension g."""
+    """Square matrix over a quadratic order; acts on a torus of dimension g.
+
+    Each entry must be an OrderElem of two ints; the builders do not coerce.
+    """
 
     __slots__ = _fields = ("order", "entries")
     order: QuadOrder
@@ -161,6 +164,11 @@ class OrderMatrix(_Frozen):
     def __init__(self, order: QuadOrder, entries: tuple[tuple[OrderElem, ...], ...]):
         if any(len(r) != len(entries) for r in entries):
             raise ValueError("matrix must be square")
+        cells = [x for r in entries for x in r]
+        message = "each O-entry must be an OrderElem, a pair of 2 integers"
+        if not set(map(type, cells)) <= {OrderElem}:
+            raise ValueError(message)
+        _require_entries("O-entry", cells, message=message)
         if not order.is_cm and any(x.b for r in entries for x in r):
             raise OrderMismatch("w-part must vanish over Z")
         _set(self, "order", order)
@@ -172,11 +180,11 @@ class OrderMatrix(_Frozen):
 
     @classmethod
     def from_pairs(cls, order: QuadOrder, rows: Sequence[Sequence]) -> "OrderMatrix":
-        return cls(order, tuple(tuple(OrderElem(int(x[0]), int(x[1])) for x in r) for r in rows))
+        return cls(order, tuple(tuple(OrderElem(*x) for x in r) for r in rows))
 
     @classmethod
     def from_int_rows(cls, order: QuadOrder, rows: Sequence[Sequence[int]]) -> "OrderMatrix":
-        return cls(order, tuple(tuple(OrderElem(int(x), 0) for x in r) for r in rows))
+        return cls(order, tuple(tuple(OrderElem(x, 0) for x in r) for r in rows))
 
     @classmethod
     def scalar(cls, order: QuadOrder, g: int, z: OrderElem) -> "OrderMatrix":
@@ -226,11 +234,11 @@ def rational_rep(m: OrderMatrix) -> IntMatrix:
     Writing m = A + B*w, the 2g x 2g block matrix is [[A, vB], [B, A + uB]].
     Over Z the w-part is zero and the action is diag(A, A).
     """
-    a = IntMatrix.from_rows([[x.a for x in r] for r in m.entries], cols=m.g)
-    b = IntMatrix.from_rows([[x.b for x in r] for r in m.entries], cols=m.g)
-    o = m.order
+    g, o = m.g, m.order
+    a = IntMatrix(g, g, tuple(tuple(x.a for x in r) for r in m.entries))
+    b = IntMatrix(g, g, tuple(tuple(x.b for x in r) for r in m.entries))
     if not o.is_cm:
-        z = IntMatrix.zeros(m.g, m.g)
+        z = IntMatrix.zeros(g, g)
         return IntMatrix.from_blocks([[a, z], [z, a]])
     return IntMatrix.from_blocks([[a, b.scaled(o.v)], [b, a + b.scaled(o.u)]])
 

@@ -111,7 +111,7 @@ def shaped_matrix(draw):
 def test_snf_gcd_lcm_oracle():
     # For diag(a, b) the invariant factors are gcd and lcm.
     a, b = 4, 6
-    d = snf(IntMatrix.diagonal([a, b])).d
+    d = snf(IntMatrix.from_rows([[a, 0], [0, b]])).d
     assert (d[0, 0], d[1, 1]) == (math.gcd(a, b), a * b // math.gcd(a, b))
 
 
@@ -146,7 +146,7 @@ def assert_smith_certificate(m):
 def test_snf_alternating_example():
     m = M([[0, 3], [-3, 0]])
     f = snf(m)
-    assert f.d == IntMatrix.diagonal([3, 3])
+    assert f.d == IntMatrix.from_rows([[3, 0], [0, 3]])
     assert_smith_certificate(m)
 
 
@@ -452,12 +452,19 @@ def test_constructors_reject_bad_shapes(build):
 @pytest.mark.parametrize("build", [
     lambda x: IntMatrix.from_rows([[x, 0], [0, 1]]),
     lambda x: IntMatrix.from_columns([(x, 0), (0, 1)]),
-    lambda x: IntMatrix.diagonal([1, x]),
-], ids=["from-rows", "from-columns", "diagonal"])
+], ids=["from-rows", "from-columns"])
 def test_builders_reject_non_int_entries(build, entry):
     # from_rows([[2.5, 0], [0, 1]]).det() used to return 2.0
     with pytest.raises(ValueError, match="^matrix entries must be int, got "):
         build(entry)
+
+
+@pytest.mark.parametrize("entry", [0.1, "1/3", True, None],
+                         ids=["float", "str", "bool", "none"])
+def test_rat_from_rows_refuses_entries_that_are_not_int_or_fraction(entry):
+    # Fraction(x) read 0.1 as 3602879701896397/2**55, parsed "1/3" and took True as 1
+    with pytest.raises(ValueError, match="^matrix entries must be int or Fraction, got "):
+        RatMatrix.from_rows([[Fraction(1, 2), entry]])
 
 
 def test_empty_shapes_survive_transpose_and_products():

@@ -261,6 +261,21 @@ def test_example_b_rejects_non_positive_genus(g):
         example_b(g)
 
 
+@pytest.mark.parametrize("example, args, cached", [
+    (example_a, ("2", 2), None), (example_a, (2.0, 2), (2, 2)), (example_a, (True, 2), (1, 2)),
+    (example_a, (2, 2.0), (2, 2)), (example_a, (2, "2"), None), (example_a, (2, True), None),
+    (example_b, ("2",), None), (example_b, (2.0,), (2,)), (example_b, (True,), (1,)),
+], ids=["a-g-str", "a-g-float", "a-g-bool", "a-m-float", "a-m-str", "a-m-bool",
+        "b-g-str", "b-g-float", "b-g-bool"])
+def test_examples_refuse_sizes_that_are_not_ints(example, args, cached):
+    # example_a("2", 2) raised TypeError and example_a(2, 2.0) closed a group
+    # of order 8; an equal int call already in the cache must not answer it
+    if cached is not None:
+        example(*cached)
+    with pytest.raises(ValueError, match=r"^(g must be >= 1|unit order m must be one of)"):
+        example(*args)
+
+
 @pytest.mark.parametrize("example, args", [
     (example_a, (5, 4)), (example_a, (6, 3)), (example_a, (10 ** 9, 2)),
     (example_b, (8,)), (example_b, (10 ** 9,)),
@@ -399,6 +414,44 @@ ORACLE_GROUPS = {
     "trivial": lambda: trivial_group(GAUSSIAN, 2),
     "proper": proper_group,
 }
+
+
+def _preserved_by_every_element(group, p):
+    return all(e.transpose() * p.form * e == p.form for e in group.elements)
+
+
+def _forms_on(group):
+    """theta_g, xi_g and the group's averaged theta_g (invariant) on its torus."""
+    order, g = group.torus.order, group.torus.g
+    return [theta_g(g, order), xi_g(g, order), average_pullback(group, theta_g(g, order))[0]]
+
+
+def _form_breaking_group():
+    # -1 preserves every form; A = [[1, 1], [0, -1]] has order 2 and A^t A != 1
+    a = OrderMatrix.from_int_rows(RATIONAL, [[1, 1], [0, -1]])
+    return closure([OrderMatrix.scalar(RATIONAL, 2, OrderElem(-1, 0)), a])
+
+
+# a loaded group lists every element as a generator
+INVARIANCE_GROUPS = {
+    **ORACLE_GROUPS,
+    "json-c": lambda: group_from_json(group_to_json(example_c()[0])),
+    "json-a-2-4": lambda: group_from_json(group_to_json(example_a(2, 4)[0])),
+    "one-breaking": _form_breaking_group,
+}
+
+
+@pytest.mark.parametrize("key", list(INVARIANCE_GROUPS), ids=str)
+def test_invariant_form_on_generators_matches_every_element(key):
+    # a group preserves a form exactly when its generators do
+    grp = INVARIANCE_GROUPS[key]()
+    verdicts = []
+    for p in _forms_on(grp):
+        verdicts.append(invariant_form(grp, p))
+        assert verdicts[-1] == _preserved_by_every_element(grp, p)
+    assert verdicts[-1]  # the averaged form is invariant
+    if key == "one-breaking":
+        assert verdicts[0] is False
 
 
 @pytest.mark.parametrize("key", list(ORACLE_GROUPS), ids=str)
@@ -731,8 +784,10 @@ def test_group_json_rejects_non_group(pick):
     (1, [[[1, 0, 5]]], "pair of 2 integers"),
     (1, [[[1]]], "pair of 2 integers"),
     (1, [[[1, "0"]]], "pair of 2 integers"),
+    (1, [[[1.0, 0]]], "pair of 2 integers"),
+    (1, [[[1, False]]], "pair of 2 integers"),
 ], ids=["g-zero", "g-negative", "g-float", "extra-entry", "missing-entry", "triple", "single",
-        "string"])
+        "string", "float", "bool"])
 def test_group_json_rejects_malformed_elements(g, elements, message):
     text = json.dumps({"order_kind": "Z", "g": g, "elements": elements})
     with pytest.raises(ValueError, match=message):

@@ -71,7 +71,7 @@ def random_pd_block(g, rng, span=2):
 @pytest.mark.parametrize("call, error", [
     (lambda: alternating_type(IntMatrix.zeros(2, 2)), Degenerate),
     # Smith diagonal (1, 2): the divisors do not pair up
-    (lambda: alternating_type(IntMatrix.diagonal([1, 2])), NotAlternating),
+    (lambda: alternating_type(IntMatrix.from_rows([[1, 0], [0, 2]])), NotAlternating),
     (lambda: theta_g(0), ValueError),
     (lambda: xi_g(0), ValueError),
     (lambda: weil_pairing(kernel_group(xi_g(1)), (0, 0, 0), (0, 0, 0, 0)), NotMember),
@@ -290,7 +290,7 @@ def test_polarization_type_examples():
     assert is_principal(theta_g(3))
     for g in range(1, 7):
         assert polarization_type(xi_g(g)) == (1,) * (g - 1) + (g + 1,)
-    diag = PolarizedTorus(Torus(RATIONAL, 2), split_form(IntMatrix.diagonal([1, 2])))
+    diag = PolarizedTorus(Torus(RATIONAL, 2), split_form(IntMatrix.from_rows([[1, 0], [0, 2]])))
     assert polarization_type(diag) == (1, 2)
     assert not is_principal(diag)
 
@@ -725,6 +725,23 @@ def test_scan_rejects_vacuous_bounds(n, height):
     # these used to return () and so pass as a scan that found nothing
     with pytest.raises(ValueError, match="must be >= 1"):
         scan_subtorus_types(n, height)
+
+
+@pytest.mark.parametrize("n, height", [(2.5, 1), ("3", 2), (3, 2.0), (3, True)],
+                         ids=["n-float", "n-str", "height-float", "height-bool"])
+def test_scan_refuses_sizes_that_are_not_ints(n, height):
+    # the first three raised TypeError, and height True ran as height 1
+    with pytest.raises(ValueError, match=r"^n and height must be >= 1 \(ints, not bools\)"):
+        scan_subtorus_types(n, height)
+
+
+@pytest.mark.parametrize("build", [theta_g, xi_g])
+@pytest.mark.parametrize("g", ["2", None, 2.0, True, 0])
+def test_product_polarizations_refuse_a_dimension_that_is_not_a_positive_int(build, g):
+    # theta_g("2") and xi_g(None) raised TypeError at their own g < 1 test;
+    # Torus names g instead
+    with pytest.raises(ValueError, match="^g must be an integer >= 1, got "):
+        build(g)
 
 
 def test_scan_of_rank_one_has_no_proper_sublattice():

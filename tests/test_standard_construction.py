@@ -16,13 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pfaffian, weil_pairing
-from ppavlab import exact_linalg, group_actions, polarizations, standard_construction, tori
+from ppavlab import cli, exact_linalg, group_actions, polarizations, standard_construction, tori
 from ppavlab.exact_linalg import IntMatrix, RatMatrix, kernel_basis, snf_diagonal
 from ppavlab.group_actions import (
     _close,
     example_b,
+    example_c,
     fixed_sublattice,
     group_from_json,
+    group_to_json,
     pseudoreflection_generated,
 )
 from ppavlab.polarizations import (
@@ -33,6 +35,7 @@ from ppavlab.polarizations import (
     box_product,
     kernel_group,
     polarization_from_json,
+    polarization_to_json,
     polarization_type,
     scale,
     split_form,
@@ -95,43 +98,111 @@ def test_elementary_divisors_rejects_non_int_moduli(moduli):
         elementary_divisors(moduli)
 
 
+def _diagonal(values):
+    return IntMatrix.from_rows([[x if i == j else 0 for j in range(len(values))]
+                                for i, x in enumerate(values)])
+
+
 @settings(max_examples=300)
 @given(st.lists(st.integers(1, 60), max_size=8))
 def test_elementary_divisors_is_the_smith_form_of_the_diagonal(moduli):
-    smith = snf_diagonal(IntMatrix.diagonal(moduli)) if moduli else ()
+    smith = snf_diagonal(_diagonal(moduli)) if moduli else ()
     assert elementary_divisors(moduli) == tuple(d for d in smith if d != 1)
 
 
-def test_internal_matrices_skip_the_entry_check(monkeypatch):
-    # only the boundary checks an entry's type: the glue's own fields, and
-    # the builders that turn outside values into an IntMatrix (an O-matrix's
-    # coordinates, a rational matrix's numerators, Y's y_dim divisors); the
-    # library's own products, blocks and normal forms use the direct
-    # constructor
+CORE = {f"ppavlab.{name}" for name in
+        ("tori", "exact_linalg", "polarizations", "group_actions", "standard_construction")}
+
+
+def _record_entry_checks(monkeypatch):
+    """Patch every module's `_require_entries` to record (site, name) per call.
+
+    The site is the value type whose constructor or builder called it; an
+    `IntMatrix` builder called from inside the five core modules is recorded
+    as ("internal", caller) so that the assertions below name it.
+    """
     real = exact_linalg._require_entries
-    check = GluedPPAV.__init__.__code__
-    boundary = {check, RatMatrix.from_rows.__func__.__code__,
-                tori.rational_rep.__wrapped__.__code__, _side_forms.__code__}
-    sites, names = [], []
+    owners = {tori.OrderMatrix.__init__.__code__: "OrderMatrix",
+              PolarizedTorus.__init__.__code__: "PolarizedTorus",
+              GluedPPAV.__init__.__code__: "GluedPPAV",
+              RatMatrix.from_rows.__func__.__code__: "RatMatrix.from_rows"}
+    builders = {IntMatrix.from_rows.__func__.__code__, IntMatrix.from_columns.__func__.__code__}
+    calls = []
 
-    def counting(name, grid, *types):
+    def recording(name, grid, *args, **kwargs):
         frame = sys._getframe(1)
-        if frame.f_code is not check:
-            frame = frame.f_back  # past the builder, to its caller
-        sites.append(frame.f_code)
-        if frame.f_code is check:
-            names.append(name)
-        return real(name, grid, *types)
+        if frame.f_code in builders:
+            caller = frame.f_back
+            site = (("internal", caller.f_code.co_name)
+                    if caller.f_globals["__name__"] in CORE else "IntMatrix builder")
+        else:
+            site = owners.get(frame.f_code, ("unknown", frame.f_code.co_name))
+        calls.append((site, name))
+        return real(name, grid, *args, **kwargs)
 
-    monkeypatch.setattr(exact_linalg, "_require_entries", counting)
-    monkeypatch.setattr(standard_construction, "_require_entries", counting)
+    for module in (exact_linalg, tori, polarizations, group_actions, standard_construction):
+        if hasattr(module, "_require_entries"):
+            monkeypatch.setattr(module, "_require_entries", recording)
+    return calls
+
+
+def test_internal_matrices_skip_the_entry_check(monkeypatch, capsys):
+    # each value type checks its own entries: the O-matrix, polarized torus
+    # and glue constructors, RatMatrix.from_rows, and the IntMatrix builders
+    # when an outside caller (the registry's random forms) uses them; the
+    # library's own products, blocks, normal forms, form bases, rational_rep
+    # and loaders use the direct constructor
+    calls = _record_entry_checks(monkeypatch)
+    allowed = {"OrderMatrix", "PolarizedTorus", "GluedPPAV", "RatMatrix.from_rows",
+               "IntMatrix builder"}
+    group_actions.example_a.cache_clear()
+    group_actions.example_b.cache_clear()
+    group_actions.example_c.cache_clear()
+    cli.main(["run"])
+    capsys.readouterr()
+    assert {site for site, _ in calls} == allowed - {"RatMatrix.from_rows"}
+    del calls[:]
     glued = build_standard((2, 3), 1)
-    decompose_glued(glued)
-    assert set(sites) <= boundary
+    names = [name for site, name in calls if site == "GluedPPAV"]
     assert names == ["form", *(f"actions[{i}]" for i in range(len(glued.actions))), "graph"]
+    # the X side's permutation generators are O-matrices
+    assert {site for site, _ in calls} == {"OrderMatrix", "PolarizedTorus", "GluedPPAV"}
+    del calls[:]
+    verify_glued(glued)
+    decompose_glued(glued)
+    assert calls == []
+    # a JSON round trip checks each loaded field once, in its value type: the
+    # glue's form, actions and graph (the overlattice's entries are ints by
+    # parsing), a polarization's form, and each group element's O-entries
+    text = glued_to_json(glued)
+    assert calls == []
+    assert glued_from_json(text) == glued
+    assert calls == [("GluedPPAV", name) for name in names]
+    for p in (xi_g(3), example_c()[1]):
+        del calls[:]
+        assert polarization_from_json(polarization_to_json(p)) == p
+        assert calls == [("PolarizedTorus", "form")]
+    for grp in (example_b(2)[0], example_c()[0]):
+        del calls[:]
+        back = group_from_json(group_to_json(grp))
+        assert calls == [("OrderMatrix", "O-entry")] * grp.order
+        assert set(back.elements) == set(grp.elements)
+    del calls[:]
+    RatMatrix.from_rows([[Fraction(1, 2), 3]])
+    assert calls == [("RatMatrix.from_rows", "matrix")]
 
 
 # -- symplectic bases ----------------------------------------------------------
+
+
+def test_symplectic_basis_refuses_a_generator_off_the_exponents_grid():
+    # 1/3 is not a multiple of 1/2, e = lcm(2, 2); int(c * e) floored it and
+    # returned a basis of orders (2,)
+    ambient = kernel_group(xi_g(1)).ambient
+    k = FiniteSymplecticGroup(ambient, ((Fraction(1, 2), Fraction(1, 3)), (0, Fraction(1, 2))),
+                              (2, 2))
+    with pytest.raises(ValueError, match=r"^generator 0, \(1/2, 1/3\), has an entry off the grid"):
+        symplectic_basis(k)
 
 
 def test_symplectic_basis_trivial():
@@ -177,7 +248,7 @@ def test_symplectic_basis_pairing_matrix():
     box_product(xi_g(3), xi_g(1)),
     box_product(xi_g(2), xi_g(4)),
     scale(theta_g(2), 6),
-    PolarizedTorus(Torus(RATIONAL, 3), split_form(IntMatrix.diagonal([2, 4, 12]))),
+    PolarizedTorus(Torus(RATIONAL, 3), split_form(_diagonal([2, 4, 12]))),
 ], ids=["xi3-xi1", "xi2-xi4", "6theta2", "split-2-4-12"])
 def test_symplectic_basis_named_kernels(pol):
     k = kernel_group(pol)
@@ -275,7 +346,7 @@ def _side_tori(factors, y_dim):
     divisors = elementary_divisors([g + 1 for g in factors])
     diag = (1,) * (y_dim - len(divisors)) + divisors
     return (box_product(*map(xi_g, factors)),
-            PolarizedTorus(Torus(RATIONAL, y_dim), split_form(IntMatrix.diagonal(diag))))
+            PolarizedTorus(Torus(RATIONAL, y_dim), split_form(_diagonal(diag))))
 
 
 def _reversed(k):
@@ -294,14 +365,14 @@ def _oracle_kernels():
         yield f"xi{a}-xi{b}", kernel_group(box_product(xi_g(a), xi_g(b)))
     yield "6theta2", kernel_group(scale(theta_g(2), 6))
     yield "split-2-4-12", kernel_group(
-        PolarizedTorus(Torus(RATIONAL, 3), split_form(IntMatrix.diagonal([2, 4, 12]))))
+        PolarizedTorus(Torus(RATIONAL, 3), split_form(_diagonal([2, 4, 12]))))
     k = kernel_group(xi_g(2))
     yield "isotropic", FiniteSymplecticGroup(k.ambient, (k.generators[0],), (k.orders[0],))
     # dependent generators list every element twice or more
     yield "xi2-twice", FiniteSymplecticGroup(k.ambient, k.generators * 2, k.orders * 2)
     # the largest order comes first, so x is not the last generator
     yield "split-2-4-12-reversed", _reversed(kernel_group(
-        PolarizedTorus(Torus(RATIONAL, 3), split_form(IntMatrix.diagonal([2, 4, 12])))))
+        PolarizedTorus(Torus(RATIONAL, 3), split_form(_diagonal([2, 4, 12])))))
     # twice the generators of the (Z/4)^2 kernel of 4·theta_1 span an
     # isotropic (Z/2)^2
     k = kernel_group(scale(theta_g(1), 4))

@@ -127,6 +127,31 @@ def test_order_matrix_rejects_non_square_grid():
         OrderMatrix.from_int_rows(RATIONAL, [[1, 0]])
 
 
+BAD_COORDINATES = pytest.mark.parametrize("x", [2.7, -1.9, True, "0"],
+                                          ids=["float", "negative-float", "bool", "str"])
+
+
+@BAD_COORDINATES
+@pytest.mark.parametrize("build", [
+    lambda x: OrderMatrix.from_int_rows(RATIONAL, [[x]]),
+    lambda x: OrderMatrix.from_pairs(GAUSSIAN, [[(x, 0)]]),
+    lambda x: OrderMatrix.from_pairs(GAUSSIAN, [[(1, 0), (0, 0)], [(0, x), (1, 0)]]),
+    lambda x: OrderMatrix(EISENSTEIN, ((OrderElem(0, x),),)),
+], ids=["int-rows", "pairs-a", "pairs-b", "direct"])
+def test_order_matrix_refuses_a_coordinate_that_is_not_an_int(build, x):
+    # from_int_rows truncated 2.7 to 2 and read True as 1 and "0" as 0
+    with pytest.raises(ValueError, match="pair of 2 integers"):
+        build(x)
+
+
+@pytest.mark.parametrize("entry", [5, (1, 0), [1, 0], None],
+                         ids=["int", "tuple", "list", "none"])
+def test_order_matrix_refuses_an_entry_that_is_not_an_order_elem(entry):
+    # OrderMatrix(RATIONAL, ((5,),)) raised AttributeError on the w-part test
+    with pytest.raises(ValueError, match="pair of 2 integers"):
+        OrderMatrix(RATIONAL, ((entry,),))
+
+
 def test_order_matrix_det_and_invertibility():
     m = OrderMatrix.from_pairs(GAUSSIAN, [[(0, 1), (0, 0)], [(0, 0), (0, 1)]])
     assert m.det() == OrderElem(-1, 0)
