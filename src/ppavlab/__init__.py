@@ -13,7 +13,6 @@ from .exact_linalg import (
     hnf_columns,
     is_positive_definite,
     kernel_basis,
-    saturate,
     snf,
     snf_diagonal,
 )
@@ -72,8 +71,7 @@ from .checks import CHECKS, RunOptions, run_checks
 
 __all__ = [
     "IntMatrix", "RatMatrix", "hnf_columns",
-    "is_positive_definite", "kernel_basis", "saturate", "snf",
-    "snf_diagonal",
+    "is_positive_definite", "kernel_basis", "snf", "snf_diagonal",
     "EISENSTEIN", "GAUSSIAN", "OrderElem", "OrderMatrix", "QuadOrder",
     "RATIONAL", "Torus",
     "PolarizedTorus", "box_product", "is_principal",

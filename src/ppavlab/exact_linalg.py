@@ -1,6 +1,6 @@
 """Exact dense linear algebra over Z and Q.
 
-Smith and Hermite normal forms, integer kernels and saturations, all with
+Smith and Hermite normal forms and integer kernels, all with
 arbitrary-precision arithmetic.  No floats anywhere; a rational matrix is
 an integer numerator over one denominator, and every elimination runs in
 integers.
@@ -129,10 +129,15 @@ class IntMatrix(_Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n must be an int >= 0, got {n!r}")
         return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        for name, size in (("rows", rows), ("cols", cols)):
+            if type(size) is not int or size < 0:
+                raise ValueError(f"{name} must be an int >= 0, got {size!r}")
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @classmethod
@@ -295,8 +300,7 @@ class RatMatrix(_Frozen):
 
     Kept in lowest terms (den >= 1, gcd(content(num), den) = 1, den = 1 for
     a zero matrix), so equal matrices compare and hash equal.  Fractions
-    appear only at the boundary: from_rows, entries, scaled, mul_vec and
-    det's value.
+    appear only at the boundary: entries, scaled, mul_vec and det's value.
     """
 
     _fields = ("num", "den")
@@ -314,14 +318,6 @@ class RatMatrix(_Frozen):
             den //= g
         _set(self, "num", num)
         _set(self, "den", den)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "RatMatrix":
-        """Matrix with the given rows of ints and Fractions; cols, if given,
-        must be their length.  A float, a bool or a string is refused."""
-        rows = [tuple(r) for r in rows]
-        _require_entries("matrix", rows, (int, Fraction))
-        return _rat_rows(rows, cols if cols is not None else len(rows[0]) if rows else 0)
 
     @property
     def rows(self) -> int:
@@ -578,7 +574,7 @@ def hnf_columns(m: IntMatrix) -> IntMatrix:
     return _from_columns(_row_hnf(m.columns(), m.rows), m.rows)
 
 
-# -- kernels, saturation ---------------------------------------------------
+# -- kernels ---------------------------------------------------------------
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -591,18 +587,6 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     done = _row_hnf([col + tuple(int(i == j) for i in range(m.cols))
                      for j, col in enumerate(m.columns())], m.rows + m.cols)
     return _from_columns([r[m.rows:] for r in done if not any(r[:m.rows])], m.cols)
-
-
-def saturate(l: IntMatrix) -> IntMatrix:
-    """Saturation of the column span: (Q-span of columns) intersected with Z^n.
-
-    The kernel of the kernel of l^t has rank rank(l), so a result with fewer
-    columns than l means l's columns are dependent.
-    """
-    sat = kernel_basis(kernel_basis(l.transpose()).transpose())
-    if sat.cols != l.cols:
-        raise RankDeficient("columns are linearly dependent")
-    return sat
 
 
 def is_positive_definite(m: IntMatrix) -> bool:

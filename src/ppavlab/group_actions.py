@@ -62,7 +62,12 @@ class NotInvariant(ValueError):
 
 
 class MatrixGroup(NamedTuple):
-    """Finite group on a torus; each element is its integer action matrix."""
+    """Finite group on a torus; each element is its integer action matrix.
+
+    The generators generate the elements, so `invariant_form` tests only
+    them.  `closure` and `group_from_json` guarantee this; the constructor
+    does not check it.
+    """
 
     torus: Torus
     generators: tuple[IntMatrix, ...]
@@ -425,9 +430,7 @@ def group_from_json(text: str) -> MatrixGroup:
     for flat in flat_elements:
         if not isinstance(flat, list) or len(flat) != g * g:
             raise ValueError(f"each element needs exactly {g * g} O-entries")
-        if not all(isinstance(x, list) and len(x) == 2 for x in flat):
-            raise ValueError("each O-entry must be a pair of 2 integers")
-    # OrderMatrix checks that each coordinate is an int
+    # OrderMatrix.from_pairs checks that each O-entry is a pair of 2 ints
     elements = tuple(
         rational_rep(OrderMatrix.from_pairs(
             torus.order, [flat[i * g:(i + 1) * g] for i in range(g)]))

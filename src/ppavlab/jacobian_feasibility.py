@@ -33,6 +33,9 @@ _ORDER_SCAN_MAX = 20
 
 def rh_residual(g: int, g_prime: int, group_order: int):
     """Ramification total R with 2g - 2 = |G|(2g' - 2) + R; INFEASIBLE if R < 0."""
+    for name, value in (("g", g), ("g_prime", g_prime), ("group_order", group_order)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if g < 0 or g_prime < 0:
         raise ValueError("genera must be nonnegative")
     if group_order < 2:

@@ -26,7 +26,6 @@ from .exact_linalg import (
     _set,
     hnf_columns,
     is_positive_definite,
-    saturate,
     snf,
     snf_diagonal,
 )
@@ -333,13 +332,17 @@ def _aligned_basis(torus: Torus, s: IntMatrix) -> IntMatrix:
 
 
 def _check_saturated(s: IntMatrix) -> IntMatrix:
-    canon = hnf_columns(s)
-    # hnf_columns drops dependent columns, so a short canon means rank < cols
-    if canon.cols != s.cols or s.cols == 0:
+    """Canonical basis of span(s), for a non-empty, full-rank, saturated s.
+
+    By the invariant factors d_1 | ... | d_k: s has rank s.cols when k =
+    s.cols and d_k != 0, and Z^n / span(s) is torsion-free when d_k is 1.
+    """
+    d = snf_diagonal(s)
+    if s.cols == 0 or len(d) < s.cols or d[-1] == 0:
         raise NotSaturated("sublattice basis must be non-empty, of full column rank")
-    if saturate(canon) != canon:
+    if d[-1] != 1:
         raise NotSaturated("sublattice is not saturated in the ambient lattice")
-    return canon
+    return hnf_columns(s)
 
 
 class Restriction(NamedTuple):

@@ -245,7 +245,7 @@ class GluedPPAV(_Frozen):
         for name, m in integral:
             _require_entries(name, m.entries)
         _require_entries("graph", self.graph, (int, Fraction))
-        # last: the divisors cost a Smith form of size len(factors)
+        # last: folding the divisors costs len(factors)^2 gcd steps
         _glue_divisors(factors, y_dim)
 
     @property

@@ -180,7 +180,10 @@ class OrderMatrix(_Frozen):
 
     @classmethod
     def from_pairs(cls, order: QuadOrder, rows: Sequence[Sequence]) -> "OrderMatrix":
-        return cls(order, tuple(tuple(OrderElem(*x) for x in r) for r in rows))
+        """Matrix whose entry (a, b), a list or tuple of 2 items, is a + b*w;
+        any other entry is passed on for the constructor to refuse."""
+        return cls(order, tuple(tuple(OrderElem(*x) if isinstance(x, (list, tuple)) and len(x) == 2
+                                      else x for x in r) for r in rows))
 
     @classmethod
     def from_int_rows(cls, order: QuadOrder, rows: Sequence[Sequence[int]]) -> "OrderMatrix":

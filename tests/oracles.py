@@ -6,7 +6,7 @@ import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from ppavlab.exact_linalg import IntMatrix, NotAlternating
+from ppavlab.exact_linalg import IntMatrix, NotAlternating, RankDeficient, kernel_basis
 from ppavlab.polarizations import FiniteSymplecticGroup, as_vector
 
 
@@ -32,6 +32,18 @@ def rank_over_field(m: IntMatrix) -> int:
                 a[i] = [x // shrink for x in row] if shrink > 1 else row
         rank += 1
     return rank
+
+
+def saturate(l: IntMatrix) -> IntMatrix:
+    """Saturation of the column span: (Q-span of columns) intersected with Z^n.
+
+    The kernel of the kernel of l^t has rank rank(l), so a result with fewer
+    columns than l means l's columns are dependent.
+    """
+    sat = kernel_basis(kernel_basis(l.transpose()).transpose())
+    if sat.cols != l.cols:
+        raise RankDeficient("columns are linearly dependent")
+    return sat
 
 
 def pfaffian(m: IntMatrix) -> int:

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pfaffian, rank_over_field, snf_reference
+from oracles import pfaffian, rank_over_field, saturate, snf_reference
 from ppavlab.exact_linalg import (
     IntMatrix,
     NotAlternating,
     RankDeficient,
     RatMatrix,
+    _rat_rows,
     hnf_columns,
     is_positive_definite,
     kernel_basis,
-    saturate,
     snf,
     snf_diagonal,
 )
@@ -438,10 +438,7 @@ def test_saturate_idempotent():
     lambda: IntMatrix.from_columns([(1, 2)], rows=5),
     lambda: IntMatrix.from_rows([[1, 2]], cols=3),
     lambda: IntMatrix.from_rows([[1, 2], [3]]),
-    lambda: RatMatrix.from_rows([[1, 2]], cols=3),
-    lambda: RatMatrix.from_rows([[1, 2], [3]]),
-], ids=["longer-column", "shorter-column", "rows-hint", "cols-hint", "ragged-rows",
-        "rat-cols-hint", "rat-ragged-rows"])
+], ids=["longer-column", "shorter-column", "rows-hint", "cols-hint", "ragged-rows"])
 def test_constructors_reject_bad_shapes(build):
     with pytest.raises(ValueError):
         build()
@@ -459,12 +456,20 @@ def test_builders_reject_non_int_entries(build, entry):
         build(entry)
 
 
-@pytest.mark.parametrize("entry", [0.1, "1/3", True, None],
-                         ids=["float", "str", "bool", "none"])
-def test_rat_from_rows_refuses_entries_that_are_not_int_or_fraction(entry):
-    # Fraction(x) read 0.1 as 3602879701896397/2**55, parsed "1/3" and took True as 1
-    with pytest.raises(ValueError, match="^matrix entries must be int or Fraction, got "):
-        RatMatrix.from_rows([[Fraction(1, 2), entry]])
+@pytest.mark.parametrize("build, name, size", [
+    (lambda: IntMatrix.identity(True), "n", True),
+    (lambda: IntMatrix.identity(2.0), "n", 2.0),
+    (lambda: IntMatrix.identity(-1), "n", -1),
+    (lambda: IntMatrix.zeros(-1, 2), "rows", -1),
+    (lambda: IntMatrix.zeros(2, 1.5), "cols", 1.5),
+    (lambda: IntMatrix.zeros(2, False), "cols", False),
+], ids=["identity-bool", "identity-float", "identity-negative", "zeros-negative-rows",
+        "zeros-float-cols", "zeros-bool-cols"])
+def test_sized_builders_refuse_sizes_that_are_not_ints_at_least_0(build, name, size):
+    # identity(True) built IntMatrix(rows=True, ...), zeros(-1, 2) a -1x2 matrix,
+    # and identity(2.0) raised TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be an int >= 0, got {size!r}$"):
+        build()
 
 
 def test_empty_shapes_survive_transpose_and_products():
@@ -648,7 +653,7 @@ def test_rat_inverse_matches_fraction_gauss_jordan(probe):
         return
     inv = m.inverse()
     assert inv.entries == want
-    assert inv == RatMatrix.from_rows(want, cols=len(rows))
+    assert inv == _rat_rows(want, len(rows))
     assert m * inv == RatMatrix(IntMatrix.identity(len(rows)))
 
 
@@ -668,7 +673,7 @@ def test_rat_matrix_is_kept_in_lowest_terms(probe):
     # the same value written over a larger denominator is the same matrix
     bigger = RatMatrix(M(rows).scaled(6), 6 * den)
     assert bigger == m and hash(bigger) == hash(m)
-    assert RatMatrix.from_rows(m.entries, cols=len(rows)) == m
+    assert _rat_rows(m.entries, len(rows)) == m
 
 
 def test_rat_matrix_zero_and_denominator_bounds():
@@ -689,8 +694,8 @@ def test_rat_matrix_refuses_a_denominator_that_is_not_an_int(den):
 
 
 def test_rat_matrix_boundary_arithmetic():
-    a = RatMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(-2, 3)]])
-    b = RatMatrix.from_rows([[Fraction(1, 3), 0], [1, 1]])
+    a = _rat_rows([[Fraction(1, 2), 1], [0, Fraction(-2, 3)]], 2)
+    b = _rat_rows([[Fraction(1, 3), 0], [1, 1]], 2)
     assert (a.num, a.den) == (M([[3, 6], [0, -4]]), 6)
     assert (a + b).entries == ((Fraction(5, 6), 1), (1, Fraction(1, 3)))
     assert (a - b).entries == ((Fraction(1, 6), 1), (-1, Fraction(-5, 3)))

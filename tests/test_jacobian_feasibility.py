@@ -34,6 +34,16 @@ def test_residual_rejects_bad_input():
         rh_residual(2, 1, 1)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((2.5, 1, 2), "g"), ((True, 0, 2), "g"), ((3, 1.0, 2), "g_prime"),
+    ((3, 1, 2.5), "group_order"), ((3, 1, "2"), "group_order"),
+], ids=["g-float", "g-bool", "g-prime-float", "order-float", "order-str"])
+def test_residual_refuses_sizes_that_are_not_ints(args, name):
+    # rh_residual(2.5, 1, 2) returned 3.0, (3, 1, 2.5) 4.0 and (True, 0, 2) 4
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        rh_residual(*args)
+
+
 def test_infeasible_is_falsy_singleton():
     assert not INFEASIBLE
     assert rh_residual(3, 2, 3) is rh_residual(5, 4, 4)

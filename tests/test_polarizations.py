@@ -10,7 +10,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import NotMember, kernel_elements, pfaffian, rank_over_field, weil_pairing
+from oracles import (
+    NotMember,
+    kernel_elements,
+    pfaffian,
+    rank_over_field,
+    saturate,
+    weil_pairing,
+)
 from ppavlab import polarizations
 
 from ppavlab.exact_linalg import (
@@ -21,7 +28,6 @@ from ppavlab.exact_linalg import (
     hstack,
     is_positive_definite,
     kernel_basis,
-    saturate,
     snf,
 )
 from ppavlab.polarizations import (

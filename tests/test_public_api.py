@@ -103,3 +103,26 @@ def test_every_member_is_referenced_in_the_library(monkeypatch):
     } - _traced_methods(monkeypatch)
     assert unreferenced <= set(MEMBERS_KEPT_WITHOUT_REFERENCE), sorted(unreferenced)
     assert set(MEMBERS_KEPT_WITHOUT_REFERENCE) <= {m[1] for m in members}
+
+
+def test_every_classmethod_is_called_through_its_class():
+    """Every `classmethod` of a class in `src/ppavlab/*.py` is read as
+    `Class.method` somewhere in `src/`.
+
+    The name-based check above cannot see a dead builder whose name another
+    class also uses (`RatMatrix.from_rows` beside `IntMatrix.from_rows`).
+    """
+    builders, references = set(), set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                builders.update(
+                    f"{top.name}.{node.name}" for node in top.body
+                    if isinstance(node, ast.FunctionDef)
+                    and any(isinstance(d, ast.Name) and d.id == "classmethod"
+                            for d in node.decorator_list))
+        references.update(f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                          if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name))
+    assert builders, "no classmethod found"
+    assert sorted(builders - references) == []

@@ -124,8 +124,7 @@ def _record_entry_checks(monkeypatch):
     real = exact_linalg._require_entries
     owners = {tori.OrderMatrix.__init__.__code__: "OrderMatrix",
               PolarizedTorus.__init__.__code__: "PolarizedTorus",
-              GluedPPAV.__init__.__code__: "GluedPPAV",
-              RatMatrix.from_rows.__func__.__code__: "RatMatrix.from_rows"}
+              GluedPPAV.__init__.__code__: "GluedPPAV"}
     builders = {IntMatrix.from_rows.__func__.__code__, IntMatrix.from_columns.__func__.__code__}
     calls = []
 
@@ -148,19 +147,18 @@ def _record_entry_checks(monkeypatch):
 
 def test_internal_matrices_skip_the_entry_check(monkeypatch, capsys):
     # each value type checks its own entries: the O-matrix, polarized torus
-    # and glue constructors, RatMatrix.from_rows, and the IntMatrix builders
+    # and glue constructors, and the IntMatrix builders
     # when an outside caller (the registry's random forms) uses them; the
     # library's own products, blocks, normal forms, form bases, rational_rep
     # and loaders use the direct constructor
     calls = _record_entry_checks(monkeypatch)
-    allowed = {"OrderMatrix", "PolarizedTorus", "GluedPPAV", "RatMatrix.from_rows",
-               "IntMatrix builder"}
+    allowed = {"OrderMatrix", "PolarizedTorus", "GluedPPAV", "IntMatrix builder"}
     group_actions.example_a.cache_clear()
     group_actions.example_b.cache_clear()
     group_actions.example_c.cache_clear()
     cli.main(["run"])
     capsys.readouterr()
-    assert {site for site, _ in calls} == allowed - {"RatMatrix.from_rows"}
+    assert {site for site, _ in calls} == allowed
     del calls[:]
     glued = build_standard((2, 3), 1)
     names = [name for site, name in calls if site == "GluedPPAV"]
@@ -187,9 +185,6 @@ def test_internal_matrices_skip_the_entry_check(monkeypatch, capsys):
         back = group_from_json(group_to_json(grp))
         assert calls == [("OrderMatrix", "O-entry")] * grp.order
         assert set(back.elements) == set(grp.elements)
-    del calls[:]
-    RatMatrix.from_rows([[Fraction(1, 2), 3]])
-    assert calls == [("RatMatrix.from_rows", "matrix")]
 
 
 # -- symplectic bases ----------------------------------------------------------
@@ -1021,9 +1016,9 @@ def _identity_grid(n):
         "y-dim-too-small", "factors-long"])
 def test_glued_json_rejects_misshapen_glue(tamper, error, message, monkeypatch):
     # each used to crash inside the gate ("shape mismatch in product") or
-    # in RatMatrix.from_rows; now GluedPPAV names the field.  The shapes are
-    # checked before the divisors: 20,000 factors would otherwise cost a
-    # 20,000 x 20,000 Smith form before the 6x6 matrices reject the record
+    # while building the rational graph; now GluedPPAV names the field.  The
+    # shapes are checked before the divisors: 20,000 factors would otherwise
+    # cost 2 x 10^8 gcd steps before the 6x6 matrices reject the record
     real = standard_construction.elementary_divisors
 
     def small_only(ms):

@@ -14,15 +14,17 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from oracles import rank_over_field  # noqa: E402
+from oracles import rank_over_field, saturate  # noqa: E402
 from ppavlab.exact_linalg import (  # noqa: E402
     IntMatrix,
+    RankDeficient,
     hnf_columns,
     is_positive_definite,
     kernel_basis,
     snf_diagonal,
 )
 from ppavlab.group_actions import example_a, example_c  # noqa: E402
+from ppavlab.polarizations import NotSaturated, _check_saturated  # noqa: E402
 from ppavlab.tori import EISENSTEIN, GAUSSIAN, OrderMatrix, rational_rep  # noqa: E402
 
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -114,6 +116,55 @@ def test_kernel_basis_spans_sympy_nullspace_and_is_saturated(m):
         assert ours.row_join(sympy.Matrix.hstack(*null)).rank() == k.cols
         # saturated: every invariant factor of the basis is 1
         assert [int(x) for x in invariant_factors(ours, domain=sympy.ZZ)] == [1] * k.cols
+
+
+@st.composite
+def sublattice_bases(draw, max_dim=8):
+    """n x k bases, n <= 8: saturated (k columns of a unimodular matrix),
+    not saturated (one such column scaled), rank-deficient (one column a
+    combination of the others, or k > n), or random."""
+    n = draw(st.integers(1, max_dim))
+    kind = draw(st.sampled_from(["saturated", "scaled", "dependent", "random"]))
+    k = draw(st.integers(1, n + 1 if kind in ("dependent", "random") else n))
+    if kind == "random":
+        return IntMatrix.from_columns(draw(st.lists(
+            st.lists(small_ints, min_size=n, max_size=n), min_size=k, max_size=k)), rows=n)
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for i, j, q in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.integers(-3, 3)), max_size=3 * n)):
+        if i != j:
+            cols[j] = [a + q * b for a, b in zip(cols[j], cols[i])]
+    cols = cols[:k]
+    if kind == "scaled":
+        j = draw(st.integers(0, k - 1))
+        cols[j] = [draw(st.integers(2, 4)) * x for x in cols[j]]
+    elif kind == "dependent":
+        coeffs = draw(st.lists(small_ints, min_size=k - 1, max_size=k - 1))
+        cols = [[sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(n)], *cols[:k - 1]]
+    return IntMatrix.from_columns(cols, rows=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sublattice_bases())
+def test_saturation_verdict_matches_sympy_invariant_factors(s):
+    theirs = sympy.Matrix(s.entries)
+    factors = [int(x) for x in invariant_factors(theirs, domain=sympy.ZZ)]
+    try:
+        canon, message = _check_saturated(s), None
+    except NotSaturated as exc:
+        canon, message = None, str(exc)
+    if theirs.rank() < s.cols:
+        assert message == "sublattice basis must be non-empty, of full column rank"
+        with pytest.raises(RankDeficient):
+            saturate(s)
+        return
+    # full rank: Z^n / span(s) is torsion-free exactly when every factor is 1
+    assert (message is None) == (factors == [1] * s.cols)
+    assert (message is None) == (saturate(s) == hnf_columns(s))
+    if message is None:
+        assert canon == hnf_columns(s)
+    else:
+        assert message == "sublattice is not saturated in the ambient lattice"
 
 
 # -- rank of m - 1 over the fraction field of the order ------------------------

@@ -152,6 +152,14 @@ def test_order_matrix_refuses_an_entry_that_is_not_an_order_elem(entry):
         OrderMatrix(RATIONAL, ((entry,),))
 
 
+@pytest.mark.parametrize("entry", [(1,), (1, 0, 0), 5], ids=["short", "long", "int"])
+def test_from_pairs_refuses_an_entry_that_is_not_a_pair(entry):
+    # OrderElem(*x) raised TypeError on (1,) and (1, 0, 0), and on 5
+    with pytest.raises(ValueError,
+                       match="^each O-entry must be an OrderElem, a pair of 2 integers$"):
+        OrderMatrix.from_pairs(GAUSSIAN, [[entry]])
+
+
 def test_order_matrix_det_and_invertibility():
     m = OrderMatrix.from_pairs(GAUSSIAN, [[(0, 1), (0, 0)], [(0, 0), (0, 1)]])
     assert m.det() == OrderElem(-1, 0)
