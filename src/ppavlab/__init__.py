@@ -59,11 +59,9 @@ from .standard_construction import (
     verify_glued,
 )
 from .jacobian_feasibility import (
-    CoverDatum,
     INFEASIBLE,
     case31_contradictions,
     pseudoreflection_genus_bound,
-    ramification_realizable,
     rh_residual,
     survey,
 )
@@ -82,8 +80,7 @@ __all__ = [
     "invariant_form", "ns_fixed", "pseudoreflection_generated",
     "build_standard", "decompose_glued", "elementary_divisors",
     "symplectic_basis", "verify_glued",
-    "CoverDatum", "INFEASIBLE", "case31_contradictions",
-    "pseudoreflection_genus_bound", "ramification_realizable", "rh_residual",
-    "survey",
+    "INFEASIBLE", "case31_contradictions", "pseudoreflection_genus_bound",
+    "rh_residual", "survey",
     "CHECKS", "RunOptions", "run_checks",
 ]

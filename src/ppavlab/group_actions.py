@@ -30,7 +30,6 @@ from .polarizations import (
     PolarizedTorus,
     _json_fields,
     associated_symmetric,
-    split_form,
     theta_g,
     xi_g,
 )
@@ -231,64 +230,47 @@ def fixed_sublattice(n: int, actions: tuple[IntMatrix, ...]) -> IntMatrix:
 # -- invariant compatible forms ----------------------------------------------
 
 
-def _symmetric_basis(g: int) -> list[IntMatrix]:
-    out = []
-    for i in range(g):
-        for j in range(i, g):
-            rows = tuple(tuple(int((r, c) in {(i, j), (j, i)}) for c in range(g))
-                         for r in range(g))
-            out.append(IntMatrix(g, g, rows))
-    return out
-
-
-def _alternating_basis(n: int) -> list[IntMatrix]:
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows = tuple(tuple(1 if (r, c) == (i, j) else -1 if (r, c) == (j, i) else 0
-                               for c in range(n)) for r in range(n))
-            out.append(IntMatrix(n, n, rows))
-    return out
-
-
 def ns_fixed(group: MatrixGroup) -> tuple[int, tuple[IntMatrix, ...]]:
     """Integral basis of the group-invariant compatible forms.
 
     Over the rational integers the compatible forms are split_form(B) for
     symmetric B; over a CM order they are the alternating forms M with
     J^t M J = N(w) M.  A form is invariant when rho^t M rho = M for every
-    generator.  Each equation is alternating, so it is read off its strict
-    upper triangle, and the integer solution lattice is returned; a
-    rank-one generator is sign normalized toward positivity when possible.
+    generator.  Each unknown fills one or two entries (a, b), a < b, of M:
+    over a CM order an entry above the diagonal, over Z an entry B_ij,
+    i <= j, which fills (i, g+j) and (j, g+i).  Each equation t^t M t = c M
+    is alternating, so it is read off its strict upper triangle: entry
+    (k, l) of t^t E_ab t, for the unit alternating form E_ab, is
+    t[a][k] t[b][l] - t[b][k] t[a][l].  The integer solution lattice is
+    returned; a rank-one generator is sign normalized toward positivity
+    when possible.
     """
     torus = group.torus
-    n = torus.lattice_rank
-    # M is invariant when t^t M t = c M for each equation (t, c)
-    equations = [(rho, 1) for rho in group.generators]
+    g, n = torus.g, torus.lattice_rank
+    # M is invariant when t^t M t = c M for each equation (t's entries, c)
+    equations = [(rho.entries, 1) for rho in group.generators]
     if torus.order.is_cm:
-        basis = _alternating_basis(n)
-        equations.append((torus.complex_structure(), torus.order.norm_w))
+        unknowns = [((a, b),) for a in range(n) for b in range(a + 1, n)]
+        equations.append((torus.complex_structure().entries, torus.order.norm_w))
     else:
-        basis = [split_form(b) for b in _symmetric_basis(torus.g)]
+        unknowns = [tuple(sorted({(i, g + j), (j, g + i)})) for i in range(g) for j in range(i, g)]
     rows = {}  # each distinct linear equation on the coefficients, in order
     for t, c in equations:
-        tt = t.transpose()
-        images = [tt * b * t - b.scaled(c) for b in basis]
-        rows.update(dict.fromkeys(tuple(e[i, k] for e in images)
-                                  for i in range(n) for k in range(i + 1, n)))
-    sols = kernel_basis(IntMatrix(len(rows), len(basis), tuple(rows)))
-    forms = [_linear_combination(basis, col) for col in sols.columns()]
+        rows.update(dict.fromkeys(
+            tuple(sum(t[a][k] * t[b][l] - t[b][k] * t[a][l] for a, b in cells)
+                  - c * ((k, l) in cells) for cells in unknowns)
+            for k in range(n) for l in range(k + 1, n)))
+    sols = kernel_basis(IntMatrix(len(rows), len(unknowns), tuple(rows)))
+    forms = []
+    for col in sols.columns():
+        m = [[0] * n for _ in range(n)]
+        for x, cells in zip(col, unknowns):
+            for a, b in cells:
+                m[a][b], m[b][a] = x, -x
+        forms.append(IntMatrix(n, n, tuple(map(tuple, m))))
     if len(forms) == 1:
         forms[0] = _positivity_normalized(torus, forms[0])
     return len(forms), tuple(forms)
-
-
-def _linear_combination(basis: list[IntMatrix], coeffs: list[int]) -> IntMatrix:
-    acc = IntMatrix.zeros(basis[0].rows, basis[0].cols)
-    for b, c in zip(basis, coeffs):
-        if c:
-            acc = acc + b.scaled(c)
-    return acc
 
 
 def _positivity_normalized(torus: Torus, form: IntMatrix) -> IntMatrix:

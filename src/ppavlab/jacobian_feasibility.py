@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exact_linalg import _Frozen, _set
-
 
 class _Infeasible:
     """Singleton returned when a residual would have to be negative."""
@@ -40,8 +38,13 @@ def rh_residual(g: int, g_prime: int, group_order: int):
         raise ValueError("genera must be nonnegative")
     if group_order < 2:
         raise ValueError("group order must be at least 2")
-    r = 2 * g - 2 - group_order * (2 * g_prime - 2)
+    r = _ramification_total(g, g_prime, group_order)
     return r if r >= 0 else INFEASIBLE
+
+
+def _ramification_total(g: int, g_prime: int, group_order: int) -> int:
+    """2g - 2 - |G|(2g' - 2): the Riemann-Hurwitz ramification total, of any sign."""
+    return 2 * g - 2 - group_order * (2 * g_prime - 2)
 
 
 class GenusBound(NamedTuple):
@@ -65,67 +68,6 @@ def pseudoreflection_genus_bound() -> GenusBound:
     cases = tuple((g, gp) for g in sorted(feasible, reverse=True)
                   for gp in range(g - 1, -1, -1))
     return GenusBound(g_max, cases)
-
-
-# -- cover data and realizability ------------------------------------------------
-
-
-class CoverDatum(_Frozen):
-    """Numeric profile of a Galois cover: genera, group order, branch indices."""
-
-    __slots__ = _fields = ("g", "g_prime", "group_order", "ramification")
-    g: int
-    g_prime: int
-    group_order: int
-    ramification: tuple[int, ...]
-
-    def __init__(self, g: int, g_prime: int, group_order: int,
-                 ramification: tuple[int, ...] = ()):
-        for r in ramification:
-            if r < 2:
-                raise ValueError("branch indices must be at least 2")
-            if group_order % r:
-                raise ValueError("branch indices must divide the group order")
-        _set(self, "g", g)
-        _set(self, "g_prime", g_prime)
-        _set(self, "group_order", group_order)
-        _set(self, "ramification", ramification)
-
-    @property
-    def residual(self) -> int:
-        return sum((self.group_order // r) * (r - 1) for r in self.ramification)
-
-    def consistent(self) -> bool:
-        return rh_residual(self.g, self.g_prime, self.group_order) == self.residual
-
-
-def ramification_realizable(group_order: int, target: int):
-    """Smallest branch-index multiset realizing the target residual, or None.
-
-    Each branch point of index r contributes (|G|/r)(r - 1) >= |G|/2, so
-    the search over nondecreasing divisor multisets is finite.
-    """
-    if group_order < 2:
-        raise ValueError("group order must be at least 2")
-    if target < 0:
-        return None
-    divisors = [r for r in range(2, group_order + 1) if group_order % r == 0]
-
-    def extend(remaining: int, smallest_allowed: int):
-        if remaining == 0:
-            return ()
-        for r in divisors:
-            if r < smallest_allowed:
-                continue
-            term = (group_order // r) * (r - 1)
-            if term > remaining:
-                continue
-            rest = extend(remaining - term, r)
-            if rest is not None:
-                return (r,) + rest
-        return None
-
-    return extend(target, 2)
 
 
 # -- the borderline genus-3 case ----------------------------------------------------
@@ -178,9 +120,9 @@ def case31_contradictions() -> Case31Report:
         witnesses=(meeting, torsion_bound),
         reason=f"{meeting} pullback intersection points exceed the "
                f"{torsion_bound}-element 2-torsion bound")
-    if rh_residual(3, 2, 3) is not INFEASIBLE:
+    raw = _ramification_total(3, 2, 3)
+    if raw >= 0:
         raise ArithmeticError("the degree-3 cover of a genus-2 curve must be infeasible")
-    raw = 2 * 3 - 2 - 3 * (2 * 2 - 2)
     sym3 = Elimination(
         group="S_3",
         g=3, g_prime=1, group_order=6,

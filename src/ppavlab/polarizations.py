@@ -194,10 +194,6 @@ def is_principal(p: PolarizedTorus) -> bool:
 # -- kernel group ------------------------------------------------------------
 
 
-def as_vector(xs: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in xs)
-
-
 class FiniteSymplecticGroup(NamedTuple):
     """Kernel of the form: rational vectors mod Z^{2g} with a Q/Z pairing."""
 
@@ -210,7 +206,9 @@ class FiniteSymplecticGroup(NamedTuple):
         return math.prod(self.orders)
 
     def contains(self, x: Sequence) -> bool:
-        return all(v.denominator == 1 for v in self.ambient.form.mul_vec(as_vector(x)))
+        """Whether the rational vector x, of int or Fraction entries, is in the kernel."""
+        _require_entries("vector", (x,), (int, Fraction))
+        return all(v.denominator == 1 for v in self.ambient.form.mul_vec(x))
 
 
 def kernel_group(p: PolarizedTorus) -> FiniteSymplecticGroup:

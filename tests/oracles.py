@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ppavlab.exact_linalg import IntMatrix, NotAlternating, RankDeficient, kernel_basis
-from ppavlab.polarizations import FiniteSymplecticGroup, as_vector
+from ppavlab.polarizations import FiniteSymplecticGroup, split_form
 
 
 def rank_over_field(m: IntMatrix) -> int:
@@ -99,7 +99,7 @@ def kernel_elements(k: FiniteSymplecticGroup) -> Iterator[tuple[Fraction, ...]]:
 def weil_pairing(k: FiniteSymplecticGroup, x: Sequence, y: Sequence) -> Fraction:
     """Q/Z-valued pairing x^t·form·y of two kernel members."""
     m = k.ambient.form
-    xv, yv = as_vector(x), as_vector(y)
+    xv, yv = tuple(map(Fraction, x)), tuple(map(Fraction, y))
     for v in (xv, yv):
         if len(v) != m.rows:
             raise NotMember("vector length must match the lattice rank")
@@ -180,3 +180,44 @@ def pseudoreflection_generated_reference(group) -> tuple[bool, int]:
         if len(sub) == group.order:
             break
     return len(sub) == group.order, len(refl)
+
+
+def ns_fixed_reference(group) -> tuple[int, tuple[IntMatrix, ...]]:
+    """ns_fixed as written before its equations were read off the entries.
+
+    One unit form per unknown: split_form of a unit symmetric B over Z, a
+    unit alternating form over a CM order.  Each equation t^t b t - c b is
+    formed by matrix products and read off its strict upper triangle, and
+    each solution is summed back from the unit forms.
+    """
+    from ppavlab.group_actions import _positivity_normalized
+
+    torus = group.torus
+    g, n = torus.g, torus.lattice_rank
+    equations = [(rho, 1) for rho in group.generators]
+    if torus.order.is_cm:
+        basis = [IntMatrix(n, n, tuple(
+            tuple(1 if (r, c) == (i, j) else -1 if (r, c) == (j, i) else 0 for c in range(n))
+            for r in range(n))) for i in range(n) for j in range(i + 1, n)]
+        equations.append((torus.complex_structure(), torus.order.norm_w))
+    else:
+        basis = [split_form(IntMatrix(g, g, tuple(
+            tuple(int((r, c) in {(i, j), (j, i)}) for c in range(g)) for r in range(g))))
+            for i in range(g) for j in range(i, g)]
+    rows = {}
+    for t, c in equations:
+        tt = t.transpose()
+        images = [tt * b * t - b.scaled(c) for b in basis]
+        rows.update(dict.fromkeys(tuple(e[i, k] for e in images)
+                                  for i in range(n) for k in range(i + 1, n)))
+    sols = kernel_basis(IntMatrix(len(rows), len(basis), tuple(rows)))
+    forms = []
+    for col in sols.columns():
+        acc = IntMatrix.zeros(n, n)
+        for b, x in zip(basis, col):
+            if x:
+                acc = acc + b.scaled(x)
+        forms.append(acc)
+    if len(forms) == 1:
+        forms[0] = _positivity_normalized(torus, forms[0])
+    return len(forms), tuple(forms)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     kernel_elements,
+    ns_fixed_reference,
     pseudoreflection_generated_reference,
     rank_over_field,
     weil_pairing,
@@ -663,6 +664,69 @@ def test_ns_fixed_matches_z_block_route(group):
         assert forms[0] in (want[0], -want[0])
     else:
         assert list(forms) == want
+
+
+_UNIT_ORDERS = ((RATIONAL, 2), (GAUSSIAN, 4), (EISENSTEIN, 3), (EISENSTEIN, 6))
+
+
+def _elementary(n, i, j, x):
+    """The n x n integer matrix 1 + x E_ij."""
+    return IntMatrix(n, n, tuple(tuple(int(r == c) + x * ((r, c) == (i, j)) for c in range(n))
+                                 for r in range(n)))
+
+
+@st.composite
+def generator_sets(draw):
+    """A group over Z, Z[i] or Z[w] with g <= 3 and one to three generators.
+
+    Each generator is one of example_a's generators conjugated by a
+    unimodular q, a transvection [[1, S], [0, 1]] with S symmetric, or a
+    matrix of entries in {-1, 0, 1}.  Over a CM order q is the action of a
+    product of elementary O-matrices, so the conjugates still commute with
+    J; over Z it is a product of elementary 2g x 2g integer matrices.  Both
+    make the generators non-block-diagonal.  Only the torus and the
+    generators matter to ns_fixed, so the elements are not closed.
+    """
+    order, m = draw(st.sampled_from(_UNIT_ORDERS))
+    g = draw(st.integers(1, 3))
+    n = 2 * g
+    size = g if order.is_cm else n
+    pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
+    q = q_inv = IntMatrix.identity(n)
+    for _ in range(draw(st.integers(0, 3)) if pairs else 0):
+        i, j = draw(st.sampled_from(pairs))
+        a = draw(st.integers(-2, 2))
+        if order.is_cm:
+            b = draw(st.integers(-2, 2))
+            e, e_inv = (rational_rep(OrderMatrix.from_pairs(order, [
+                [(int(r == c) + s * a * ((r, c) == (i, j)), s * b * ((r, c) == (i, j)))
+                 for c in range(g)] for r in range(g)])) for s in (1, -1))
+        else:
+            e, e_inv = _elementary(n, i, j, a), _elementary(n, i, j, -a)
+        q, q_inv = q * e, e_inv * q_inv
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["conjugate", "transvection", "random"]))
+        if kind == "conjugate":
+            rho = draw(st.sampled_from(example_a(g, m)[0].generators))
+            gens.append(q_inv * rho * q)
+        elif kind == "transvection":
+            c = draw(st.lists(st.lists(st.integers(-2, 2), min_size=g, max_size=g),
+                              min_size=g, max_size=g))
+            s = IntMatrix(g, g, tuple(map(tuple, c)))
+            one, zero = IntMatrix.identity(g), IntMatrix.zeros(g, g)
+            gens.append(IntMatrix.from_blocks([[one, s + s.transpose()], [zero, one]]))
+        else:
+            cells = draw(st.lists(st.integers(-1, 1), min_size=n * n, max_size=n * n))
+            gens.append(IntMatrix(n, n, tuple(tuple(cells[r * n:(r + 1) * n]) for r in range(n))))
+    gens = tuple(gens)
+    return MatrixGroup(Torus(order, g), gens, gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+def test_ns_fixed_matches_matrix_product_route(group):
+    assert ns_fixed(group) == ns_fixed_reference(group)
 
 
 def test_ns_fixed_forms_are_invariant():

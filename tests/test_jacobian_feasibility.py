@@ -6,11 +6,9 @@ from hypothesis import given, strategies as st
 from ppavlab.jacobian_feasibility import (
     Case31Report,
     CaseRow,
-    CoverDatum,
     INFEASIBLE,
     case31_contradictions,
     pseudoreflection_genus_bound,
-    ramification_realizable,
     rh_residual,
     survey,
     survey_to_dict,
@@ -77,57 +75,6 @@ def test_genus_bound_matches_exhaustive_scan():
 
 def test_genus_four_with_reflection_is_infeasible():
     assert rh_residual(4, 3, 2) is INFEASIBLE
-
-
-# -- cover data -------------------------------------------------------------------
-
-
-def test_cover_datum_consistency():
-    bielliptic = CoverDatum(2, 1, 2, (2, 2))
-    assert bielliptic.residual == 2
-    assert bielliptic.consistent()
-    etale = CoverDatum(3, 2, 2, ())
-    assert etale.residual == 0
-    assert etale.consistent()
-    assert not CoverDatum(3, 2, 2, (2, 2)).consistent()
-
-
-def test_cover_datum_validation():
-    with pytest.raises(ValueError):
-        CoverDatum(2, 1, 2, (3,))
-    with pytest.raises(ValueError):
-        CoverDatum(2, 1, 2, (1,))
-
-
-def test_ramification_realizable_examples():
-    assert ramification_realizable(2, 2) == (2, 2)
-    assert ramification_realizable(2, 0) == ()
-    assert ramification_realizable(4, 4) == (2, 2)
-    assert ramification_realizable(4, 3) == (4,)
-    assert ramification_realizable(4, 1) is None
-    assert ramification_realizable(6, 5) == (6,)
-    assert ramification_realizable(6, 1) is None
-    assert ramification_realizable(2, -1) is None
-    with pytest.raises(ValueError, match="at least 2"):
-        ramification_realizable(1, 0)
-
-
-def test_realizable_multiset_builds_consistent_datum():
-    for order, target in ((2, 2), (4, 4), (6, 10), (6, 12)):
-        found = ramification_realizable(order, target)
-        assert found is not None
-        datum = CoverDatum(0, 0, order, found)
-        assert datum.residual == target
-
-
-@given(st.integers(2, 12), st.integers(0, 24))
-def test_realizable_result_is_sorted_and_exact(order, target):
-    found = ramification_realizable(order, target)
-    if found is not None:
-        assert list(found) == sorted(found)
-        assert sum((order // r) * (r - 1) for r in found) == target
-        for r in found:
-            assert order % r == 0
 
 
 # -- the borderline case ------------------------------------------------------------

@@ -405,6 +405,14 @@ def test_kernel_of_scaled_xi_contains_full_torsion():
         assert k.contains([Fraction(a, 2) for a in pt])
 
 
+@pytest.mark.parametrize("x", [("1/3",) * 4, (True,) * 4, (0.5, 0, 0, 0),
+                               (Fraction(1, 3), 0, 0, 1.0)],
+                         ids=["str", "bool", "float", "float-among-exact"])
+def test_kernel_contains_refuses_inexact_entries(x):
+    with pytest.raises(ValueError, match="^vector entries must be int or Fraction, got "):
+        kernel_group(xi_g(2)).contains(x)
+
+
 def test_weil_pairing_values():
     k1 = kernel_group(xi_g(1))
     x, y = (Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))

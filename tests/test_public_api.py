@@ -2,7 +2,7 @@
 the library, has a caller inside the library.
 
 A name that only its own tests call is dead API: it is either wired into a
-check or deleted.  The few names kept for another reason are listed with
+check or deleted.  The few members kept for another reason are listed with
 that reason.
 """
 
@@ -15,11 +15,6 @@ import ppavlab
 
 SRC = Path(ppavlab.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-KEPT_WITHOUT_CALLER = {
-    "CoverDatum": "ROADMAP item 7 decides it",
-    "ramification_realizable": "ROADMAP item 7 decides it",
-}
 
 
 def _references(tree):
@@ -39,7 +34,7 @@ def test_every_export_has_a_library_caller():
         if path.name != "__init__.py":
             used.update(name for name, owner in _references(ast.parse(path.read_text()))
                         if name != owner)
-    assert set(ppavlab.__all__) - used == set(KEPT_WITHOUT_CALLER)
+    assert sorted(set(ppavlab.__all__) - used) == []
 
 
 MEMBERS_KEPT_WITHOUT_REFERENCE = {
@@ -50,9 +45,6 @@ MEMBERS_KEPT_WITHOUT_REFERENCE = {
     "glued_to_json": "the serialized format's boundary",
     "glued_from_json": "the serialized format's boundary",
     "GlueReport.fixed_dim": "the benchmark's glue digest reads it",
-    "CoverDatum": "ROADMAP item 7 decides it",
-    "CoverDatum.consistent": "ROADMAP item 7 decides it",
-    "ramification_realizable": "ROADMAP item 7 decides it",
 }
 
 

@@ -117,14 +117,16 @@ CORE = {f"ppavlab.{name}" for name in
 def _record_entry_checks(monkeypatch):
     """Patch every module's `_require_entries` to record (site, name) per call.
 
-    The site is the value type whose constructor or builder called it; an
+    The site is the value type whose constructor or builder called it, or
+    `contains` for a kernel group's membership test; an
     `IntMatrix` builder called from inside the five core modules is recorded
     as ("internal", caller) so that the assertions below name it.
     """
     real = exact_linalg._require_entries
     owners = {tori.OrderMatrix.__init__.__code__: "OrderMatrix",
               PolarizedTorus.__init__.__code__: "PolarizedTorus",
-              GluedPPAV.__init__.__code__: "GluedPPAV"}
+              GluedPPAV.__init__.__code__: "GluedPPAV",
+              FiniteSymplecticGroup.contains.__code__: "contains"}
     builders = {IntMatrix.from_rows.__func__.__code__, IntMatrix.from_columns.__func__.__code__}
     calls = []
 
@@ -147,12 +149,13 @@ def _record_entry_checks(monkeypatch):
 
 def test_internal_matrices_skip_the_entry_check(monkeypatch, capsys):
     # each value type checks its own entries: the O-matrix, polarized torus
-    # and glue constructors, and the IntMatrix builders
+    # and glue constructors, a kernel group's membership test on its vector,
+    # and the IntMatrix builders
     # when an outside caller (the registry's random forms) uses them; the
-    # library's own products, blocks, normal forms, form bases, rational_rep
-    # and loaders use the direct constructor
+    # library's own products, blocks, normal forms, invariant forms,
+    # rational_rep and loaders use the direct constructor
     calls = _record_entry_checks(monkeypatch)
-    allowed = {"OrderMatrix", "PolarizedTorus", "GluedPPAV", "IntMatrix builder"}
+    allowed = {"OrderMatrix", "PolarizedTorus", "GluedPPAV", "contains", "IntMatrix builder"}
     group_actions.example_a.cache_clear()
     group_actions.example_b.cache_clear()
     group_actions.example_c.cache_clear()

@@ -13,7 +13,7 @@ import pytest
 from ppavlab.checks import CheckResult, RunOptions
 from ppavlab.exact_linalg import IntMatrix, RatMatrix, _Frozen
 from ppavlab.group_actions import MatrixGroup, example_a
-from ppavlab.jacobian_feasibility import Case31Report, CoverDatum, case31_contradictions
+from ppavlab.jacobian_feasibility import Case31Report, case31_contradictions
 from ppavlab.polarizations import FiniteSymplecticGroup, PolarizedTorus, kernel_group, theta_g, xi_g
 from ppavlab.standard_construction import GluedPPAV, GlueReport, build_standard, verify_glued
 from ppavlab.tori import GAUSSIAN, RATIONAL, OrderMatrix, QuadOrder, Torus
@@ -29,7 +29,6 @@ CASES = {
     Torus: (lambda: Torus(RATIONAL, 2), lambda: Torus(GAUSSIAN, 2), None),
     PolarizedTorus: (lambda: theta_g(2), lambda: xi_g(2), "_smith"),
     GluedPPAV: (lambda: build_standard((1,), 1), lambda: build_standard((2,), 1), "_report"),
-    CoverDatum: (lambda: CoverDatum(2, 1, 2, (2, 2)), lambda: CoverDatum(3, 2, 2), None),
     QuadOrder: (lambda: QuadOrder("Z[i]", 0, -1), lambda: QuadOrder("Z", 0, 0), None),
     RunOptions: (lambda: RunOptions(), lambda: RunOptions(gmax=3), None),
     CheckResult: (lambda: CheckResult("theta-principal", "pass", {"gmax": 6}, 1),
