@@ -59,8 +59,6 @@ from .standard_construction import (
     verify_glued,
 )
 from .jacobian_feasibility import (
-    INFEASIBLE,
-    case31_contradictions,
     pseudoreflection_genus_bound,
     rh_residual,
     survey,
@@ -80,7 +78,6 @@ __all__ = [
     "invariant_form", "ns_fixed", "pseudoreflection_generated",
     "build_standard", "decompose_glued", "elementary_divisors",
     "symplectic_basis", "verify_glued",
-    "INFEASIBLE", "case31_contradictions", "pseudoreflection_genus_bound",
-    "rh_residual", "survey",
+    "pseudoreflection_genus_bound", "rh_residual", "survey",
     "CHECKS", "RunOptions", "run_checks",
 ]

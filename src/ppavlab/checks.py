@@ -26,10 +26,9 @@ from .group_actions import (
     pseudoreflection_generated,
 )
 from .jacobian_feasibility import (
-    INFEASIBLE,
-    case31_contradictions,
     pseudoreflection_genus_bound,
     rh_residual,
+    survey,
     survey_to_dict,
 )
 from .polarizations import (
@@ -261,16 +260,14 @@ def _check_subtorus_not_principal(opts: RunOptions):
 def _check_jacobian_cases(opts: RunOptions):
     """The Riemann-Hurwitz and genus-bound eliminations of the Jacobian survey."""
     bound = pseudoreflection_genus_bound()
-    report = case31_contradictions()
-    klein = next(e for e in report.eliminations if e.group_order == 4)
-    sym3 = next(e for e in report.eliminations if e.group_order == 6)
+    rows = {r.group: r for r in survey()}
     ok = (rh_residual(2, 1, 2) == 2
           and rh_residual(3, 2, 2) == 0
-          and rh_residual(3, 2, 3) is INFEASIBLE
+          and rh_residual(3, 2, 3) is None
           and bound.g_max == 3
           and bound.cases == ((3, 2), (3, 1), (3, 0), (2, 1), (2, 0))
-          and klein.witnesses == (16, 4)
-          and sym3.witnesses == (-2,))
+          and rows["(Z/2)^2"].witnesses == (16, 4)
+          and rows["S_3"].witnesses == (-2,))
     return ok, survey_to_dict()
 
 

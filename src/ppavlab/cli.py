@@ -9,6 +9,7 @@ problems such as unknown check ids.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -97,17 +98,24 @@ def main(argv=None) -> int:
         return 0
     options = RunOptions(gmax=args.gmax, factors=args.factors,
                          ydim=args.ydim, seed=args.seed)
-    try:
-        results = run_checks(args.checks, options)
-    except UnknownCheck as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    lines = [json.dumps(r._asdict()) for r in results]
-    for line in lines:
-        print(line)
+    json_file = None
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        # opened before any check runs, so a path that cannot be written is a usage error
+        try:
+            json_file = open(args.json_path, "w", encoding="utf-8")
+        except OSError as exc:
+            parser.error(f"--json: cannot write {args.json_path}: {exc.strerror}")
+    with json_file or contextlib.nullcontext():
+        try:
+            results = run_checks(args.checks, options)
+        except UnknownCheck as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+        lines = [json.dumps(r._asdict()) for r in results]
+        for line in lines:
+            print(line)
+        if json_file:
+            json_file.write("\n".join(lines) + "\n")
     return 0 if all(r.status == "pass" for r in results) else 1
 
 

@@ -25,9 +25,9 @@ from ppavlab.group_actions import (
     pseudoreflection_generated,
 )
 from ppavlab.jacobian_feasibility import (
-    case31_contradictions,
     pseudoreflection_genus_bound,
     rh_residual,
+    survey,
 )
 from ppavlab.polarizations import (
     PolarizedTorus,
@@ -246,9 +246,8 @@ def test_cover_arithmetic(capsys):
         bound = pseudoreflection_genus_bound()
         assert bound.g_max == 3
         assert bound.cases == ((3, 2), (3, 1), (3, 0), (2, 1), (2, 0))
-        report = case31_contradictions()
-        klein = next(e for e in report.eliminations if e.group_order == 4)
-        sym3 = next(e for e in report.eliminations if e.group_order == 6)
+        case31 = {r.group_order: r for r in survey() if (r.g, r.g_prime) == (3, 1)}
+        klein, sym3 = case31[4], case31[6]
         assert klein.witnesses == (16, 4) and klein.witnesses[0] > klein.witnesses[1]
         assert sym3.witnesses == (-2,)
 

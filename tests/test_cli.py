@@ -206,6 +206,21 @@ def test_json_file_matches_stdout(tmp_path, capsys):
     assert on_disk == lines
 
 
+def test_unwritable_json_path_usage_error(tmp_path, capsys):
+    # the file is opened before any check runs; a path in a missing directory
+    # used to fail with a FileNotFoundError traceback after every check had printed
+    path = tmp_path / "missing" / "results.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--check", "theta-principal", "--json", str(path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: ppav-lab")
+    assert error == f"ppav-lab: error: --json: cannot write {path}: No such file or directory"
+    assert not path.parent.exists()
+
+
 def test_seed_flag_reaches_check(capsys):
     _, lines = run_lines(capsys, ["run", "--check", "box-kernel-product",
                                   "--seed", "3"])

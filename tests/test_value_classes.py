@@ -13,7 +13,7 @@ import pytest
 from ppavlab.checks import CheckResult, RunOptions
 from ppavlab.exact_linalg import IntMatrix, RatMatrix, _Frozen
 from ppavlab.group_actions import MatrixGroup, example_a
-from ppavlab.jacobian_feasibility import Case31Report, case31_contradictions
+from ppavlab.jacobian_feasibility import CaseRow, survey
 from ppavlab.polarizations import FiniteSymplecticGroup, PolarizedTorus, kernel_group, theta_g, xi_g
 from ppavlab.standard_construction import GluedPPAV, GlueReport, build_standard, verify_glued
 from ppavlab.tori import GAUSSIAN, RATIONAL, OrderMatrix, QuadOrder, Torus
@@ -35,8 +35,7 @@ CASES = {
                   lambda: CheckResult("theta-principal", "fail", {"gmax": 6}, 1), None),
     MatrixGroup: (lambda: example_a(1, 2)[0], lambda: example_a(1, 3)[0], None),
     FiniteSymplecticGroup: (lambda: kernel_group(xi_g(1)), lambda: kernel_group(xi_g(2)), None),
-    Case31Report: (case31_contradictions,
-                   lambda: case31_contradictions()._replace(assumptions=()), None),
+    CaseRow: (lambda: survey()[3], lambda: survey()[4], None),
     GlueReport: (lambda: verify_glued(build_standard((1,), 1)),
                  lambda: verify_glued(build_standard((2,), 1)), None),
 }
