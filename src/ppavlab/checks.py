@@ -305,17 +305,20 @@ CHECKS = {
 }
 
 
+def select_checks(check_ids) -> list[str]:
+    """The named check ids (all when none are named), in registry order."""
+    if not check_ids:
+        return list(CHECKS)
+    unknown = [c for c in check_ids if c not in CHECKS]
+    if unknown:
+        raise UnknownCheck(f"unknown check ids: {', '.join(unknown)}")
+    return [c for c in CHECKS if c in set(check_ids)]
+
+
 def run_checks(check_ids, options: RunOptions) -> list[CheckResult]:
     """Run the selected checks (all when none are named), in registry order."""
-    if check_ids:
-        unknown = [c for c in check_ids if c not in CHECKS]
-        if unknown:
-            raise UnknownCheck(f"unknown check ids: {', '.join(unknown)}")
-        selected = [c for c in CHECKS if c in set(check_ids)]
-    else:
-        selected = list(CHECKS)
     results = []
-    for check_id in selected:
+    for check_id in select_checks(check_ids):
         start = time.perf_counter()
         try:
             ok, witnesses = CHECKS[check_id](options)

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from .checks import CHECKS, RunOptions, UnknownCheck, run_checks
+from .checks import CHECKS, RunOptions, UnknownCheck, run_checks, select_checks
 from .standard_construction import FACTOR_PRODUCT_LIMIT
 
 
@@ -98,6 +98,11 @@ def main(argv=None) -> int:
         return 0
     options = RunOptions(gmax=args.gmax, factors=args.factors,
                          ydim=args.ydim, seed=args.seed)
+    try:
+        selected = select_checks(args.checks)
+    except UnknownCheck as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     json_file = None
     if args.json_path:
         # opened before any check runs, so a path that cannot be written is a usage error
@@ -106,11 +111,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             parser.error(f"--json: cannot write {args.json_path}: {exc.strerror}")
     with json_file or contextlib.nullcontext():
-        try:
-            results = run_checks(args.checks, options)
-        except UnknownCheck as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        results = run_checks(selected, options)
         lines = [json.dumps(r._asdict()) for r in results]
         for line in lines:
             print(line)

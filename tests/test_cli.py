@@ -221,6 +221,15 @@ def test_unwritable_json_path_usage_error(tmp_path, capsys):
     assert not path.parent.exists()
 
 
+def test_unknown_check_leaves_json_file_untouched(tmp_path, capsys):
+    # the ids are refused before the --json file is opened for writing
+    path = tmp_path / "results.jsonl"
+    path.write_text("kept\n")
+    assert main(["run", "--check", "nope", "--json", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == "kept\n"
+
+
 def test_seed_flag_reaches_check(capsys):
     _, lines = run_lines(capsys, ["run", "--check", "box-kernel-product",
                                   "--seed", "3"])

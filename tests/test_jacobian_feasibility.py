@@ -77,12 +77,8 @@ def test_genus_four_with_reflection_is_infeasible():
 # -- the borderline case ------------------------------------------------------------
 
 
-def _case31_rows():
-    return {r.group: r for r in survey() if (r.g, r.g_prime) == (3, 1)}
-
-
 def test_case31_eliminations():
-    rows = _case31_rows()
+    rows = {r.group: r for r in survey() if (r.g, r.g_prime) == (3, 1)}
     klein = rows["(Z/2)^2"]
     assert klein.witnesses == (16, 4)
     assert klein.group_order == 4
