@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Run every registered check and print a plain-text summary table.
+"""Run `ppav-lab run` and print its results as a plain-text summary table.
 
-The JSON-lines interface lives in the ppav-lab command; this script is the
-human-facing version for a quick desk run.  Exit code matches the command:
-0 when everything passes, 1 otherwise.
+Takes the options of `ppav-lab run` (--check, --gmax, --factors, --ydim,
+--seed, --json, --list) and exits with its code: 0 when every selected
+check passes, 1 otherwise, 2 on a usage error.  `--list` output is printed
+as the command prints it.
 """
 
-import argparse
+import contextlib
+import io
+import json
 import os
 import sys
 
@@ -14,28 +17,35 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from ppavlab.checks import RunOptions, run_checks  # noqa: E402
-from ppavlab.cli import GMAX_LIMIT, _gmax  # noqa: E402
+from ppavlab.cli import main as ppav_lab  # noqa: E402
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--gmax", type=_gmax, default=6,
-                        help=f"largest genus for the per-genus sweeps (1..{GMAX_LIMIT})")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the randomized property checks")
-    args = parser.parse_args()
-
-    results = run_checks([], RunOptions(gmax=args.gmax, seed=args.seed))
-    width = max(len(r.check_id) for r in results)
+def main(argv=None) -> int:
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = ppav_lab(["run", *(sys.argv[1:] if argv is None else argv)])
+    except SystemExit:
+        sys.stdout.write(out.getvalue())  # --help's text; a usage error wrote none
+        raise
+    text = out.getvalue()
+    try:
+        results = [json.loads(line) for line in text.splitlines()]
+    except json.JSONDecodeError:
+        results = None
+    if not results:
+        # --list's tab-separated lines, or nothing after a refused check id
+        sys.stdout.write(text)
+        return code
+    width = max(len(r["check_id"]) for r in results)
     for r in results:
-        print(f"{r.check_id:<{width}}  {r.status:<5}  {r.elapsed_ms:>6} ms")
-        if r.status != "pass":
-            for key, value in r.witnesses.items():
+        print(f"{r['check_id']:<{width}}  {r['status']:<5}  {r['elapsed_ms']:>6} ms")
+        if r["status"] != "pass":
+            for key, value in r["witnesses"].items():
                 print(f"{'':<{width}}    {key} = {value}")
-    failed = [r for r in results if r.status != "pass"]
+    failed = [r for r in results if r["status"] != "pass"]
     print(f"\n{len(results) - len(failed)}/{len(results)} checks passed")
-    return 1 if failed else 0
+    return code
 
 
 if __name__ == "__main__":

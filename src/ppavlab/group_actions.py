@@ -41,10 +41,10 @@ from .tori import (
     OrderMatrix,
     RATIONAL,
     Torus,
+    W,
     _order_pairs,
     order_by_kind,
     rational_rep,
-    unit_of_order,
 )
 
 
@@ -322,7 +322,9 @@ def _adjacent_transpositions(order, g: int) -> list[OrderMatrix]:
     return gens
 
 
-_ORDER_FOR_UNIT = {2: RATIONAL, 3: EISENSTEIN, 4: GAUSSIAN, 6: EISENSTEIN}
+# m -> (order, unit of multiplicative order m over it): -1, w, i = w and -w
+_UNIT_OF_ORDER = {2: (RATIONAL, OrderElem(-1, 0)), 3: (EISENSTEIN, W),
+                  4: (GAUSSIAN, W), 6: (EISENSTEIN, OrderElem(0, -1))}
 
 # The examples close their whole group, 0.1 ms or more per element on a 2-core
 # host: example_b(7) closes 40,320 elements in 6 s and example_a(6, 2) 46,080
@@ -351,11 +353,10 @@ def example_a(g: int, m: int) -> tuple[MatrixGroup, PolarizedTorus]:
     """
     if type(g) is not int or g < 1:
         raise ValueError(f"g must be >= 1 (an int, not a bool), got {g!r}")
-    if type(m) is not int or m not in _ORDER_FOR_UNIT:
+    if type(m) is not int or m not in _UNIT_OF_ORDER:
         raise BadOrder(f"unit order m must be one of 2, 3, 4, 6, got {m!r}")
     _require_example_order(f"example_a({g}, {m})", (m * k for k in range(1, g + 1)))
-    order = _ORDER_FOR_UNIT[m]
-    zeta = unit_of_order(order, m)
+    order, zeta = _UNIT_OF_ORDER[m]
     gens = [OrderMatrix(order, tuple(tuple(zeta if i == j == 0 else OrderElem(int(i == j), 0)
                                           for j in range(g)) for i in range(g)))]
     gens.extend(_adjacent_transpositions(order, g))

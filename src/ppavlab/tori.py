@@ -22,7 +22,7 @@ class OrderMismatch(ValueError):
 
 
 class BadOrder(ValueError):
-    """No unit of the requested multiplicative order exists over this order."""
+    """No unit of the requested multiplicative order exists over the lab's orders."""
 
 
 class QuadOrder(NamedTuple):
@@ -52,6 +52,12 @@ def order_by_kind(kind: str) -> QuadOrder:
     if not isinstance(kind, str) or kind not in _BY_KIND:
         raise OrderMismatch(f"unknown order kind {kind!r}")
     return _BY_KIND[kind]
+
+
+def _require_order(order) -> None:
+    """OrderMismatch unless order is one of the three orders the lab models."""
+    if not isinstance(order, QuadOrder) or order not in _BY_KIND.values():
+        raise OrderMismatch(f"order must be one of Z, Z[i], Z[w], got {order!r}")
 
 
 class OrderElem(NamedTuple):
@@ -93,32 +99,6 @@ def onorm(o: QuadOrder, x: OrderElem) -> int:
     return x.a * x.a + o.u * x.a * x.b - o.v * x.b * x.b
 
 
-def units_of_order(o: QuadOrder, m: int) -> tuple[OrderElem, ...]:
-    """All units of exact multiplicative order m, in a fixed enumeration."""
-    if o.kind == "Z":
-        pool = [ONE, OrderElem(-1, 0)]
-    elif o.kind == "Z[i]":
-        pool = [ONE, OrderElem(-1, 0), W, oneg(W)]
-    else:
-        w2 = omul(o, W, W)
-        pool = [ONE, OrderElem(-1, 0), W, oneg(W), w2, oneg(w2)]
-    found = []
-    for z in pool:
-        p, k = z, 1
-        while p != ONE:
-            p = omul(o, p, z)
-            k += 1
-        if k == m:
-            found.append(z)
-    if not found:
-        raise BadOrder(f"no unit of order {m} over {o.kind}")
-    return tuple(found)
-
-
-def unit_of_order(o: QuadOrder, m: int) -> OrderElem:
-    return units_of_order(o, m)[0]
-
-
 class Torus(_Frozen):
     """O^g with its standard Z-basis of rank 2g (rank g when O = Z)."""
 
@@ -127,6 +107,7 @@ class Torus(_Frozen):
     g: int
 
     def __init__(self, order: QuadOrder, g: int):
+        _require_order(order)
         if type(g) is not int or g < 1:
             raise ValueError(f"g must be an integer >= 1, got {g!r}")
         _set(self, "order", order)
@@ -138,17 +119,14 @@ class Torus(_Frozen):
 
     @cache
     def complex_structure(self) -> IntMatrix:
-        """Matrix of multiplication by w on the Z-basis, built once per torus.
+        """Matrix J of multiplication by w on the Z-basis, built once per torus.
 
-        Over Z there is no w in the endomorphism ring; the block matrix with
-        (u, v) = (0, -1) is used as the formal complex structure of the
+        Over Z there is no w in the endomorphism ring; Z[i]'s w, which gives
+        J = [[0, -I], [I, 0]], is used as the formal complex structure of the
         (1, tau)-basis instead.
         """
-        u, v = (self.order.u, self.order.v) if self.order.is_cm else (0, -1)
-        g = self.g
-        i = IntMatrix.identity(g)
-        z = IntMatrix.zeros(g, g)
-        return IntMatrix.from_blocks([[z, v * i], [i, u * i]])
+        order = self.order if self.order.is_cm else GAUSSIAN
+        return rational_rep(OrderMatrix.scalar(order, self.g, W))
 
 
 class OrderMatrix(_Frozen):
@@ -162,6 +140,10 @@ class OrderMatrix(_Frozen):
     entries: tuple[tuple[OrderElem, ...], ...]
 
     def __init__(self, order: QuadOrder, entries: tuple[tuple[OrderElem, ...], ...]):
+        _require_order(order)
+        if type(entries) is not tuple or any(type(r) is not tuple for r in entries):
+            # a list would make the frozen value unhashable
+            raise ValueError("entries must be a tuple of tuple rows")
         if any(len(r) != len(entries) for r in entries):
             raise ValueError("matrix must be square")
         cells = [x for r in entries for x in r]

@@ -134,6 +134,26 @@ def test_desk_script_rejects_non_positive_gmax(value):
     assert done.stdout == ""
 
 
+def test_desk_script_takes_the_command_options(capsys):
+    # the script used to declare only --gmax and --seed; --check was an
+    # unrecognized argument (exit 2)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    script = str(root / "scripts" / "run_all_checks.py")
+    done = subprocess.run([sys.executable, script, "--check", "theta-principal"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    row, *rest = done.stdout.splitlines()
+    check_id, status, _elapsed, unit = row.split()
+    assert (check_id, status, unit) == ("theta-principal", "pass", "ms")
+    assert rest == ["", "1/1 checks passed"]
+    listed = subprocess.run([sys.executable, script, "--list"],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert main(["run", "--list"]) == listed.returncode == 0
+    assert listed.stdout == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["3", "--height", "-1"], ["3", "--height", "0"], ["3", "--height", "6"],
     ["1"], ["0"], ["5"],

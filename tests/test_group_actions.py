@@ -24,6 +24,7 @@ from ppavlab.group_actions import (
     DimensionMismatch,
     MatrixGroup,
     NotInvariant,
+    _UNIT_OF_ORDER,
     _close,
     action_on_kernel,
     average_pullback,
@@ -57,6 +58,7 @@ from ppavlab.tori import (
     OrderMatrix,
     RATIONAL,
     Torus,
+    omul,
     rational_rep,
 )
 
@@ -241,6 +243,16 @@ def test_example_a_orders():
             assert grp.order == m ** g * factorial(g)
             assert pol.torus == grp.torus
     assert example_a(2, 6)[0].order == 72
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_unit_table_entry_has_exact_order_m(m):
+    order, zeta = _UNIT_OF_ORDER[m]
+    powers = list(itertools.accumulate([zeta] * m, lambda p, z: omul(order, p, z)))
+    assert powers.index(ONE) == m - 1
+    grp, _ = example_a(1, m)
+    assert grp.torus == Torus(order, 1)
+    assert grp.generators[0] == rational_rep(OrderMatrix.scalar(order, 1, zeta))
 
 
 def test_example_a_rejects_bad_unit_order():

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from oracles import rank_over_field
 from ppavlab.exact_linalg import IntMatrix
 from ppavlab.tori import (
-    BadOrder,
     EISENSTEIN,
     GAUSSIAN,
     ONE,
     OrderElem,
     OrderMatrix,
     OrderMismatch,
+    QuadOrder,
     RATIONAL,
     Torus,
     W,
@@ -26,8 +26,6 @@ from ppavlab.tori import (
     onorm,
     order_by_kind,
     rational_rep,
-    unit_of_order,
-    units_of_order,
 )
 
 CM_ORDERS = [GAUSSIAN, EISENSTEIN]
@@ -70,30 +68,26 @@ def test_conjugation_is_involutive_and_norm_is_self_times_conj():
             assert omul(o, x, oconj(o, x)) == OrderElem(onorm(o, x), 0)
 
 
-def test_units_gaussian():
-    assert unit_of_order(GAUSSIAN, 4) == W
-    assert unit_of_order(GAUSSIAN, 2) == OrderElem(-1, 0)
-    assert units_of_order(GAUSSIAN, 4) == (W, OrderElem(0, -1))
+def multiplicative_order(o, z):
+    p, k = z, 1
+    while p != ONE:
+        p, k = omul(o, p, z), k + 1
+    return k
 
 
-def test_units_eisenstein():
+@pytest.mark.parametrize("o, orders", [
+    (RATIONAL, {ONE: 1, OrderElem(-1, 0): 2}),
+    (GAUSSIAN, {ONE: 1, OrderElem(-1, 0): 2, W: 4, OrderElem(0, -1): 4}),
     # w^3 = 1 here, so the order-6 units are -w and 1 + w
-    assert units_of_order(EISENSTEIN, 3) == (W, OrderElem(-1, -1))
-    assert units_of_order(EISENSTEIN, 6) == (OrderElem(0, -1), OrderElem(1, 1))
-    z = unit_of_order(EISENSTEIN, 6)
-    p = ONE
-    for k in range(1, 7):
-        p = omul(EISENSTEIN, p, z)
-        assert (p == ONE) == (k == 6)
-
-
-def test_units_unavailable():
-    with pytest.raises(BadOrder):
-        unit_of_order(RATIONAL, 4)
-    with pytest.raises(BadOrder):
-        unit_of_order(EISENSTEIN, 4)
-    with pytest.raises(BadOrder):
-        unit_of_order(GAUSSIAN, 3)
+    (EISENSTEIN, {ONE: 1, OrderElem(-1, 0): 2, W: 3, OrderElem(-1, -1): 3,
+                  OrderElem(0, -1): 6, OrderElem(1, 1): 6}),
+], ids=["Z", "Z[i]", "Z[w]"])
+def test_unit_groups(o, orders):
+    # the units are the elements of norm 1, all inside the box |a|, |b| <= 2
+    box = [OrderElem(a, b) for a in (-2, -1, 0, 1, 2) for b in (-2, -1, 0, 1, 2)
+           if o.is_cm or b == 0]
+    units = [z for z in box if onorm(o, z) == 1]
+    assert {z: multiplicative_order(o, z) for z in units} == orders
 
 
 @pytest.mark.parametrize("g", [0, -1, True, 2.5, 2.0, "2"])
@@ -101,6 +95,23 @@ def test_torus_refuses_a_dimension_that_is_not_a_positive_int(g):
     # Torus(RATIONAL, 2.5) used to build, with lattice_rank 5.0, and True passed as g = 1
     with pytest.raises(ValueError, match="^g must be an integer >= 1, got "):
         Torus(RATIONAL, g)
+
+
+BAD_ORDERS = pytest.mark.parametrize("order", ["Z", QuadOrder("Z[r2]", 0, 2), (1, 2, 3)],
+                                     ids=["str", "real-quadratic", "tuple"])
+
+
+@BAD_ORDERS
+def test_torus_refuses_an_order_outside_the_three(order):
+    # "Z" failed later with AttributeError on .is_cm; Z[sqrt 2] was taken as a CM order
+    with pytest.raises(OrderMismatch, match="^order must be one of "):
+        Torus(order, 2)
+
+
+@BAD_ORDERS
+def test_order_matrix_refuses_an_order_outside_the_three(order):
+    with pytest.raises(OrderMismatch, match="^order must be one of "):
+        OrderMatrix(order, ((ONE,),))
 
 
 def test_order_lookup():
@@ -120,6 +131,15 @@ def test_rational_integer_matrices_reject_w_parts():
 def is_invertible(m):
     # det_Z(rational_rep(m)) is the norm of det_O(m), a unit iff it is +-1
     return abs(rational_rep(m).det()) == 1
+
+
+@pytest.mark.parametrize("entries", [[[OrderElem(-1, 0)]], ([OrderElem(-1, 0)],)],
+                         ids=["list", "list-row"])
+def test_order_matrix_refuses_list_entries(entries):
+    # a list made the frozen value unhashable: hash, rational_rep and closure
+    # raised TypeError
+    with pytest.raises(ValueError, match="^entries must be a tuple of tuple rows$"):
+        OrderMatrix(RATIONAL, entries)
 
 
 def test_order_matrix_rejects_non_square_grid():
@@ -301,6 +321,17 @@ def test_analytic_rank_of_minus_id():
 
 
 # -- torus-level helpers -----------------------------------------------------
+
+
+@pytest.mark.parametrize("o", ALL_ORDERS, ids=["Z", "Z[i]", "Z[w]"])
+def test_complex_structure_is_the_block_matrix(o):
+    # the block layout written out, with the formal (u, v) = (0, -1) over Z
+    u, v = (o.u, o.v) if o.is_cm else (0, -1)
+    for g in range(1, 7):
+        i = IntMatrix.identity(g)
+        z = IntMatrix.zeros(g, g)
+        assert Torus(o, g).complex_structure() == IntMatrix.from_blocks([[z, i.scaled(v)],
+                                                                         [i, i.scaled(u)]])
 
 
 def test_complex_structure_satisfies_defining_relation():
