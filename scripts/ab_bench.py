@@ -7,9 +7,11 @@ PARENT and CHANGE are source checkouts, each with its own perfbench/.  Each
 pair runs `perfbench/run.py --trace 0` once in each checkout, one process
 at a time, alternating which side goes first: the parent in even pairs,
 the change in odd ones.  Both output lines of every run (its run metadata
-and its result) are kept.  After the pairs, one `--trace 1` run on each
-side records its per-layer metrics; for `registry` each check's cold time
-is printed parent -> change, so the record shows which checks moved.
+and its result) are kept.  After the pairs, TRACED_RUNS `--trace 1` runs
+on each side, alternating sides the same way, record their per-layer
+metrics; for `registry` each check's minimum cold time over those runs is
+printed parent -> change, so the record shows which checks moved and one
+slow run does not.
 
 For each end-to-end metric of CHANGE's BENCHMARK.json the summary gives the
 two medians, the spread of the parent's runs (the distance between their
@@ -31,6 +33,7 @@ import subprocess
 import sys
 
 SEED = 1  # the seed the benchmark runs with
+TRACED_RUNS = 3  # `--trace 1` runs per side
 
 
 def run_once(checkout: str, workload: str, seconds: float, trace: int) -> dict:
@@ -79,15 +82,23 @@ def metric_values(run: dict) -> dict:
     return {name: m["value"] for name, m in run["result"]["metrics"].items()}
 
 
-def check_times(parent: dict, change: dict) -> list[tuple[str, float, float]]:
-    """(check id, parent ms, change ms) of each checks.<id>.cold_ms in both traces.
+def check_times(parent: list[dict], change: list[dict]) -> list[tuple[str, float, float]]:
+    """(check id, parent ms, change ms): each checks.<id>.cold_ms, the minimum
+    over each side's traced runs.
 
-    Checks come in the parent trace's order; one that only a side has is left out.
+    Checks come in the first parent trace's order; one that only a side has is left out.
     """
-    before, after = metric_values(parent), metric_values(change)
-    return [(name[len("checks."):-len(".cold_ms")], before[name], after[name])
-            for name in before
-            if name.startswith("checks.") and name.endswith(".cold_ms") and name in after]
+    before = [metric_values(run) for run in parent]
+    after = [metric_values(run) for run in change]
+    return [(name[len("checks."):-len(".cold_ms")], min(v[name] for v in before),
+             min(v[name] for v in after))
+            for name in before[0]
+            if name.startswith("checks.") and name.endswith(".cold_ms") and name in after[0]]
+
+
+def alternating(n: int) -> list[tuple[str, str]]:
+    """The side order of n runs per side: the parent first in even rounds."""
+    return [("parent", "change") if i % 2 == 0 else ("change", "parent") for i in range(n)]
 
 
 def main(argv=None) -> int:
@@ -106,8 +117,7 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
 
     runs = []
-    for i in range(args.pairs):
-        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+    for i, sides in enumerate(alternating(args.pairs)):
         pair = {side: run_once(getattr(args, side), args.workload, seconds, 0)
                 for side in sides}
         runs.append(pair)
@@ -118,11 +128,13 @@ def main(argv=None) -> int:
                          for r in runs], better)
     failed = {side: sum(r[side]["result"]["failed"] for r in runs)
               for side in ("parent", "change")}
-    traced = {side: run_once(getattr(args, side), args.workload, seconds, 1)
-              for side in ("parent", "change")}
+    traced = {"parent": [], "change": []}
+    for sides in alternating(TRACED_RUNS):
+        for side in sides:
+            traced[side].append(run_once(getattr(args, side), args.workload, seconds, 1))
     record = {"seed": SEED, "seconds": seconds, "summary": summary,
-              "failed": failed, "pairs": runs, "trace_parent": traced["parent"],
-              "trace_change": traced["change"]}
+              "failed": failed, "pairs": runs, "traces_parent": traced["parent"],
+              "traces_change": traced["change"]}
     for name, s in summary.items():
         print(f"{args.workload} {name}: parent {s['parent_median']:.4f}"
               f" (quartile spread {s['parent_quartile_spread']:.4f}),"
@@ -133,8 +145,8 @@ def main(argv=None) -> int:
           f" change {failed['change']}")
     if args.workload == "registry":  # the other workloads run no check
         for check_id, before, after in check_times(traced["parent"], traced["change"]):
-            print(f"registry checks.{check_id}.cold_ms: parent {before:.1f},"
-                  f" change {after:.1f}")
+            print(f"registry checks.{check_id}.cold_ms (min of {TRACED_RUNS}):"
+                  f" parent {before:.1f}, change {after:.1f}")
 
     if args.out:
         try:

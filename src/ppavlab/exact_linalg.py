@@ -440,6 +440,17 @@ def snf(m: IntMatrix) -> SNF:
     v = [[0] * nc for _ in range(nc)]
     for i in range(nc):
         v[i][i] = 1
+    _smith_loop(a, v, nc)
+    return SNF(IntMatrix(nr, nc, tuple(map(tuple, a))), IntMatrix(nc, nc, tuple(map(tuple, v))))
+
+
+def _smith_loop(a: list[list[int]], v: list[list[int]], nc: int) -> None:
+    """snf's elimination, in place on the rows of a, with nc columns.
+
+    Each column operation acts on the rows of a and v alike; with v empty
+    no transform is built, and a ends as the same diagonal.
+    """
+    nr = len(a)
     k = 0
     while k < min(nr, nc):
         best = 0
@@ -492,15 +503,15 @@ def snf(m: IntMatrix) -> SNF:
                     row_k[j] += row_b[j]
                 continue
         k += 1
-    return SNF(IntMatrix(nr, nc, tuple(map(tuple, a))), IntMatrix(nc, nc, tuple(map(tuple, v))))
 
 
 def snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """The invariant factors of m: the diagonal of its Smith normal form.
 
-    Square 2x2 and 3x3 matrices skip the transforms: with D_k the gcd of the
-    k x k minors, d_k = D_k / D_{k-1}, or 0 when D_k = 0 (Newman,
-    *Integral Matrices*, Thm II.9).
+    No transform is built.  Square 2x2 and 3x3 matrices skip the
+    elimination: with D_k the gcd of the k x k minors, d_k = D_k / D_{k-1},
+    or 0 when D_k = 0 (Newman, *Integral Matrices*, Thm II.9); others run
+    snf's loop with an empty v.
     """
     n = m.rows
     if n == m.cols and 2 <= n <= 3:
@@ -518,8 +529,9 @@ def snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
                       a * f - b * d, a * g - c * d, b * g - c * f,
                       a * i - b * h, a * j - c * h, b * j - c * i)
         return (d1, d2 // d1 if d2 else 0, det // d2 if det else 0)
-    d = snf(m).d
-    return tuple(d[i, i] for i in range(min(m.rows, m.cols)))
+    a = [list(row) for row in m.entries]
+    _smith_loop(a, [], m.cols)
+    return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
 
 
 # -- Hermite normal form ---------------------------------------------------

@@ -110,8 +110,17 @@ class PolarizedTorus(_Frozen):
         return self.torus.g
 
     @functools.cached_property
+    def _type(self) -> tuple[int, ...]:
+        # no Smith transform: over Z the form is split_form(B), whose Smith
+        # diagonal is B's, doubled
+        if self.torus.order.is_cm:
+            return alternating_type(self.form)
+        g = self.g
+        return snf_diagonal(self.form.block(0, g, g, 2 * g))
+
+    @functools.cached_property
     def _smith(self) -> SNF:
-        # the one reduction of the form; its type and kernel group read it
+        # the reduction with its transform V, read only for kernel generators
         return snf(self.form)
 
 
@@ -147,22 +156,18 @@ def associated_symmetric(torus: Torus, form: IntMatrix) -> IntMatrix:
     return doubled - form.scaled(u) if u else doubled
 
 
-def _paired_type(diag: tuple[int, ...]) -> tuple[int, ...]:
-    """One divisor of each pair of an alternating form's Smith diagonal.
+def alternating_type(form: IntMatrix) -> tuple[int, ...]:
+    """Elementary divisors (d_1 | ... | d_g) of a nondegenerate alternating form.
 
-    The Smith diagonal of a nondegenerate alternating form is doubled,
-    (d_1, d_1, d_2, d_2, ...); a zero or an unpaired divisor raises.
+    Its Smith diagonal is doubled, (d_1, d_1, d_2, d_2, ...); a zero or an
+    unpaired divisor raises.
     """
+    diag = snf_diagonal(form)
     if 0 in diag:
         raise Degenerate("degenerate form has no type")
     if diag[0::2] != diag[1::2]:
         raise NotAlternating("divisors of an alternating form must pair up")
     return diag[0::2]
-
-
-def alternating_type(form: IntMatrix) -> tuple[int, ...]:
-    """Elementary divisors (d_1 | ... | d_g) of a nondegenerate alternating form."""
-    return _paired_type(snf_diagonal(form))
 
 
 def theta_g(g: int, order: QuadOrder = RATIONAL) -> PolarizedTorus:
@@ -182,9 +187,8 @@ def xi_g(g: int, order: QuadOrder = RATIONAL) -> PolarizedTorus:
 
 
 def polarization_type(p: PolarizedTorus) -> tuple[int, ...]:
-    """Elementary divisors (d_1 | ... | d_g) of the form, read off its cached Smith form."""
-    d = p._smith.d
-    return _paired_type(tuple(d[i, i] for i in range(d.rows)))
+    """Elementary divisors (d_1 | ... | d_g) of the form, cached on the torus."""
+    return p._type
 
 
 def is_principal(p: PolarizedTorus) -> bool:
@@ -194,12 +198,29 @@ def is_principal(p: PolarizedTorus) -> bool:
 # -- kernel group ------------------------------------------------------------
 
 
-class FiniteSymplecticGroup(NamedTuple):
-    """Kernel of the form: rational vectors mod Z^{2g} with a Q/Z pairing."""
+class FiniteSymplecticGroup(_Frozen):
+    """Kernel of the form: rational vectors mod Z^{2g} with a Q/Z pairing.
 
+    Given generators None, they are built on first read from the ambient
+    form's Smith transform V: column i of V over d_i, for each d_i > 1.
+    """
+
+    _fields = ("ambient", "generators", "orders")
     ambient: PolarizedTorus
-    generators: tuple[tuple[Fraction, ...], ...]
     orders: tuple[int, ...]
+
+    def __init__(self, ambient: PolarizedTorus,
+                 generators: tuple[tuple[Fraction, ...], ...] | None, orders: tuple[int, ...]):
+        _set(self, "ambient", ambient)
+        if generators is not None:
+            _set(self, "generators", generators)
+        _set(self, "orders", orders)
+
+    @functools.cached_property
+    def generators(self) -> tuple[tuple[Fraction, ...], ...]:
+        d, v = self.ambient._smith
+        return tuple(tuple(Fraction(x % di, di) for x in col)
+                     for i, col in enumerate(v.columns()) if (di := d[i, i]) > 1)
 
     @property
     def order(self) -> int:
@@ -212,16 +233,12 @@ class FiniteSymplecticGroup(NamedTuple):
 
 
 def kernel_group(p: PolarizedTorus) -> FiniteSymplecticGroup:
-    """Generators and orders of (form^{-1} Z^{2g}) / Z^{2g}."""
-    d, v = p._smith
-    gens, orders = [], []
-    for i, col in enumerate(v.columns()):
-        di = d[i, i]
-        if di > 1:
-            # column i of V over d_i: a kernel element of exact order d_i
-            gens.append(tuple(Fraction(x % di, di) for x in col))
-            orders.append(di)
-    return FiniteSymplecticGroup(p, tuple(gens), tuple(orders))
+    """Generators and orders of (form^{-1} Z^{2g}) / Z^{2g}.
+
+    The orders are the form's Smith diagonal (d_1, d_1, d_2, d_2, ...) past
+    its 1s, taken from the type; the generators are built when first read.
+    """
+    return FiniteSymplecticGroup(p, None, tuple(d for d in p._type for _ in (0, 1) if d > 1))
 
 
 # -- products and rescalings -------------------------------------------------
@@ -263,7 +280,7 @@ def box_product(*factors: PolarizedTorus) -> PolarizedTorus:
 def self_intersection(p: PolarizedTorus) -> int:
     """Top self-intersection number g! * d_1 ... d_g, equal to g! * |Pf(form)|.
 
-    Riemann-Roch; the type is read off the torus's cached Smith form.
+    Riemann-Roch; the type is the torus's cached one.
     """
     return math.factorial(p.g) * math.prod(polarization_type(p))
 

@@ -108,6 +108,18 @@ def weil_pairing(k: FiniteSymplecticGroup, x: Sequence, y: Sequence) -> Fraction
     return sum(map(operator.mul, xv, m.mul_vec(yv))) % 1
 
 
+def kernel_generators_reference(form: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """Kernel generators built eagerly, as kernel_group once did: column i
+    of the Smith transform V over d_i, for each d_i > 1."""
+    d, v = snf_reference(form)
+    gens = []
+    for i, col in enumerate(v.columns()):
+        di = d[i, i]
+        if di > 1:
+            gens.append(tuple(Fraction(x % di, di) for x in col))
+    return tuple(gens)
+
+
 def snf_reference(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """(d, v) of the Smith loop as written before its rows were skipped.
 

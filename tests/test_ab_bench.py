@@ -43,15 +43,28 @@ def _trace(values: dict) -> dict:
 
 
 def test_check_times_pair_each_checks_cold_ms(ab_bench):
-    parent = _trace({"checks.box-kernel-product.cold_ms": 80.0,
-                     "checks.box-kernel-product.warm_ms": 70.0,
-                     "checks.subtorus-not-principal.cold_ms": 65.0,
-                     "checks.gone.cold_ms": 1.0,
-                     "exact_linalg.snf.calls": 231})
-    change = _trace({"checks.subtorus-not-principal.cold_ms": 50.0,
-                     "checks.box-kernel-product.cold_ms": 60.0,
-                     "checks.new.cold_ms": 2.0,
-                     "exact_linalg.snf.calls": 190})
-    # in the parent's order; warm times, other metrics and one-sided checks are left out
+    parent = [_trace({"checks.box-kernel-product.cold_ms": 80.0,
+                      "checks.box-kernel-product.warm_ms": 70.0,
+                      "checks.subtorus-not-principal.cold_ms": 65.0,
+                      "checks.gone.cold_ms": 1.0,
+                      "exact_linalg.snf.calls": 231}),
+              _trace({"checks.box-kernel-product.cold_ms": 85.0,
+                      "checks.subtorus-not-principal.cold_ms": 40.0,
+                      "checks.gone.cold_ms": 1.0})]
+    change = [_trace({"checks.subtorus-not-principal.cold_ms": 50.0,
+                      "checks.box-kernel-product.cold_ms": 60.0,
+                      "checks.new.cold_ms": 2.0,
+                      "exact_linalg.snf.calls": 190}),
+              _trace({"checks.subtorus-not-principal.cold_ms": 45.0,
+                      "checks.box-kernel-product.cold_ms": 90.0,
+                      "checks.new.cold_ms": 2.0})]
+    # each side's minimum, in the first parent run's order; warm times,
+    # other metrics and one-sided checks are left out
     assert ab_bench.check_times(parent, change) == [
-        ("box-kernel-product", 80.0, 60.0), ("subtorus-not-principal", 65.0, 50.0)]
+        ("box-kernel-product", 80.0, 60.0), ("subtorus-not-principal", 40.0, 45.0)]
+
+
+def test_traced_runs_alternate_sides(ab_bench):
+    assert ab_bench.TRACED_RUNS == 3
+    assert ab_bench.alternating(ab_bench.TRACED_RUNS) == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]

@@ -13,9 +13,11 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     NotMember,
     kernel_elements,
+    kernel_generators_reference,
     pfaffian,
     rank_over_field,
     saturate,
+    snf_reference,
     weil_pairing,
 )
 from ppavlab import polarizations
@@ -302,18 +304,31 @@ def test_polarization_type_examples():
 
 
 def test_one_smith_reduction_per_torus(monkeypatch):
-    reduced = []
-    real_snf = polarizations.snf
+    # the type and the kernel's orders build no Smith transform; the one
+    # reduction with V runs when the kernel's generators are first read
+    reduced, typed = [], []
+    real_snf, real_diagonal = polarizations.snf, polarizations.snf_diagonal
     monkeypatch.setattr(polarizations, "snf", lambda m: reduced.append(m) or real_snf(m))
+    monkeypatch.setattr(polarizations, "snf_diagonal",
+                        lambda m: typed.append(m) or real_diagonal(m))
     p = xi_g(3)
     assert polarization_type(p) == (1, 1, 4)
     assert not is_principal(p)
-    assert kernel_group(p).order == 16
+    assert self_intersection(p) == 24
+    k = kernel_group(p)
+    assert k.order == 16 and k.orders == (4, 4)
+    assert reduced == [] and typed == [p.form.block(0, 3, 3, 6)]
+    gens = k.generators
     assert reduced == [p.form]
-    # the box product is reduced from its own form, not merged from p's
+    assert k.generators is gens and reduced == [p.form]
+    # the box product's type reduces the box's own block B, not merged from p's
     box = box_product(p, theta_g(1))
     assert polarization_type(box) == (1, 1, 1, 4) and kernel_group(box).order == 16
-    assert reduced == [p.form, box.form]
+    assert typed[1:] == [box.form.block(0, 4, 4, 8)]
+    # over a CM order the type is alternating_type of the whole form
+    cm = xi_g(2, GAUSSIAN)
+    assert polarization_type(cm) == (1, 3) and kernel_group(cm).orders == (3, 3)
+    assert typed[2:] == [cm.form] and reduced == [p.form]
 
 
 @st.composite
@@ -347,9 +362,15 @@ def valid_polarization(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(valid_polarization())
-def test_polarization_type_matches_alternating_type(p):
-    # alternating_type keeps the snf_diagonal route, so it is an independent oracle
-    assert polarization_type(p) == alternating_type(p.form)
+def test_type_and_kernel_match_the_full_smith_form(p):
+    # the type and the orders skip the transform, the generators build it
+    # lazily; the full reduction of the form is the oracle for all three
+    d = snf(p.form).d
+    diag = tuple(d[i, i] for i in range(d.rows))
+    assert polarization_type(p) == diag[1::2]
+    k = kernel_group(p)
+    assert k.orders == tuple(x for x in diag if x > 1)
+    assert k.generators == kernel_generators_reference(p.form)
 
 
 # -- kernel groups -------------------------------------------------------------
@@ -531,10 +552,11 @@ def _split_forms(draw):
 
 
 def _assert_self_intersection_by_oracles(p):
-    # the Pfaffian oracle and the snf_diagonal route share no code with the
-    # torus's cached Smith form
+    # the Pfaffian oracle and the reference Smith loop share no code with
+    # the torus's cached type
     assert self_intersection(p) == math.factorial(p.g) * abs(pfaffian(p.form))
-    assert polarization_type(p) == alternating_type(p.form)
+    d = snf_reference(p.form)[0]
+    assert polarization_type(p) == tuple(d[i, i] for i in range(1, d.rows, 2))
 
 
 @settings(max_examples=100, deadline=None)

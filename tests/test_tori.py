@@ -264,12 +264,12 @@ def test_order_pairs_inverts_rational_rep(m):
         (x.a, x.b) for row in m.entries for x in row]
 
 
-def test_rational_rep_matches_complex_structure():
-    # multiplication by w is exactly the complex structure of the torus
-    for o in CM_ORDERS:
+def test_complex_structure_satisfies_the_minimal_polynomial_of_w():
+    # w^2 = u w + v; over Z, J is Z[i]'s formal complex structure, J^2 = -I
+    for o in ALL_ORDERS:
         for g in (1, 2, 3):
-            m = OrderMatrix.scalar(o, g, W)
-            assert rational_rep(m) == Torus(o, g).complex_structure()
+            j, i = Torus(o, g).complex_structure(), IntMatrix.identity(2 * g)
+            assert j * j == (j.scaled(o.u) + i.scaled(o.v) if o.is_cm else -i)
 
 
 def test_rational_rep_is_a_ring_homomorphism():
