@@ -445,11 +445,7 @@ def snf(m: IntMatrix) -> SNF:
 
 
 def _smith_loop(a: list[list[int]], v: list[list[int]], nc: int) -> None:
-    """snf's elimination, in place on the rows of a, with nc columns.
-
-    Each column operation acts on the rows of a and v alike; with v empty
-    no transform is built, and a ends as the same diagonal.
-    """
+    """snf's elimination, in place on the rows of a and v; with v empty no transform is built."""
     nr = len(a)
     k = 0
     while k < min(nr, nc):

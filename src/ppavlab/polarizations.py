@@ -111,8 +111,10 @@ class PolarizedTorus(_Frozen):
 
     @functools.cached_property
     def _type(self) -> tuple[int, ...]:
-        # no Smith transform: over Z the form is split_form(B), whose Smith
-        # diagonal is B's, doubled
+        if "_smith" in self.__dict__:  # made already for kernel generators
+            d = self._smith.d
+            return tuple(d[i, i] for i in range(0, d.rows, 2))
+        # no transform: over Z the form is split_form(B), whose Smith diagonal is B's, doubled
         if self.torus.order.is_cm:
             return alternating_type(self.form)
         g = self.g
@@ -199,28 +201,28 @@ def is_principal(p: PolarizedTorus) -> bool:
 
 
 class FiniteSymplecticGroup(_Frozen):
-    """Kernel of the form: rational vectors mod Z^{2g} with a Q/Z pairing.
-
-    Given generators None, they are built on first read from the ambient
-    form's Smith transform V: column i of V over d_i, for each d_i > 1.
-    """
+    """Kernel of the form: rational vectors mod Z^{2g} with a Q/Z pairing."""
 
     _fields = ("ambient", "generators", "orders")
     ambient: PolarizedTorus
-    orders: tuple[int, ...]
 
     def __init__(self, ambient: PolarizedTorus,
-                 generators: tuple[tuple[Fraction, ...], ...] | None, orders: tuple[int, ...]):
+                 generators: tuple[tuple[Fraction, ...], ...], orders: tuple[int, ...]):
         _set(self, "ambient", ambient)
-        if generators is not None:
-            _set(self, "generators", generators)
+        _set(self, "generators", generators)
         _set(self, "orders", orders)
 
     @functools.cached_property
     def generators(self) -> tuple[tuple[Fraction, ...], ...]:
+        # column i of the Smith transform V over d_i, for each d_i > 1
         d, v = self.ambient._smith
         return tuple(tuple(Fraction(x % di, di) for x in col)
                      for i, col in enumerate(v.columns()) if (di := d[i, i]) > 1)
+
+    @functools.cached_property
+    def orders(self) -> tuple[int, ...]:
+        # the Smith diagonal (d_1, d_1, d_2, d_2, ...) past its 1s
+        return tuple(d for d in self.ambient._type for _ in (0, 1) if d > 1)
 
     @property
     def order(self) -> int:
@@ -233,12 +235,10 @@ class FiniteSymplecticGroup(_Frozen):
 
 
 def kernel_group(p: PolarizedTorus) -> FiniteSymplecticGroup:
-    """Generators and orders of (form^{-1} Z^{2g}) / Z^{2g}.
-
-    The orders are the form's Smith diagonal (d_1, d_1, d_2, d_2, ...) past
-    its 1s, taken from the type; the generators are built when first read.
-    """
-    return FiniteSymplecticGroup(p, None, tuple(d for d in p._type for _ in (0, 1) if d > 1))
+    """Generators and orders of (form^{-1} Z^{2g}) / Z^{2g}, each built on first read."""
+    k = object.__new__(FiniteSymplecticGroup)
+    _set(k, "ambient", p)
+    return k
 
 
 # -- products and rescalings -------------------------------------------------

@@ -99,12 +99,13 @@ def symplectic_basis(k: FiniteSymplecticGroup) -> SymplecticBasis:
     Deterministic for a fixed generator list.
     """
     m = k.ambient.form
+    generators = k.generators  # before the orders, so kernel_group reduces the form once
     e = math.lcm(*k.orders)
     mt = m.transpose()
-    gens = [[c * e for c in gen] for gen in k.generators]
+    gens = [[c * e for c in gen] for gen in generators]
     for i, row in enumerate(gens):
         if any(c.denominator != 1 for c in row):
-            raise ValueError(f"generator {i}, ({', '.join(map(str, k.generators[i]))}),"
+            raise ValueError(f"generator {i}, ({', '.join(map(str, generators[i]))}),"
                              f" has an entry off the grid (1/{e})Z of its orders")
     gens = [list(map(int, row)) for row in gens]
     coords = list(zip(*gens))

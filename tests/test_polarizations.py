@@ -329,6 +329,11 @@ def test_one_smith_reduction_per_torus(monkeypatch):
     cm = xi_g(2, GAUSSIAN)
     assert polarization_type(cm) == (1, 3) and kernel_group(cm).orders == (3, 3)
     assert typed[2:] == [cm.form] and reduced == [p.form]
+    # orders read after the generators come from the same reduction
+    q = xi_g(2)
+    k = kernel_group(q)
+    assert len(k.generators) == 2 and k.orders == (3, 3) and polarization_type(q) == (1, 3)
+    assert reduced == [p.form, q.form] and len(typed) == 3
 
 
 @st.composite
@@ -364,13 +369,19 @@ def valid_polarization(draw):
 @given(valid_polarization())
 def test_type_and_kernel_match_the_full_smith_form(p):
     # the type and the orders skip the transform, the generators build it
-    # lazily; the full reduction of the form is the oracle for all three
+    # lazily; the full reduction of the form is the oracle for all three,
+    # read in either order
     d = snf(p.form).d
     diag = tuple(d[i, i] for i in range(d.rows))
+    gens = kernel_generators_reference(p.form)
     assert polarization_type(p) == diag[1::2]
     k = kernel_group(p)
     assert k.orders == tuple(x for x in diag if x > 1)
-    assert k.generators == kernel_generators_reference(p.form)
+    assert k.generators == gens
+    k = kernel_group(PolarizedTorus(p.torus, p.form))
+    assert k.generators == gens
+    assert k.orders == tuple(x for x in diag if x > 1)
+    assert polarization_type(k.ambient) == diag[1::2]
 
 
 # -- kernel groups -------------------------------------------------------------
